@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import quantum
+from . import canon, quantum
 from .errors import (
     ArityMismatch,
     DuplicateQubitArg,
@@ -253,125 +253,41 @@ def subst_qubit(t: Term, gamma: Mapping[str, str]) -> Term:
 
 # -- structural congruence ----------------------------------------------------
 
-def _alpha_sig(t: Term, env: dict, depth: int) -> str:
-    def name(n):
-        return f"b{env[n]}" if n in env else f"f:{n}"
-
+def _node(t: Term) -> tuple:
+    """The term as a node of the shared congruence signature pass."""
     match t:
         case Nil():
-            return "0"
+            return canon.UNIT
+        case Par(l, r):
+            return (canon.PAR, l, r)
         case Success():
-            return "ok"
-        case Par(l, r):
-            return f"({_alpha_sig(l, env, depth)}|{_alpha_sig(r, env, depth)})"
+            return ("ok", (), (), ())
         case In(c, x, p):
-            e = dict(env, **{x: depth})
-            return f"in[{name(c)};{_alpha_sig(p, e, depth + 1)}]"
+            return ("in", (c,), (x,), (p,))
         case Out(c, q, p):
-            return f"out[{name(c)},{name(q)};{_alpha_sig(p, env, depth)}]"
+            return ("out", (c, q), (), (p,))
         case Trans(qs, g, p):
-            return f"tr[{g};{','.join(name(q) for q in qs)};{_alpha_sig(p, env, depth)}]"
+            return ("tr:" + g, qs, (), (p,))
         case Measure(qs, x, p):
-            e = dict(env, **{x: depth})
-            return f"ms[{','.join(name(q) for q in qs)};{_alpha_sig(p, e, depth + 1)}]"
+            return ("ms", qs, (x,), (p,))
         case NewChan(x, p):
-            e = dict(env, **{x: depth})
-            return f"nc[{_alpha_sig(p, e, depth + 1)}]"
+            return ("nc", (), (x,), (p,))
         case NewQbit(x, p):
-            e = dict(env, **{x: depth})
-            return f"nq[{_alpha_sig(p, e, depth + 1)}]"
+            return ("nq", (), (x,), (p,))
     raise TypeError(f"not a CQP- term: {t!r}")
 
 
-def _flatten_par(t: Term) -> list[Term]:
-    if isinstance(t, Par):
-        return _flatten_par(t.left) + _flatten_par(t.right)
-    if isinstance(t, Nil):
-        return []
-    return [t]
-
-
-def _sorted_nf(t: Term) -> Term:
-    match t:
-        case Par():
-            parts = []
-            for child in _flatten_par(t):
-                nf = _sorted_nf(child)
-                if not isinstance(nf, Nil):
-                    parts.append(nf)
-            if not parts:
-                return Nil()
-            parts.sort(key=lambda p: _alpha_sig(p, {}, 0))
-            out = parts[0]
-            for p in parts[1:]:
-                out = Par(out, p)
-            return out
-        case In(c, x, p):
-            return In(c, x, _sorted_nf(p))
-        case Out(c, q, p):
-            return Out(c, q, _sorted_nf(p))
-        case Trans(qs, g, p):
-            return Trans(qs, g, _sorted_nf(p))
-        case Measure(qs, x, p):
-            return Measure(qs, x, _sorted_nf(p))
-        case NewChan(x, p):
-            return NewChan(x, _sorted_nf(p))
-        case NewQbit(x, p):
-            return NewQbit(x, _sorted_nf(p))
-        case _:
-            return t
-
-
-def _canon_binders(t: Term, counter: list[int]) -> Term:
-    def rename(x, p):
-        fresh = f"%b{counter[0]}"
-        counter[0] += 1
-        return fresh, substitute(p, {x: fresh})
-
-    match t:
-        case Nil() | Success():
-            return t
-        case Par(l, r):
-            return Par(_canon_binders(l, counter), _canon_binders(r, counter))
-        case In(c, x, p):
-            x2, p2 = rename(x, p)
-            return In(c, x2, _canon_binders(p2, counter))
-        case Out(c, q, p):
-            return Out(c, q, _canon_binders(p, counter))
-        case Trans(qs, g, p):
-            return Trans(qs, g, _canon_binders(p, counter))
-        case Measure(qs, x, p):
-            x2, p2 = rename(x, p)
-            return Measure(qs, x2, _canon_binders(p2, counter))
-        case NewChan(x, p):
-            x2, p2 = rename(x, p)
-            return NewChan(x2, _canon_binders(p2, counter))
-        case NewQbit(x, p):
-            x2, p2 = rename(x, p)
-            return NewQbit(x2, _canon_binders(p2, counter))
-    raise TypeError(f"not a CQP- term: {t!r}")
-
-
-def canonical_term(t: Term) -> Term:
-    """Normal form: parallel flattened and sorted, units dropped, binders renamed."""
-    return _canon_binders(_sorted_nf(t), [0])
-
-
-def _register_renamed(config: CqpConfig):
-    """Positionally rename register qubits (alpha conversion on the register)."""
-    cached = getattr(config, "_canon", None)
-    if cached is not None:
-        return cached
-    if isinstance(config, CqpPure):
-        names = config.sigma.qubit_names
-        mapping = {n: f"%r{i}" for i, n in enumerate(names)}
-        cached = canonical_term(substitute(config.term, mapping))
-    else:
-        names = config.sigma_names
-        mapping = {n: f"%r{i}" for i, n in enumerate(names)}
-        shared = substitute(config.term, {config.var: "%x"})
-        cached = canonical_term(substitute(shared, mapping))
-    object.__setattr__(config, "_canon", cached)
+def _signature(config: CqpConfig) -> str:
+    """Term signature, register qubits by position, the measured variable anonymous."""
+    cached = getattr(config, "_sig", None)
+    if cached is None:
+        if isinstance(config, CqpPure):
+            env = canon.register_env(config.sigma.qubit_names)
+        else:
+            env = canon.register_env(config.sigma_names)
+            env[config.var] = "x"
+        cached = canon.signature(config.term, _node, env)
+        object.__setattr__(config, "_sig", cached)
     return cached
 
 
@@ -386,12 +302,11 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
     if c1.phi != c2.phi:
         return False
     if isinstance(c1, CqpPure):
-        if c1.sigma.qubit_names != c2.sigma.qubit_names:
-            if len(c1.sigma.qubit_names) != len(c2.sigma.qubit_names):
-                return False
+        if len(c1.sigma.qubit_names) != len(c2.sigma.qubit_names):
+            return False
         if not np.allclose(c1.sigma.amps, c2.sigma.amps, rtol=0.0, atol=tol):
             return False
-        return _register_renamed(c1) == _register_renamed(c2)
+        return _signature(c1) == _signature(c2)
     if c1.r != c2.r or len(c1.cases) != len(c2.cases):
         return False
     for (p1, s1), (p2, s2) in zip(c1.cases, c2.cases):
@@ -399,17 +314,11 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
             return False
         if not np.allclose(s1.amps, s2.amps, rtol=0.0, atol=tol):
             return False
-    return _register_renamed(c1) == _register_renamed(c2)
+    return _signature(c1) == _signature(c2)
 
 
 def congruent_terms(t1: Term, t2: Term) -> bool:
-    return canonical_term(t1) == canonical_term(t2)
-
-
-def _round_amps(arr, digits=9):
-    r = np.round(arr.real, digits) + 0.0
-    i = np.round(arr.imag, digits) + 0.0
-    return ",".join(f"{a:.9f}{b:+.9f}j" for a, b in zip(r, i))
+    return canon.signature(t1, _node) == canon.signature(t2, _node)
 
 
 def canonical_key(config: CqpConfig) -> str:
@@ -417,11 +326,11 @@ def canonical_key(config: CqpConfig) -> str:
     cached = getattr(config, "_key", None)
     if cached is not None:
         return cached
-    term = repr(_register_renamed(config))
+    term = _signature(config)
     if isinstance(config, CqpPure):
-        cached = f"P{config.sigma.num_qubits}|{_round_amps(config.sigma.amps)}|{';'.join(config.phi)}|{term}"
+        cached = f"P{config.sigma.num_qubits}|{canon.rounded(config.sigma.amps)}|{';'.join(config.phi)}|{term}"
     else:
-        cases = "&".join(f"{p:.9f}@{_round_amps(s.amps)}" for p, s in config.cases)
+        cases = "&".join(f"{p:.9f}@{canon.rounded(s.amps)}" for p, s in config.cases)
         cached = f"D{config.r}|{cases}|{';'.join(config.phi)}|{term}"
     object.__setattr__(config, "_key", cached)
     return cached

@@ -135,9 +135,6 @@ class Lts:
     def complete(self) -> bool:
         return not self.truncated
 
-    def successors(self, i: int):
-        return [(label, dst, choice) for src, label, dst, choice in self.edges if src == i]
-
     def path_to(self, i: int) -> list[str]:
         labels = []
         while self.parents[i] is not None:
@@ -283,9 +280,6 @@ def _tau_reach(lts: Lts, succ) -> list[set[int]]:
 
 
 def _may_success(lts: Lts, reach) -> list[bool]:
-    succ = _succ_map(lts)
-    # reachability through all labels, not only tau: success here follows the
-    # reduction semantics, so restrict to tau edges
     out = []
     for i in range(len(lts.states)):
         out.append(any(lts.barbs[j] for j in reach[i]))
@@ -913,10 +907,15 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
     """A structurally congruent rearrangement: parallel components shuffled
     and reassociated, unit processes sprinkled in, binders renamed."""
 
+    def components(t: cqp.Term) -> list[cqp.Term]:
+        if isinstance(t, cqp.Par):
+            return components(t.left) + components(t.right)
+        return [] if isinstance(t, cqp.Nil) else [t]
+
     def shuffle(t: cqp.Term) -> cqp.Term:
         match t:
             case cqp.Par():
-                parts = [shuffle(p) for p in cqp._flatten_par(t)]
+                parts = [shuffle(p) for p in components(t)]
                 if not parts:
                     return cqp.Nil()
                 rng.shuffle(parts)

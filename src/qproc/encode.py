@@ -151,7 +151,3 @@ def emit_translation(
     gates = ", ".join(sorted(_used_gates(config.term)))
     header = f"# operators: {gates or 'none'}; builtins M, E{{i}}, new"
     return header + "\n" + qccs.format_qccs_file(config, defs or {}, dict(table or {}))
-
-
-def emit_qccs(output: EncodingOutput) -> str:
-    return emit_translation(output.config, output.defs, {})

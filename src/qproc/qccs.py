@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import quantum
+from . import canon, quantum
 from .errors import (
     ArityMismatch,
     NoCloningViolation,
@@ -637,202 +637,71 @@ def has_success_barb(config: QccsConfig, defs: ProcessDefs | None = None) -> boo
 
 # -- structural congruence ----------------------------------------------------------
 
-def _bool_sig(b: BoolExpr, name) -> str:
-    match b:
-        case BTrue():
-            return "tt"
-        case BFalse():
-            return "ff"
-        case TraceNonzero(op, qs):
-            return f"tr[{format_op(op, [name(q) for q in qs])}]"
-        case BNot(inner):
-            return f"!{_bool_sig(inner, name)}"
-        case BAnd(l, r):
-            return f"({_bool_sig(l, name)}&{_bool_sig(r, name)})"
-    raise TypeError(f"not a boolean guard: {b!r}")
-
-
-def _alpha_sig(t: Term, env: dict, depth: int) -> str:
-    def name(n):
-        return f"b{env[n]}" if n in env else f"f:{n}"
-
+def _node(t: Term | BoolExpr) -> tuple:
+    """The term, or guard, as a node of the shared congruence signature pass."""
     match t:
         case Nil():
-            return "0"
+            return canon.UNIT
+        case Par(l, r):
+            return (canon.PAR, l, r)
+        case Restrict(p, chans):
+            return (canon.RES, tuple(sorted(set(chans) & free_channels(p))), p)
         case Success():
-            return "ok"
+            return ("ok", (), (), ())
         case Tau(p):
-            return f"tau[{_alpha_sig(p, env, depth)}]"
+            return ("tau", (), (), (p,))
         case SuperOp(op, qs, p):
-            return f"so[{format_op(op, [name(q) for q in qs])};{_alpha_sig(p, env, depth)}]"
+            return ("so:" + format_op(op, ()), qs, (), (p,))
         case In(c, x, p):
-            e = dict(env, **{x: depth})
-            return f"in[{name(c)};{_alpha_sig(p, e, depth + 1)}]"
+            return ("in", (c,), (x,), (p,))
         case Out(c, q, p):
-            return f"out[{name(c)},{name(q)};{_alpha_sig(p, env, depth)}]"
+            return ("out", (c, q), (), (p,))
         case Choice(l, r):
-            return f"({_alpha_sig(l, env, depth)}+{_alpha_sig(r, env, depth)})"
-        case Par(l, r):
-            return f"({_alpha_sig(l, env, depth)}|{_alpha_sig(r, env, depth)})"
-        case Restrict(p, chans):
-            e = dict(env)
-            for i, c in enumerate(sorted(chans)):
-                e[c] = depth + i
-            return f"res[{len(chans)};{_alpha_sig(p, e, depth + len(chans))}]"
+            return ("+", (), (), (l, r))
         case IfThen(b, p):
-            return f"if[{_bool_sig(b, name)};{_alpha_sig(p, env, depth)}]"
-        case ConstCall(cname, args):
-            return f"call[{cname};{','.join(name(a) for a in args)}]"
+            return ("if", (), (), (b, p))
+        case ConstCall(name, args):
+            return ("call:" + name, args, (), ())
+        case BTrue():
+            return ("tt", (), (), ())
+        case BFalse():
+            return ("ff", (), (), ())
+        case TraceNonzero(op, qs):
+            return ("tr:" + format_op(op, ()), qs, (), ())
+        case BNot(inner):
+            return ("not", (), (), (inner,))
+        case BAnd(l, r):
+            return ("and", (), (), (l, r))
     raise TypeError(f"not a qCCS term: {t!r}")
 
 
-def _flatten_par(t: Term) -> list[Term]:
-    if isinstance(t, Par):
-        return _flatten_par(t.left) + _flatten_par(t.right)
-    if isinstance(t, Nil):
-        return []
-    return [t]
-
-
-def _par_nf(children: list[Term], all_free: frozenset[str]) -> Term:
-    """Normal form of a parallel composition: units dropped, restrictions on
-    components extruded to the front (renaming their bound channels when
-    they would clash), components sorted."""
-    comps: list[Term] = []
-    bound: list[str] = []
-    work = list(children)
-    while work:
-        c = _sorted_nf(work.pop(0))
-        if isinstance(c, Nil):
-            continue
-        if isinstance(c, Par):
-            work = [c.left, c.right] + work
-            continue
-        if isinstance(c, Restrict):
-            renames = {}
-            avoid = set(all_free) | set(bound) | set(free_channels(c.cont))
-            for name in c.chans:
-                if name in all_free or name in bound:
-                    fresh = fresh_name(name, avoid)
-                    renames[name] = fresh
-                    avoid.add(fresh)
-            body = substitute(c.cont, renames) if renames else c.cont
-            bound.extend(renames.get(n, n) for n in c.chans)
-            work.insert(0, body)
-            continue
-        comps.append(c)
-    if not comps:
-        return Nil()
-    comps.sort(key=lambda p: _alpha_sig(p, {}, 0))
-    out = comps[0]
-    for p in comps[1:]:
-        out = Par(out, p)
-    live = set(bound) & free_channels(out)
-    if live:
-        out = Restrict(out, tuple(sorted(live)))
-    return out
-
-
-def _sorted_nf(t: Term) -> Term:
-    match t:
-        case Par():
-            return _par_nf(_flatten_par(t), free_channels(t))
-        case Tau(p):
-            return Tau(_sorted_nf(p))
-        case SuperOp(op, qs, p):
-            return SuperOp(op, qs, _sorted_nf(p))
-        case In(c, x, p):
-            return In(c, x, _sorted_nf(p))
-        case Out(c, q, p):
-            return Out(c, q, _sorted_nf(p))
-        case Choice(l, r):
-            return Choice(_sorted_nf(l), _sorted_nf(r))
-        case Restrict(p, chans):
-            inner = _sorted_nf(p)
-            # directly nested restrictions merge; channels that do not occur
-            # free in the body are transparent
-            while isinstance(inner, Restrict):
-                chans = tuple(sorted(set(chans) | set(inner.chans)))
-                inner = inner.cont
-            live = set(chans) & free_channels(inner)
-            if not live:
-                return inner
-            return Restrict(inner, tuple(sorted(live)))
-        case IfThen(b, p):
-            return IfThen(b, _sorted_nf(p))
-        case _:
-            return t
-
-
-def _canon_binders(t: Term, counter: list[int]) -> Term:
-    match t:
-        case Nil() | Success() | ConstCall():
-            return t
-        case Tau(p):
-            return Tau(_canon_binders(p, counter))
-        case SuperOp(op, qs, p):
-            return SuperOp(op, qs, _canon_binders(p, counter))
-        case In(c, x, p):
-            fresh = f"%v{counter[0]}"
-            counter[0] += 1
-            return In(c, fresh, _canon_binders(substitute(p, {x: fresh}), counter))
-        case Out(c, q, p):
-            return Out(c, q, _canon_binders(p, counter))
-        case Choice(l, r):
-            return Choice(_canon_binders(l, counter), _canon_binders(r, counter))
-        case Par(l, r):
-            return Par(_canon_binders(l, counter), _canon_binders(r, counter))
-        case Restrict(p, chans):
-            renames = {}
-            fresh = []
-            for c in sorted(chans):
-                nc = f"%c{counter[0]}"
-                counter[0] += 1
-                renames[c] = nc
-                fresh.append(nc)
-            return Restrict(_canon_binders(substitute(p, renames), counter), tuple(fresh))
-        case IfThen(b, p):
-            return IfThen(b, _canon_binders(p, counter))
-    raise TypeError(f"not a qCCS term: {t!r}")
-
-
-def canonical_term(t: Term) -> Term:
-    return _canon_binders(_sorted_nf(t), [0])
-
-
-def _register_renamed(config: QccsConfig) -> Term:
-    cached = getattr(config, "_canon", None)
+def _signature(config: QccsConfig) -> str:
+    """Term signature with register qubits named by position."""
+    cached = getattr(config, "_sig", None)
     if cached is None:
-        mapping = {n: f"%r{i}" for i, n in enumerate(config.rho.qubit_names)}
-        cached = canonical_term(substitute(config.term, mapping))
-        object.__setattr__(config, "_canon", cached)
+        cached = canon.signature(config.term, _node, canon.register_env(config.rho.qubit_names))
+        object.__setattr__(config, "_sig", cached)
     return cached
 
 
 def congruent(c1: QccsConfig, c2: QccsConfig, tol: float = DEFAULT_TOL) -> bool:
     """Parallel laws, alpha conversion (binders and register names), nested
-    restriction sets merged; states compared entrywise."""
+    and parallel restrictions merged; states compared entrywise."""
     if c1.rho.num_qubits != c2.rho.num_qubits:
         return False
     if not np.allclose(c1.rho.entries, c2.rho.entries, rtol=0.0, atol=tol):
         return False
-    return _register_renamed(c1) == _register_renamed(c2)
+    return _signature(c1) == _signature(c2)
 
 
 def congruent_terms(t1: Term, t2: Term) -> bool:
-    return canonical_term(t1) == canonical_term(t2)
-
-
-def _round_entries(arr, digits=9):
-    r = np.round(arr.real, digits) + 0.0
-    i = np.round(arr.imag, digits) + 0.0
-    return ",".join(f"{a:.9f}{b:+.9f}j" for a, b in zip(r.ravel(), i.ravel()))
+    return canon.signature(t1, _node) == canon.signature(t2, _node)
 
 
 def canonical_key(config: QccsConfig) -> str:
     cached = getattr(config, "_key", None)
     if cached is None:
-        cached = f"Q{config.rho.num_qubits}|{_round_entries(config.rho.entries)}|{_register_renamed(config)!r}"
+        cached = f"Q{config.rho.num_qubits}|{canon.rounded(config.rho.entries)}|{_signature(config)}"
         object.__setattr__(config, "_key", cached)
     return cached
 

@@ -1,7 +1,12 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
 from qproc import protocols, qccs, quantum
+from qproc.criteria import Budget, build_lts, gen_config, qccs_system
+from qproc.encode import encode_config
 from qproc.errors import (
     NoCloningViolation,
     ParseError,
@@ -328,6 +333,126 @@ def test_alpha_on_register_names():
     left = QccsConfig(Out("c", "a", Nil()), dm(("a",), (0, 1)))
     right = QccsConfig(Out("c", "b", Nil()), dm(("b",), (0, 1)))
     assert qccs.congruent(left, right)
+
+
+def test_extruded_restrictions_are_numbered_by_structure():
+    # (va)a!q | (vb)b!r  and  (vb)b!q | (va)a!r  differ only in the
+    # restricted names, so the channel order may not follow the names
+    two = (("q", "r"), (1, 0, 0, 0))
+    left = Par(Restrict(Out("a", "q", Nil()), ("a",)), Restrict(Out("b", "r", Nil()), ("b",)))
+    right = Par(Restrict(Out("b", "q", Nil()), ("b",)), Restrict(Out("a", "r", Nil()), ("a",)))
+    assert qccs.congruent(cfg(left, *two), cfg(right, *two))
+
+
+def _rename_and_shuffle(t, rng, fresh):
+    """A congruent variant: restricted channels renamed to fresh names,
+    parallel components shuffled and reassociated."""
+    match t:
+        case Par():
+            parts = []
+            work = [t]
+            while work:
+                cur = work.pop()
+                if isinstance(cur, Par):
+                    work += [cur.left, cur.right]
+                else:
+                    parts.append(_rename_and_shuffle(cur, rng, fresh))
+            rng.shuffle(parts)
+            out = parts[0]
+            for p in parts[1:]:
+                out = Par(out, p) if rng.random() < 0.5 else Par(p, out)
+            return out
+        case Restrict(p, chans):
+            renames = {c: next(fresh) for c in chans}
+            body = _rename_and_shuffle(qccs.substitute(p, renames), rng, fresh)
+            return Restrict(body, tuple(renames[c] for c in chans))
+        case Choice(l, r):
+            return Choice(_rename_and_shuffle(l, rng, fresh), _rename_and_shuffle(r, rng, fresh))
+        case Tau() | SuperOp() | In() | Out() | IfThen():
+            return dataclasses.replace(t, cont=_rename_and_shuffle(t.cont, rng, fresh))
+    return t
+
+
+def test_congruence_survives_renaming_restrictions_and_shuffling():
+    checked, misses = 0, []
+    for i in range(300):
+        rng = random.Random(i)
+        fresh = (f"z{k}" for k in rng.sample(range(10**6), 1000))
+        lts = build_lts(encode_config(gen_config(i)).config, qccs_system(), Budget(8, 60))
+        for state in lts.states:
+            variant = QccsConfig(_rename_and_shuffle(state.term, rng, fresh), state.rho)
+            checked += 1
+            if not qccs.congruent(state, variant):
+                misses.append((i, qccs.format_term(state.term), qccs.format_term(variant.term)))
+    assert checked > 1000
+    assert misses == [], (len(misses), checked)
+
+
+def test_congruence_keeps_restriction_scopes_apart():
+    two = (("q", "r"), (1, 0, 0, 0))
+    aq, ar, br = Out("a", "q", Nil()), Out("a", "r", Nil()), Out("b", "r", Nil())
+    # a restricted channel is not the free channel of the same name
+    assert not qccs.congruent(cfg(Restrict(aq, ("a",)), *two), cfg(aq, *two))
+    # one shared restricted channel is not two separate ones
+    assert not qccs.congruent(
+        cfg(Restrict(Par(aq, ar), ("a",)), *two),
+        cfg(Restrict(Par(aq, br), ("a", "b")), *two),
+    )
+    # an inner restriction shadowing a free name is not the captured form
+    shadowing = Par(aq, Restrict(ar, ("a",)))
+    assert not qccs.congruent(cfg(shadowing, *two), cfg(Restrict(Par(aq, ar), ("a",)), *two))
+    assert qccs.congruent(cfg(shadowing, *two), cfg(Par(aq, Restrict(br, ("b",))), *two))
+    # restricted channels are told apart by the components they link
+    def linked(first, second):
+        inputs = Par(In(first, "x", Success()), In(second, "y", Nil()))
+        return cfg(Restrict(Par(Par(aq, br), inputs), ("a", "b")), *two)
+
+    assert not qccs.congruent(linked("a", "b"), linked("b", "a"))
+
+
+def _links(edges, order=None):
+    """(v channels) the parallel composition of c?x.d?y.0 for each edge (c, d)."""
+    parts = [In(c, "x", In(d, "y", Nil())) for c, d in edges]
+    if order is not None:
+        parts = [parts[k] for k in order]
+    term = parts[0]
+    for p in parts[1:]:
+        term = Par(term, p)
+    chans = tuple(dict.fromkeys(c for edge in edges for c in edge))
+    return cfg(Restrict(term, chans))
+
+
+def test_tied_restricted_channels_are_numbered_independently_of_order():
+    # a, b and c occur in two components each and refinement cannot tell them
+    # apart; every order of the components and every renaming stays congruent
+    edges = [("a", "b"), ("a", "c"), ("b", "c")]
+    reference = _links(edges)
+    for order in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+        assert qccs.congruent(reference, _links(edges, order))
+    for perm in [("c", "a", "b"), ("b", "c", "a"), ("c", "b", "a")]:
+        rename = dict(zip("abc", perm))
+        assert qccs.congruent(reference, _links([(rename[c], rename[d]) for c, d in edges]))
+    # the cycle a -> b -> c -> a has the same refinement but is a different term
+    assert not qccs.congruent(reference, _links([("a", "b"), ("b", "c"), ("c", "a")]))
+
+
+def test_symmetric_restriction_groups():
+    # one 6-cycle and two 3-cycles: every channel is read by two components
+    # of the same shape, so only the full numbering tells them apart
+    ring = [(f"a{k}", f"a{(k + 1) % 6}") for k in range(6)]
+    triangles = [(f"a{k}", f"a{(k + 1) % 3}") for k in range(3)]
+    triangles += [(f"a{k + 3}", f"a{(k + 1) % 3 + 3}") for k in range(3)]
+    assert not qccs.congruent(_links(ring), _links(triangles))
+    rng = random.Random(7)
+    for edges in (ring, triangles):
+        order = list(range(6))
+        rng.shuffle(order)
+        assert qccs.congruent(_links(edges), _links(edges, order))
+    # interchangeable channels, and interchangeable pairs of them
+    star = [(f"a{k}", "s") for k in range(8)]
+    assert qccs.congruent(_links(star), _links(star, list(reversed(range(8)))))
+    matching = [(f"a{k}", f"b{k}") for k in range(6)]
+    assert qccs.congruent(_links(matching), _links(matching, [3, 5, 0, 4, 1, 2]))
 
 
 def test_success_as_choice_branch_barbs():
