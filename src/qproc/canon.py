@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 UNIT = ("0",)
 PAR = "|"
 RES = "new"
@@ -42,13 +40,6 @@ def register_env(names: Sequence[str]) -> dict[str, str]:
 def signature(term, node: Callable, env: Mapping[str, str] | None = None) -> str:
     """The congruence signature of ``term``; ``env`` names free names."""
     return _Pass(node).sig(node(term), dict(env or {}), 0)
-
-
-def rounded(arr: np.ndarray) -> str:
-    """Amplitudes or matrix entries to 9 digits, for the quantum part of a key."""
-    r = np.round(arr.real, 9) + 0.0
-    i = np.round(arr.imag, 9) + 0.0
-    return ",".join(f"{a:.9f}{b:+.9f}j" for a, b in zip(r.ravel(), i.ravel()))
 
 
 class _Channel:

@@ -295,25 +295,19 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
     """Structural congruence of configurations.
 
     Parallel unit/commutativity/associativity, alpha conversion on binders
-    and on the register's qubit names; quantum states compared entrywise.
+    and on the register's qubit names; quantum states compared entrywise
+    within tol.
     """
-    if isinstance(c1, CqpPure) != isinstance(c2, CqpPure):
-        return False
-    if c1.phi != c2.phi:
+    if isinstance(c1, CqpPure) != isinstance(c2, CqpPure) or c1.phi != c2.phi:
         return False
     if isinstance(c1, CqpPure):
-        if len(c1.sigma.qubit_names) != len(c2.sigma.qubit_names):
+        if not quantum.within_tol(c1.sigma.amps, c2.sigma.amps, tol):
             return False
-        if not np.allclose(c1.sigma.amps, c2.sigma.amps, rtol=0.0, atol=tol):
-            return False
-        return _signature(c1) == _signature(c2)
-    if c1.r != c2.r or len(c1.cases) != len(c2.cases):
+    elif c1.r != c2.r or len(c1.cases) != len(c2.cases) or not all(
+        abs(p1 - p2) <= tol and quantum.within_tol(s1.amps, s2.amps, tol)
+        for (p1, s1), (p2, s2) in zip(c1.cases, c2.cases)
+    ):
         return False
-    for (p1, s1), (p2, s2) in zip(c1.cases, c2.cases):
-        if abs(p1 - p2) > tol:
-            return False
-        if not np.allclose(s1.amps, s2.amps, rtol=0.0, atol=tol):
-            return False
     return _signature(c1) == _signature(c2)
 
 
@@ -322,16 +316,17 @@ def congruent_terms(t1: Term, t2: Term) -> bool:
 
 
 def canonical_key(config: CqpConfig) -> str:
-    """Hash key modulo congruence with amplitudes rounded to 9 digits."""
+    """Hash key modulo congruence: register size, free channels, the shape
+    of a distribution and the term signature.  Congruent configurations
+    share it; ``congruent`` decides the amplitudes and probabilities."""
     cached = getattr(config, "_key", None)
     if cached is not None:
         return cached
-    term = _signature(config)
+    phi = ";".join(config.phi)
     if isinstance(config, CqpPure):
-        cached = f"P{config.sigma.num_qubits}|{canon.rounded(config.sigma.amps)}|{';'.join(config.phi)}|{term}"
+        cached = f"P{config.sigma.num_qubits}|{phi}|{_signature(config)}"
     else:
-        cases = "&".join(f"{p:.9f}@{canon.rounded(s.amps)}" for p, s in config.cases)
-        cached = f"D{config.r}|{cases}|{';'.join(config.phi)}|{term}"
+        cached = f"D{len(config.sigma_names)}|{config.r}|{len(config.cases)}|{phi}|{_signature(config)}"
     object.__setattr__(config, "_key", cached)
     return cached
 

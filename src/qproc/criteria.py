@@ -5,9 +5,10 @@ one configuration (and of its translation) within a budget and returns a
 verdict.  Universally quantified statements are corroborated by running
 the checks over many generated configurations, never proved.
 
-States are deduplicated modulo structural congruence with quantum states
-rounded into hash buckets and confirmed entrywise, so exploration
-terminates on the loops the calculi can express.
+States are deduplicated modulo structural congruence: a structural key
+picks a bucket and the quantum states in it are compared within the
+tolerance, so exploration terminates on the loops the calculi can express
+and no verdict hinges on where a float falls.
 """
 
 from __future__ import annotations
@@ -121,6 +122,34 @@ def qccs_system(
     )
 
 
+class StateIndex:
+    """States up to a system's congruence.
+
+    The system's key names the structure only, never an amplitude or a
+    matrix entry, so every state congruent to a stored one lands in its
+    bucket; the system's ``equal`` confirms a hit, comparing the quantum
+    part within the tolerance.
+    """
+
+    def __init__(self, system: System):
+        self.key = system.key
+        self.equal = system.equal
+        self.states: list = []
+        self.buckets: dict[str, list[int]] = {}
+
+    def find(self, state) -> int | None:
+        """The position of the first stored state equal to ``state``."""
+        for i in self.buckets.get(self.key(state), ()):
+            if self.equal(self.states[i], state):
+                return i
+        return None
+
+    def add(self, state) -> int:
+        self.buckets.setdefault(self.key(state), []).append(len(self.states))
+        self.states.append(state)
+        return len(self.states) - 1
+
+
 @dataclass
 class Lts:
     states: list
@@ -152,11 +181,12 @@ class Lts:
 
 
 def build_lts(initial, system: System, budget: Budget = Budget()) -> Lts:
-    states = [initial]
+    index = StateIndex(system)
+    index.add(initial)
+    states = index.states
     barbs = [system.barb(initial)]
     sizes = [system.size(initial)]
     parents: list = [None]
-    buckets: dict[str, list[int]] = {system.key(initial): [0]}
     edges: list[tuple[int, str, int, bool]] = []
     truncated: set[int] = set()
     queue = deque([(0, 0)])
@@ -166,22 +196,15 @@ def build_lts(initial, system: System, budget: Budget = Budget()) -> Lts:
             truncated.add(idx)
             continue
         for label, succ, choice in system.steps(states[idx]):
-            key = system.key(succ)
-            target = None
-            for j in buckets.get(key, ()):
-                if system.equal(states[j], succ):
-                    target = j
-                    break
+            target = index.find(succ)
             if target is None:
                 if len(states) >= budget.max_states:
                     truncated.add(idx)
                     continue
-                target = len(states)
-                states.append(succ)
+                target = index.add(succ)
                 barbs.append(system.barb(succ))
                 sizes.append(system.size(succ))
                 parents.append((idx, label))
-                buckets.setdefault(key, []).append(target)
                 queue.append((target, depth + 1))
             edges.append((idx, label, target, choice))
     return Lts(states, edges, barbs, sizes, truncated, parents)
@@ -494,18 +517,15 @@ class _EncodedSpace:
 
     lts: Lts
     encoded: list[qccs.QccsConfig]
-    op_tables: list[dict]
 
 
 def _encode_space(source, budget, tol, perm_mode="on_demand") -> _EncodedSpace:
     lts = build_lts(source, cqp_system(perm_mode, tol), budget)
-    encoded = []
-    op_tables = []
-    for idx, state in enumerate(lts.states):
-        out = encode.encode_config(state, check=(idx == lts.initial))
-        encoded.append(out.config)
-        op_tables.append(out.op_table)
-    return _EncodedSpace(lts, encoded, op_tables)
+    encoded = [
+        encode.encode_config(state, check=(idx == lts.initial)).config
+        for idx, state in enumerate(lts.states)
+    ]
+    return _EncodedSpace(lts, encoded)
 
 
 def _completeness_detail(source, budget, tol):
@@ -595,34 +615,33 @@ def check_soundness(
     initial_order = (
         source.sigma.qubit_names if isinstance(source, cqp.CqpPure) else source.sigma_names
     )
-    tgt_lts = target_lts or build_lts(space.encoded[src_lts.initial], qccs_system(tol=tol), budget)
+    system = qccs_system(tol=tol)
+    tgt_lts = target_lts or build_lts(space.encoded[src_lts.initial], system, budget)
 
-    candidate_keys: dict[str, int] = {}
+    translations = StateIndex(system)
     for idx, state in enumerate(src_lts.states):
-        enc_candidates = [space.encoded[idx]]
+        translations.add(space.encoded[idx])
         if isinstance(state, cqp.CqpPure):
             order = _canonical_register_order(state.sigma.qubit_names, initial_order)
             if order != state.sigma.qubit_names:
                 perm = tuple(state.sigma.qubit_names.index(n) for n in order)
                 restored = cqp.apply_perm(state, perm).next
-                enc_candidates.append(encode.encode_config(restored, check=False).config)
-        for cand in enc_candidates:
-            candidate_keys.setdefault(qccs.canonical_key(cand), idx)
+                translations.add(encode.encode_config(restored, check=False).config)
 
     succ = _succ_map(tgt_lts)
-    tgt_keys = [qccs.canonical_key(s) for s in tgt_lts.states]
+    translated = [translations.find(s) is not None for s in tgt_lts.states]
     unmatched = []
     for t_idx in range(len(tgt_lts.states)):
         # choice-only completions: follow edges that resolve a choice
         closure = {t_idx}
         queue = deque([t_idx])
-        found = tgt_keys[t_idx] in candidate_keys
+        found = translated[t_idx]
         while queue and not found:
             cur = queue.popleft()
             for _, dst, choice in succ[cur]:
                 if choice and dst not in closure:
                     closure.add(dst)
-                    if tgt_keys[dst] in candidate_keys:
+                    if translated[dst]:
                         found = True
                         break
                     queue.append(dst)

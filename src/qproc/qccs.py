@@ -70,9 +70,20 @@ OpRef = GateOp | MeasureOp | ProjectOp | NewOp | CustomOp
 
 def resolve_op(op: OpRef, arity: int, table: Mapping[str, SuperOperator]) -> SuperOperator:
     match op:
+        case GateOp(g) if g in table:
+            return table[g]
+        case CustomOp(name):
+            if name not in table:
+                raise UnknownName(f"unknown operator {name!r}")
+            return table[name]
+    return _builtin_op(op, arity)
+
+
+@lru_cache(maxsize=1024)
+def _builtin_op(op: OpRef, arity: int) -> SuperOperator:
+    """A built-in operator, built and validated once per reference and arity."""
+    match op:
         case GateOp(g):
-            if g in table:
-                return table[g]
             if g in GATES:
                 return SuperOperator.from_unitary(GATES[g])
             raise UnknownName(f"unknown operator {g!r}")
@@ -82,10 +93,6 @@ def resolve_op(op: OpRef, arity: int, table: Mapping[str, SuperOperator]) -> Sup
             return SuperOperator.measure_expected(i, arity)
         case NewOp():
             return SuperOperator.new_qubit()
-        case CustomOp(name):
-            if name not in table:
-                raise UnknownName(f"unknown operator {name!r}")
-            return table[name]
     raise TypeError(f"not an operator reference: {op!r}")
 
 
@@ -686,12 +693,8 @@ def _signature(config: QccsConfig) -> str:
 
 def congruent(c1: QccsConfig, c2: QccsConfig, tol: float = DEFAULT_TOL) -> bool:
     """Parallel laws, alpha conversion (binders and register names), nested
-    and parallel restrictions merged; states compared entrywise."""
-    if c1.rho.num_qubits != c2.rho.num_qubits:
-        return False
-    if not np.allclose(c1.rho.entries, c2.rho.entries, rtol=0.0, atol=tol):
-        return False
-    return _signature(c1) == _signature(c2)
+    and parallel restrictions merged; states compared entrywise within tol."""
+    return quantum.within_tol(c1.rho.entries, c2.rho.entries, tol) and _signature(c1) == _signature(c2)
 
 
 def congruent_terms(t1: Term, t2: Term) -> bool:
@@ -699,9 +702,11 @@ def congruent_terms(t1: Term, t2: Term) -> bool:
 
 
 def canonical_key(config: QccsConfig) -> str:
+    """Hash key modulo congruence: register size and term signature only.
+    Congruent configurations share it; ``congruent`` decides the state."""
     cached = getattr(config, "_key", None)
     if cached is None:
-        cached = f"Q{config.rho.num_qubits}|{canon.rounded(config.rho.entries)}|{_signature(config)}"
+        cached = f"Q{config.rho.num_qubits}|{_signature(config)}"
         object.__setattr__(config, "_key", cached)
     return cached
 

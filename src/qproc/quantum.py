@@ -486,7 +486,13 @@ def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
         raise ShapeMismatch(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if a.qubit_names != b.qubit_names:
         raise ShapeMismatch(f"registers differ: {a.qubit_names} vs {b.qubit_names}")
-    return bool(np.max(np.abs(left - right)) <= tol) if left.size else True
+    return within_tol(left, right, tol)
+
+
+def within_tol(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Same shape and max|a - b| <= tol: ``np.allclose(a, b, rtol=0, atol=tol)``
+    on finite entries, at a fraction of its cost on small arrays."""
+    return a.shape == b.shape and (not a.size or bool(np.abs(a - b).max() <= tol))
 
 
 def density_equal_mod_order(a: DensityMatrix, b: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:

@@ -163,6 +163,33 @@ def test_congruence_respects_register_order():
     assert not cqp.congruent(left, right)
 
 
+# 0.1234567895 lies halfway between two 9-digit roundings
+BOUNDARY = 0.1234567895
+
+
+def test_amplitudes_astride_a_rounding_boundary_share_key_and_congruence():
+    def at(a):
+        return pure("q", [a, np.sqrt(1 - a * a)], Trans(("q",), "H", Success()))
+
+    low, high, far = at(BOUNDARY - 1e-12), at(BOUNDARY + 1e-12), at(BOUNDARY + 1e-6)
+    assert cqp.canonical_key(low) == cqp.canonical_key(high)
+    assert cqp.congruent(low, high)
+    assert cqp.canonical_key(far) == cqp.canonical_key(low)
+    assert not cqp.congruent(low, far)
+
+
+def test_probabilities_astride_a_rounding_boundary_share_key_and_congruence():
+    def at(p):
+        cases = ((p, sv("q", [1, 0])), (1 - p, sv("q", [0, 1])))
+        return CqpDist(cases, "m", 1, ("c",), Out("c", "m", Nil()))
+
+    low, high, far = at(BOUNDARY - 1e-12), at(BOUNDARY + 1e-12), at(BOUNDARY + 1e-6)
+    assert cqp.canonical_key(low) == cqp.canonical_key(high)
+    assert cqp.congruent(low, high)
+    assert cqp.canonical_key(far) == cqp.canonical_key(low)
+    assert not cqp.congruent(low, far)
+
+
 # -- type systems -----------------------------------------------------------------
 
 def test_surface_accepts_single_gate():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -60,6 +61,40 @@ def test_truncation_is_flagged():
     assert lts.complete  # the self-loop folds back into one state
     lts2 = build_lts(teleport(), cqp_system(), Budget(3, 10000))
     assert lts2.truncated
+
+
+# 0.1234567895 lies halfway between two 9-digit roundings
+BOUNDARY = 0.1234567895
+
+
+@pytest.mark.parametrize("shift, states", [(1e-12, 2), (1e-6, 3)])
+def test_build_lts_merges_states_within_tolerance_only(shift, states):
+    def at(p):
+        return qccs.QccsConfig(qccs.Tau(qccs.Success()), quantum.DensityMatrix(("q",), np.diag([p, 1 - p])))
+
+    initial = qccs.QccsConfig(qccs.Nil(), quantum.outer(quantum.StateVector(("q",), [1, 0])))
+    twins = [at(BOUNDARY - shift), at(BOUNDARY + shift)]
+    system = dataclasses.replace(
+        qccs_system(), steps=lambda c: [("tau", t, False) for t in twins] if c is initial else []
+    )
+    lts = build_lts(initial, system, BUDGET)
+    assert len(lts.states) == states and len(lts.edges) == 2
+
+
+@pytest.mark.parametrize("shift, verdict", [(2e-12, "holds"), (1e-6, "fails")])
+def test_soundness_matches_translations_within_tolerance_only(shift, verdict):
+    a = np.sqrt(BOUNDARY - 1e-12)
+    source = cqp.CqpPure(
+        quantum.StateVector(("q",), [a, np.sqrt(1 - a * a)]), (), cqp.Trans(("q",), "X", cqp.Success())
+    )
+    root = encode.encode_config(source).config
+    p = root.rho.entries[0, 0].real
+    assert round(p, 9) != round(p + shift, 9)
+    moved = qccs.QccsConfig(
+        root.term, quantum.DensityMatrix(root.rho.qubit_names, root.rho.entries + np.diag([shift, -shift]))
+    )
+    target = build_lts(moved, qccs_system(), BUDGET)
+    assert criteria.check_soundness(source, BUDGET, target_lts=target).status == verdict
 
 
 # -- verdicts ----------------------------------------------------------------------

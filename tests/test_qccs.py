@@ -455,6 +455,23 @@ def test_symmetric_restriction_groups():
     assert qccs.congruent(_links(matching), _links(matching, [3, 5, 0, 4, 1, 2]))
 
 
+# 0.1234567895 lies halfway between two 9-digit roundings
+BOUNDARY = 0.1234567895
+
+
+def test_states_astride_a_rounding_boundary_share_key_and_congruence():
+    def at(p):
+        return QccsConfig(Tau(Success()), quantum.DensityMatrix(("q",), np.diag([p, 1 - p])))
+
+    low, high, far = at(BOUNDARY - 1e-12), at(BOUNDARY + 1e-12), at(BOUNDARY + 1e-6)
+    assert round(low.rho.entries[0, 0].real, 9) != round(high.rho.entries[0, 0].real, 9)
+    assert qccs.canonical_key(low) == qccs.canonical_key(high)
+    assert qccs.congruent(low, high)
+    # the key names the structure only; the tolerance decides the state
+    assert qccs.canonical_key(far) == qccs.canonical_key(low)
+    assert not qccs.congruent(low, far)
+
+
 def test_success_as_choice_branch_barbs():
     assert qccs.has_success_barb(cfg(Choice(Success(), IfThen(BTrue(), Tau(Nil())))))
     assert not qccs.has_success_barb(cfg(IfThen(BTrue(), Success())))
