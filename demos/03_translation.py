@@ -12,12 +12,11 @@ import numpy as np
 from qproc import cqp, encode, protocols, qccs
 
 source = cqp.parse_cqp(protocols.read("teleport.cqp"))
-output = encode.encode_config(source)
+state = encode.encode_config(source)
 
 print("translated source (emitted .qccs):")
-print(encode.emit_translation(output.config, output.defs, {}))
+print(encode.emit_translation(state))
 
-state = output.config
 trace = []
 for label in ("new 0", "new 1", "new 2", "new 3", "CNOT", "H", "measure"):
     (step,) = qccs.reduce_steps(state)

@@ -25,8 +25,8 @@ print("probe matrices match their known values:", all(r["probe_matrix_ok"] for r
 print()
 source = cqp.parse_cqp(protocols.read("measurement.cqp"))
 (measure,) = [s for s in cqp.enumerate_steps(source) if s.rule == "R-Measure"]
-translated_distribution = encode.encode_config(measure.next).config
-translated_source = encode.encode_config(source).config
+translated_distribution = encode.encode_config(measure.next)
+translated_source = encode.encode_config(source)
 stepped = next(
     s.next
     for s in qccs.reduce_steps(translated_source)

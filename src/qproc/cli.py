@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import cqp, criteria, encode, qccs, quantum
-from .errors import QprocError
+from .errors import ParseError, QprocError
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +61,10 @@ class RunOptions:
 def _options(args) -> RunOptions:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QPROC_SEED", "0"))
+        try:
+            seed = int(os.environ.get("QPROC_SEED", "0"))
+        except ValueError:
+            raise UsageError(f"QPROC_SEED takes an integer, got {os.environ['QPROC_SEED']!r}")
     script = ()
     if getattr(args, "script", None):
         try:
@@ -81,7 +84,10 @@ def _options(args) -> RunOptions:
 
 def _load(path: str):
     """Returns ("cqp", config) or ("qccs", (defs, config, table))."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text (byte {err.start})")
     if path.endswith(".cqp"):
         return "cqp", cqp.parse_cqp(text)
     if path.endswith(".qccs"):
@@ -94,19 +100,13 @@ def _emit_json(payload: dict) -> str:
 
 
 def _report(check: str, verdict: criteria.Verdict, opts: RunOptions) -> dict:
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "check": check,
-        "verdict": verdict.status,
-        "stats": verdict.stats,
+        **verdict.as_dict(),
         "tolerance": opts.tolerance,
         "seed": opts.seed,
     }
-    if verdict.witness is not None:
-        payload["witness_trace"] = verdict.witness
-    if verdict.reason is not None:
-        payload["reason"] = verdict.reason
-    return payload
 
 
 def _verdict_exit(verdict: criteria.Verdict) -> int:
@@ -248,8 +248,7 @@ def cmd_translate(args) -> int:
     kind, config = _load(args.file)
     if kind != "cqp":
         raise UsageError("translate takes a .cqp source")
-    output = encode.encode_config(config)
-    text = encode.emit_translation(output.config, output.defs, {})
+    text = encode.emit_translation(encode.encode_config(config))
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -382,10 +381,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as err:
+    except (UsageError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except QprocError as err:

@@ -112,6 +112,10 @@ class CqpPure:
     def __post_init__(self):
         object.__setattr__(self, "phi", tuple(self.phi))
 
+    @property
+    def sigma_names(self):
+        return self.sigma.qubit_names
+
 
 @dataclass(frozen=True, eq=False)
 class CqpDist:
@@ -151,14 +155,6 @@ class CqpDist:
 
 
 CqpConfig = CqpPure | CqpDist
-
-
-def make_dist(cases, var, r, phi, term) -> CqpConfig:
-    """Distributions with r = 0 are equated with the pure configuration."""
-    if r == 0:
-        (_, sigma), = tuple(cases)
-        return CqpPure(sigma, tuple(phi), term)
-    return CqpDist(tuple(cases), var, r, tuple(phi), term)
 
 
 # -- free names and substitution ----------------------------------------------
@@ -239,10 +235,6 @@ def _subst_under_binder(x: str, cont: Term, mapping: Mapping[str, str]):
     return x, substitute(cont, scoped)
 
 
-def subst_name(t: Term, frm: str, to: str) -> Term:
-    return substitute(t, {frm: to})
-
-
 def subst_qubit(t: Term, gamma: Mapping[str, str]) -> Term:
     """Qubit substitutions must be injective (no cloning by renaming)."""
     values = list(gamma.values())
@@ -281,10 +273,8 @@ def _signature(config: CqpConfig) -> str:
     """Term signature, register qubits by position, the measured variable anonymous."""
     cached = getattr(config, "_sig", None)
     if cached is None:
-        if isinstance(config, CqpPure):
-            env = canon.register_env(config.sigma.qubit_names)
-        else:
-            env = canon.register_env(config.sigma_names)
+        env = canon.register_env(config.sigma_names)
+        if isinstance(config, CqpDist):
             env[config.var] = "x"
         cached = canon.signature(config.term, _node, env)
         object.__setattr__(config, "_sig", cached)
@@ -309,10 +299,6 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
     ):
         return False
     return _signature(c1) == _signature(c2)
-
-
-def congruent_terms(t1: Term, t2: Term) -> bool:
-    return canon.signature(t1, _node) == canon.signature(t2, _node)
 
 
 def canonical_key(config: CqpConfig) -> str:
@@ -398,7 +384,7 @@ def _check_operands(qs: Sequence[str], env):
         _check_qbit(q, env)
 
 
-def _check_term(t: Term, env: dict, gates: Mapping[str, quantum.Unitary]) -> set[str]:
+def _check_term(t: Term, env: dict) -> set[str]:
     """Returns the set of qubits the term demands; raises on errors.
 
     Parallel components must demand disjoint qubits.  A demand is an
@@ -412,8 +398,8 @@ def _check_term(t: Term, env: dict, gates: Mapping[str, quantum.Unitary]) -> set
         case Nil() | Success():
             return set()
         case Par(l, r):
-            ul = _check_term(l, env, gates)
-            ur = _check_term(r, env, gates)
+            ul = _check_term(l, env)
+            ur = _check_term(r, env)
             clash = ul & ur
             if clash:
                 raise SharedQubit(f"parallel components share qubits {sorted(clash)}")
@@ -421,54 +407,47 @@ def _check_term(t: Term, env: dict, gates: Mapping[str, quantum.Unitary]) -> set
         case In(c, x, p):
             _check_chan(c, env)
             inner = dict(env, **{x: TQbit()})
-            _check_term(p, inner, gates)
+            _check_term(p, inner)
             return set()
         case Out(c, q, p):
             _check_chan(c, env)
             _check_qbit(q, env)
             inner = dict(env)
             del inner[q]  # transmitted qubit leaves the continuation's environment
-            return _check_term(p, inner, gates) | {q}
+            return _check_term(p, inner) | {q}
         case Trans(qs, g, p):
-            if g not in gates:
+            if g not in GATES:
                 raise UnknownName(f"unknown gate {g!r}")
-            if gates[g].arity != len(qs):
-                raise ArityMismatch(f"gate {g} has arity {gates[g].arity}, got {len(qs)} operands")
+            if GATES[g].arity != len(qs):
+                raise ArityMismatch(f"gate {g} has arity {GATES[g].arity}, got {len(qs)} operands")
             _check_operands(qs, env)
-            return _check_term(p, env, gates) | set(qs)
+            return _check_term(p, env) | set(qs)
         case Measure(qs, x, p):
             if not qs:
                 raise ArityMismatch("measurement needs at least one qubit")
             _check_operands(qs, env)
             inner = dict(env, **{x: TInt()})
-            return (_check_term(p, inner, gates) - {x}) | set(qs)
+            return (_check_term(p, inner) - {x}) | set(qs)
         case NewChan(x, p):
             inner = dict(env, **{x: TChan()})
-            return _check_term(p, inner, gates) - {x}
+            return _check_term(p, inner) - {x}
         case NewQbit(x, p):
             inner = dict(env, **{x: TQbit()})
-            return _check_term(p, inner, gates) - {x}
+            return _check_term(p, inner) - {x}
     raise TypeError(f"not a CQP- term: {t!r}")
 
 
-def typecheck_surface(env: Mapping[str, CqpType], term: Term, gates=GATES) -> None:
-    _check_term(term, dict(env), gates)
+def typecheck_surface(env: Mapping[str, CqpType], term: Term) -> None:
+    _check_term(term, dict(env))
 
 
-def typecheck_internal(config: CqpConfig, gates=GATES, extra: Mapping[str, CqpType] | None = None) -> None:
+def typecheck_internal(config: CqpConfig) -> None:
     """Runtime configurations: register names are the qubit assumptions,
     the channel list supplies the channel assumptions."""
-    if isinstance(config, CqpPure):
-        names, term = config.sigma.qubit_names, config.term
-        env: dict[str, CqpType] = {}
-    else:
-        names, term = config.sigma_names, config.term
-        env = {config.var: TInt()}
-    env.update({q: TQbit() for q in names})
+    env: dict[str, CqpType] = {} if isinstance(config, CqpPure) else {config.var: TInt()}
+    env.update({q: TQbit() for q in config.sigma_names})
     env.update({c: TChan() for c in config.phi if not _is_int_literal(c)})
-    if extra:
-        env.update(extra)
-    _check_term(term, env, gates)
+    _check_term(config.term, env)
 
 
 # -- semantics -----------------------------------------------------------------
@@ -542,7 +521,6 @@ def enumerate_steps(
     config: CqpConfig,
     perm_mode: str = "on_demand",
     tol: float = DEFAULT_TOL,
-    gates: Mapping[str, quantum.Unitary] = GATES,
 ) -> list[CqpStep]:
     """All derivable steps, modulo structural congruence on the term.
 
@@ -588,10 +566,10 @@ def enumerate_steps(
                 nxt = CqpPure(sigma2, phi, _replace(term, path, substitute(p, {x: qn})))
                 steps.append(CqpStep("R-Qbit", nxt))
             case Trans(qs, g, p):
-                if g not in gates:
+                if g not in GATES:
                     raise UnknownName(f"unknown gate {g!r}")
                 if qs == names[: len(qs)]:
-                    sigma2 = quantum.apply_unitary_prefix(gates[g], sigma)
+                    sigma2 = quantum.apply_unitary_prefix(GATES[g], sigma)
                     steps.append(CqpStep("R-Trans", CqpPure(sigma2, phi, _replace(term, path, p)), gate=g))
                 elif perm_mode == "on_demand" and set(qs) <= set(names):
                     order = tuple(qs) + tuple(n for n in names if n not in qs)

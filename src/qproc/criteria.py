@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cqp, encode, qccs, quantum
-from .errors import NoCloningViolation
 from .quantum import DEFAULT_TOL
 
 
@@ -84,16 +83,16 @@ class System:
     size: callable
 
 
-def cqp_system(perm_mode: str = "on_demand", tol: float = DEFAULT_TOL) -> System:
+def cqp_system(tol: float = DEFAULT_TOL) -> System:
     def steps(config):
-        return [(s.label(), s.next, False) for s in cqp.enumerate_steps(config, perm_mode, tol)]
+        return [(s.label(), s.next, False) for s in cqp.enumerate_steps(config, tol=tol)]
 
     return System(
         steps=steps,
         key=cqp.canonical_key,
         equal=lambda a, b: cqp.congruent(a, b, tol),
         barb=cqp.has_success_barb,
-        size=lambda c: c.sigma.num_qubits if isinstance(c, cqp.CqpPure) else len(c.sigma_names),
+        size=lambda c: len(c.sigma_names),
     )
 
 
@@ -287,142 +286,131 @@ def detect_divergence(lts: Lts) -> Verdict:
 
 # -- simulation games --------------------------------------------------------------
 
-def _tau_reach(lts: Lts, succ) -> list[set[int]]:
+def _strong_after(lts: Lts) -> list[dict[str, list[int]]]:
+    """For each state i, the states j with  i --label--> j,  by label."""
+    out: list[dict[str, list[int]]] = [{} for _ in lts.states]
+    for src, label, dst, _ in lts.edges:
+        out[src].setdefault(label, []).append(dst)
+    return out
+
+
+def _tau_reach(strong) -> list[set[int]]:
+    """For each state i, the states j with  i ==> j."""
     out = []
-    for i in range(len(lts.states)):
+    for i in range(len(strong)):
         seen = {i}
         queue = deque([i])
         while queue:
-            j = queue.popleft()
-            for label, dst, _ in succ[j]:
-                if label == "tau" and dst not in seen:
+            for dst in strong[queue.popleft()].get("tau", ()):
+                if dst not in seen:
                     seen.add(dst)
                     queue.append(dst)
         out.append(seen)
     return out
 
 
-def _may_success(lts: Lts, reach) -> list[bool]:
+def _weak_after(strong, reach) -> list[dict[str, set[int]]]:
+    """For each state i, the states j with  i ==> --label--> j,  by label;
+    the label tau collapses to  i ==> j."""
     out = []
-    for i in range(len(lts.states)):
-        out.append(any(lts.barbs[j] for j in reach[i]))
+    for reached in reach:
+        after = {"tau": reached}
+        for k in reached:
+            for label, dsts in strong[k].items():
+                if label != "tau":
+                    after.setdefault(label, set()).update(dsts)
+        out.append(after)
     return out
 
 
-def corr_sim_check(
-    lts1: Lts,
-    lts2: Lts,
-    strong_first_clause: bool = True,
-    size_sensitive: bool = False,
-) -> Verdict:
-    """Greatest correspondence simulation relating the two initial states.
-
-    Clause one matches every step of the first system strongly (the
-    literal reading) or weakly (diagnostic mode); clause two lets the
-    first system catch up weakly while the second finishes its step.
-    Related states must agree on reachable success, and optionally on
-    register size.
-    """
-    if not (lts1.complete and lts2.complete):
-        return _inconclusive("truncation")
-    succ1, succ2 = _succ_map(lts1), _succ_map(lts2)
-    reach1, reach2 = _tau_reach(lts1, succ1), _tau_reach(lts2, succ2)
-    may1, may2 = _may_success(lts1, reach1), _may_success(lts2, reach2)
-
-    def weak_after(lts, succ, reach, i, label):
-        """States reachable as  i ==> --label-->  (label tau collapses to ==>)."""
-        if label == "tau":
-            return reach[i]
-        out = set()
-        for j in reach[i]:
-            for lab, dst, _ in succ[j]:
-                if lab == label:
-                    out.add(dst)
-        return out
-
-    pairs = {
-        (i, j)
-        for i in range(len(lts1.states))
-        for j in range(len(lts2.states))
-        if may1[i] == may2[j] and (not size_sensitive or lts1.sizes[i] == lts2.sizes[j])
-    }
-
+def _greatest(pairs: set, ok) -> set:
+    """The greatest subset of ``pairs`` on which every pair (i, j) passes
+    ``ok(i, j, related)``, where ``related[i]`` holds the j still paired
+    with i.  Failing pairs are dropped until none fails; the result is the
+    unique greatest fixpoint, whatever the order of removal."""
+    related = defaultdict(set)
+    for i, j in pairs:
+        related[i].add(j)
     changed = True
     while changed:
         changed = False
-        for (i, j) in list(pairs):
-            ok = True
-            for label, i2, _ in succ1[i]:
-                if strong_first_clause:
-                    candidates = {dst for lab, dst, _ in succ2[j] if lab == label}
-                else:
-                    candidates = weak_after(lts2, succ2, reach2, j, label)
-                if not any((i2, j2) in pairs for j2 in candidates):
-                    ok = False
-                    break
-            if ok:
-                for label, j2, _ in succ2[j]:
-                    i_candidates = weak_after(lts1, succ1, reach1, i, label)
-                    found = False
-                    for i2 in i_candidates:
-                        for j3 in reach2[j2]:
-                            if (i2, j3) in pairs:
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
-                        ok = False
-                        break
-            if not ok:
+        for i, j in list(pairs):
+            if not ok(i, j, related):
                 pairs.discard((i, j))
+                related[i].discard(j)
                 changed = True
+    return pairs
+
+
+def corr_sim_check(lts1: Lts, lts2: Lts, size_sensitive: bool = False) -> Verdict:
+    """Greatest correspondence simulation relating the two initial states.
+
+    Clause one matches every step of the first system strongly; clause two
+    lets the first system catch up weakly while the second finishes its
+    step.  Related states must agree on reachable success, and optionally
+    on register size.
+    """
+    if not (lts1.complete and lts2.complete):
+        return _inconclusive("truncation")
+    strong1, strong2 = _strong_after(lts1), _strong_after(lts2)
+    reach1, reach2 = _tau_reach(strong1), _tau_reach(strong2)
+    weak1 = _weak_after(strong1, reach1)
+    may1 = [any(lts1.barbs[k] for k in r) for r in reach1]
+    may2 = [any(lts2.barbs[k] for k in r) for r in reach2]
+
+    def ok(i, j, related):
+        return all(
+            not related[i2].isdisjoint(strong2[j].get(label, ()))
+            for label, dsts in strong1[i].items()
+            for i2 in dsts
+        ) and all(
+            any(not related[i2].isdisjoint(reach2[j2]) for i2 in weak1[i].get(label, ()))
+            for label, dsts in strong2[j].items()
+            for j2 in dsts
+        )
+
+    pairs = _greatest(
+        {
+            (i, j)
+            for i in range(len(lts1.states))
+            for j in range(len(lts2.states))
+            if may1[i] == may2[j] and (not size_sensitive or lts1.sizes[i] == lts2.sizes[j])
+        },
+        ok,
+    )
     stats = {"pairs": len(pairs), "states": (len(lts1.states), len(lts2.states))}
     if (lts1.initial, lts2.initial) in pairs:
         return _holds(**stats)
     return _fails([], **stats)
 
 
-def bisim_check(lts1: Lts, lts2: Lts, weak: bool = False) -> Verdict:
-    """Diagnostic bisimulation game (strong by default) with success-barb
-    agreement; exists to reproduce the negative example, not as a gate."""
+def bisim_check(lts1: Lts, lts2: Lts) -> Verdict:
+    """Diagnostic strong bisimulation game with success-barb agreement;
+    exists to reproduce the negative example, not as a gate."""
     if not (lts1.complete and lts2.complete):
         return _inconclusive("truncation")
-    succ1, succ2 = _succ_map(lts1), _succ_map(lts2)
-    reach1, reach2 = _tau_reach(lts1, succ1), _tau_reach(lts2, succ2)
+    strong1, strong2 = _strong_after(lts1), _strong_after(lts2)
 
-    def matches(lts, succ, reach, j, label):
-        if not weak:
-            return {dst for lab, dst, _ in succ[j] if lab == label}
-        out = set()
-        if label == "tau":
-            return set(reach[j])
-        for k in reach[j]:
-            for lab, dst, _ in succ[k]:
-                if lab == label:
-                    out.update(reach[dst])
-        return out
+    def ok(i, j, related):
+        return all(
+            not related[i2].isdisjoint(strong2[j].get(label, ()))
+            for label, dsts in strong1[i].items()
+            for i2 in dsts
+        ) and all(
+            any(j2 in related[i2] for i2 in strong1[i].get(label, ()))
+            for label, dsts in strong2[j].items()
+            for j2 in dsts
+        )
 
-    pairs = {
-        (i, j)
-        for i in range(len(lts1.states))
-        for j in range(len(lts2.states))
-        if lts1.barbs[i] == lts2.barbs[j]
-    }
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(pairs):
-            ok = all(
-                any((i2, j2) in pairs for j2 in matches(lts2, succ2, reach2, j, label))
-                for label, i2, _ in succ1[i]
-            ) and all(
-                any((i2, j2) in pairs for i2 in matches(lts1, succ1, reach1, i, label))
-                for label, j2, _ in succ2[j]
-            )
-            if not ok:
-                pairs.discard((i, j))
-                changed = True
+    pairs = _greatest(
+        {
+            (i, j)
+            for i in range(len(lts1.states))
+            for j in range(len(lts2.states))
+            if lts1.barbs[i] == lts2.barbs[j]
+        },
+        ok,
+    )
     if (lts1.initial, lts2.initial) in pairs:
         return _holds(pairs=len(pairs))
     return _fails([], pairs=len(pairs))
@@ -450,19 +438,15 @@ def rename_target_channels(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsCon
 
 
 def rename_source_qubits(config: cqp.CqpConfig, gamma: dict) -> cqp.CqpConfig:
-    values = list(gamma.values())
-    if len(set(values)) != len(values):
-        raise NoCloningViolation(f"non-injective qubit substitution {gamma}")
+    term = cqp.subst_qubit(config.term, gamma)  # raises on a non-injective gamma
+
+    def rename(sigma: quantum.StateVector) -> quantum.StateVector:
+        return quantum.StateVector(tuple(gamma.get(n, n) for n in sigma.qubit_names), sigma.amps)
+
     if isinstance(config, cqp.CqpPure):
-        sigma = quantum.StateVector(
-            tuple(gamma.get(n, n) for n in config.sigma.qubit_names), config.sigma.amps
-        )
-        return cqp.CqpPure(sigma, config.phi, cqp.subst_qubit(config.term, gamma))
-    cases = tuple(
-        (p, quantum.StateVector(tuple(gamma.get(n, n) for n in s.qubit_names), s.amps))
-        for p, s in config.cases
-    )
-    return cqp.CqpDist(cases, config.var, config.r, config.phi, cqp.subst_qubit(config.term, gamma))
+        return cqp.CqpPure(rename(config.sigma), config.phi, term)
+    cases = tuple((p, rename(s)) for p, s in config.cases)
+    return cqp.CqpDist(cases, config.var, config.r, config.phi, term)
 
 
 def rename_target_qubits(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfig:
@@ -488,16 +472,16 @@ def check_name_invariance(source: cqp.CqpConfig, gamma: dict, tol: float = DEFAU
     clashes = [c for c in gamma if c.isdigit()]
     if clashes:
         return _inconclusive(f"renaming remaps measurement literals {clashes}")
-    left = encode.encode_config(rename_source_channels(source, gamma)).config
-    right = rename_target_channels(encode.encode_config(source).config, gamma)
+    left = encode.encode_config(rename_source_channels(source, gamma))
+    right = rename_target_channels(encode.encode_config(source), gamma)
     if _target_equal(left, right, tol):
         return _holds()
     return _fails([f"gamma={gamma}"])
 
 
 def check_qubit_invariance(source: cqp.CqpConfig, gamma: dict, tol: float = DEFAULT_TOL) -> Verdict:
-    left = encode.encode_config(rename_source_qubits(source, gamma)).config
-    right = rename_target_qubits(encode.encode_config(source).config, gamma)
+    left = encode.encode_config(rename_source_qubits(source, gamma))
+    right = rename_target_qubits(encode.encode_config(source), gamma)
     if _target_equal(left, right, tol):
         return _holds()
     return _fails([f"gamma={gamma}"])
@@ -519,10 +503,10 @@ class _EncodedSpace:
     encoded: list[qccs.QccsConfig]
 
 
-def _encode_space(source, budget, tol, perm_mode="on_demand") -> _EncodedSpace:
-    lts = build_lts(source, cqp_system(perm_mode, tol), budget)
+def _encode_space(source, budget, tol) -> _EncodedSpace:
+    lts = build_lts(source, cqp_system(tol), budget)
     encoded = [
-        encode.encode_config(state, check=(idx == lts.initial)).config
+        encode.encode_config(state, check=(idx == lts.initial))
         for idx, state in enumerate(lts.states)
     ]
     return _EncodedSpace(lts, encoded)
@@ -548,7 +532,7 @@ def _completeness_detail(source, budget, tol):
             # be congruent to it.
             perm = tuple(int(x) for x in re.findall(r"\d+", label))
             stepped = cqp.apply_perm(lts.states[src], perm).next
-            enc_stepped = encode.encode_config(stepped, check=False).config
+            enc_stepped = encode.encode_config(stepped, check=False)
             if (
                 enc_src.term == enc_stepped.term
                 and quantum.density_equal_mod_order(enc_src.rho, enc_stepped.rho, tol)
@@ -612,9 +596,7 @@ def check_soundness(
     inserted on the source side)."""
     space = space or _encode_space(source, budget, tol)
     src_lts = space.lts
-    initial_order = (
-        source.sigma.qubit_names if isinstance(source, cqp.CqpPure) else source.sigma_names
-    )
+    initial_order = source.sigma_names
     system = qccs_system(tol=tol)
     tgt_lts = target_lts or build_lts(space.encoded[src_lts.initial], system, budget)
 
@@ -626,7 +608,7 @@ def check_soundness(
             if order != state.sigma.qubit_names:
                 perm = tuple(state.sigma.qubit_names.index(n) for n in order)
                 restored = cqp.apply_perm(state, perm).next
-                translations.add(encode.encode_config(restored, check=False).config)
+                translations.add(encode.encode_config(restored, check=False))
 
     succ = _succ_map(tgt_lts)
     translated = [translations.find(s) is not None for s in tgt_lts.states]
@@ -661,7 +643,7 @@ def check_soundness(
 
 
 def _register_size_from_detail(source, verdict, matched, space) -> Verdict:
-    src_size = source.sigma.num_qubits if isinstance(source, cqp.CqpPure) else len(source.sigma_names)
+    src_size = len(source.sigma_names)
     root = space.encoded[space.lts.initial]
     if root.rho.num_qubits != src_size:
         return _fails([f"root sizes {src_size} vs {root.rho.num_qubits}"])
@@ -725,9 +707,7 @@ def check_divergence_reflection(
     target_lts: Lts | None = None,
 ) -> Verdict:
     src_lts = source_lts or build_lts(source, cqp_system(tol=tol), budget)
-    if target_lts is None:
-        target = encode.encode_config(source).config
-        target_lts = build_lts(target, qccs_system(tol=tol), budget)
+    target_lts = target_lts or build_lts(encode.encode_config(source), qccs_system(tol=tol), budget)
     src_div = detect_divergence(src_lts)
     tgt_div = detect_divergence(target_lts)
     stats = {"source": src_div.status, "target": tgt_div.status}
@@ -747,9 +727,7 @@ def check_success(
 ) -> Verdict:
     """May- and must-success agree between a source and its translation."""
     src_lts = source_lts or build_lts(source, cqp_system(tol=tol), budget)
-    if target_lts is None:
-        target = encode.encode_config(source).config
-        target_lts = build_lts(target, qccs_system(tol=tol), budget)
+    target_lts = target_lts or build_lts(encode.encode_config(source), qccs_system(tol=tol), budget)
     results = {
         "source_may": may_reach_success(src_lts).status,
         "target_may": may_reach_success(target_lts).status,
@@ -767,8 +745,8 @@ def check_congruence_preservation(source, seed: int = 0, tol: float = DEFAULT_TO
     variant = congruent_variant(source, random.Random(seed))
     if not cqp.congruent(source, variant, tol):
         return _fails(["variant generation broke source congruence"])
-    left = encode.encode_config(source).config
-    right = encode.encode_config(variant).config
+    left = encode.encode_config(source)
+    right = encode.encode_config(variant)
     if qccs.congruent(left, right, tol):
         return _holds()
     return _fails([f"seed={seed}"])
@@ -985,22 +963,18 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
     return cqp.CqpPure(config.sigma, config.phi, shuffle(config.term))
 
 
-def _register_names(config: cqp.CqpConfig):
-    return config.sigma.qubit_names if isinstance(config, cqp.CqpPure) else config.sigma_names
-
-
 def random_channel_renaming(config: cqp.CqpConfig, rng: random.Random) -> dict:
     """Injective renaming of the configuration's symbolic channels to fresh
     names; measurement literals stay fixed."""
     free = set(config.phi) | {c for c in cqp.free_names(config.term) if not c.isdigit()}
-    free -= set(_register_names(config))
+    free -= set(config.sigma_names)
     return {c: f"u{i}" for i, c in enumerate(sorted(free))}
 
 
 def random_qubit_renaming(config: cqp.CqpConfig, rng: random.Random) -> dict:
     """A permutation of the register names: always injective, and it keeps
     the fresh-name convention for created qubits stable."""
-    names = list(_register_names(config))
+    names = list(config.sigma_names)
     shuffled = names[:]
     rng.shuffle(shuffled)
     return dict(zip(names, shuffled))

@@ -12,30 +12,16 @@ mixture) to a density matrix.
 Names translate to themselves, so the translation commutes with both
 channel and qubit substitutions, preserves structural congruence, and
 never changes the register size.
+
+``encode_config`` returns the ``qccs.QccsConfig`` itself: the translation
+adds no process constants, and gates resolve as builtins of the target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import cqp, qccs, quantum
-from .quantum import GATES, SuperOperator
-
-
-@dataclass(frozen=True, eq=False)
-class EncodingOutput:
-    """Translated configuration plus the operators its term references.
-
-    ``defs`` is always empty: the translation never introduces process
-    constants.  ``op_table`` names the gate-backed operators in use; the
-    measurement, expected-result and register-extension operators are
-    builtins of the target syntax.
-    """
-
-    config: qccs.QccsConfig
-    defs: qccs.ProcessDefs = field(default_factory=dict)
-    op_table: dict[str, SuperOperator] = field(default_factory=dict)
 
 
 def enc_dist(qbar: Sequence[str], var: str, body: qccs.Term) -> qccs.Term:
@@ -107,40 +93,25 @@ def _used_gates(t: qccs.Term) -> set[str]:
             return set()
 
 
-def encode_config(
-    config: cqp.CqpConfig,
-    gates: Mapping[str, quantum.Unitary] = GATES,
-    check: bool = True,
-) -> EncodingOutput:
+def encode_config(config: cqp.CqpConfig, check: bool = True) -> qccs.QccsConfig:
     """Translate a configuration; requires an internally well-typed source.
 
     ``check=False`` skips re-typechecking, for callers that already hold a
     checked configuration's derivative (subject reduction).
     """
     if check:
-        cqp.typecheck_internal(config, gates)
+        cqp.typecheck_internal(config)
+    names = config.sigma_names
+    term = encode_term(config.term, names)
     if isinstance(config, cqp.CqpPure):
-        term = encode_term(config.term, config.sigma.qubit_names)
         rho = quantum.outer(config.sigma)
     else:
-        names = config.sigma_names
-        body = encode_term(config.term, names)
-        term = enc_dist(names[: config.r], config.var, body)
+        term = enc_dist(names[: config.r], config.var, term)
         rho = quantum.mix(config.cases)
-    wrapped = qccs.Restrict(term, config.phi)
-    table = {g: SuperOperator.from_unitary(gates[g]) for g in sorted(_used_gates(wrapped))}
-    return EncodingOutput(qccs.QccsConfig(wrapped, rho), {}, table)
+    return qccs.QccsConfig(qccs.Restrict(term, config.phi), rho)
 
 
-def encode_source_text(text: str) -> EncodingOutput:
-    return encode_config(cqp.parse_cqp(text))
-
-
-def emit_translation(
-    config: qccs.QccsConfig,
-    defs: qccs.ProcessDefs | None = None,
-    table: Mapping[str, SuperOperator] | None = None,
-) -> str:
+def emit_translation(config: qccs.QccsConfig) -> str:
     """Deterministic .qccs text for a translation.
 
     Gate-backed operators are spelled with their gate names, which the
@@ -150,4 +121,4 @@ def emit_translation(
     """
     gates = ", ".join(sorted(_used_gates(config.term)))
     header = f"# operators: {gates or 'none'}; builtins M, E{{i}}, new"
-    return header + "\n" + qccs.format_qccs_file(config, defs or {}, dict(table or {}))
+    return header + "\n" + qccs.format_qccs_file(config)

@@ -162,7 +162,7 @@ def test_criterion_4_measurement_linkage():
         assert np.allclose(rho_prime.entries, [[0.5, 0], [0, 0.5]], atol=TOL)
         # and the same value arises by stepping the bundled example's translation
         src = cqp.parse_cqp(protocols.read("measurement.cqp"))
-        translated = encode.encode_config(src).config
+        translated = encode.encode_config(src)
         stepped = [
             s.next
             for s in qccs.reduce_steps(translated)
@@ -200,8 +200,8 @@ def test_criterion_6_corr_sim_vs_bisimulation():
         budget = criteria.Budget(64, 4000)
         src = cqp.parse_cqp(protocols.read("measurement.cqp"))
         (meas,) = [s for s in cqp.enumerate_steps(src) if s.rule == "R-Measure"]
-        enc_dist = encode.encode_config(meas.next).config
-        enc_src = encode.encode_config(src).config
+        enc_dist = encode.encode_config(meas.next)
+        enc_src = encode.encode_config(src)
         stepped = None
         for s in qccs.reduce_steps(enc_src):
             if not np.allclose(s.next.rho.entries, enc_src.rho.entries):
@@ -219,8 +219,8 @@ def test_criterion_6_corr_sim_vs_bisimulation():
             cqp.Trans(("b",), "X", cqp.Success()),
         )
         (perm,) = [s for s in cqp.enumerate_steps(perm_src) if s.rule == "R-Perm"]
-        t1 = encode.encode_config(perm_src).config
-        t2 = encode.encode_config(perm.next).config
+        t1 = encode.encode_config(perm_src)
+        t2 = encode.encode_config(perm.next)
         p1 = criteria.build_lts(t1, criteria.qccs_system(labelled=True), budget)
         p2 = criteria.build_lts(t2, criteria.qccs_system(labelled=True), budget)
         assert criteria.corr_sim_check(p1, p2).holds
@@ -231,8 +231,7 @@ def test_criterion_7_wellformedness_bridge():
     with criterion(7, "well-formedness bridge"):
         for seed in range(200):
             source = criteria.gen_config(seed)
-            out = encode.encode_config(source)
-            qccs.check_wellformed(out.defs, out.config, out.op_table)
+            qccs.check_wellformed({}, encode.encode_config(source))
         from qproc.errors import WellFormednessError
 
         with pytest.raises(WellFormednessError) as cond1:

@@ -136,6 +136,30 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "error" in err
 
 
+def test_non_integer_seed_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QPROC_SEED", "abc")
+    code, _, err = run_cli(capsys, "run", TELEPORT)
+    assert code == 3
+    assert err.startswith("usage error:") and "QPROC_SEED" in err
+
+
+def test_unreadable_path_is_a_usage_error(tmp_path, capsys):
+    folder = tmp_path / "x.cqp"
+    folder.mkdir()
+    code, _, err = run_cli(capsys, "parse", str(folder))
+    assert code == 3
+    assert err.startswith("usage error:")
+
+
+def test_non_utf8_source_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cqp"
+    bad.write_bytes("qubits q ; state |0> ; channels ; process 0 # caf\xe9".encode("latin-1"))
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "UTF-8" in err
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QPROC_SEED", "23")
     code, out, _ = run_cli(capsys, "check", MEASUREMENT, "--which", "success", "--format", "json")

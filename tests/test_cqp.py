@@ -103,15 +103,15 @@ def test_amp_expression_forms():
 
 # -- substitution ---------------------------------------------------------------
 
-def test_subst_name_on_channels():
+def test_substitute_on_channels():
     term = In("c", "x", Out("x", "q", Nil()))
-    assert cqp.subst_name(term, "c", "d") == In("d", "x", Out("x", "q", Nil()))
+    assert cqp.substitute(term, {"c": "d"}) == In("d", "x", Out("x", "q", Nil()))
 
 
 def test_subst_avoids_capture():
     # (c?[x].c![q].0){x/q}: the binder must be renamed before q becomes x
     term = In("c", "x", Out("c", "q", Nil()))
-    got = cqp.subst_name(term, "q", "x")
+    got = cqp.substitute(term, {"q": "x"})
     assert isinstance(got, In) and got.chan == "c"
     assert got.var != "x"
     assert got.cont == Out("c", "x", Nil())

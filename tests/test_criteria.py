@@ -87,7 +87,7 @@ def test_soundness_matches_translations_within_tolerance_only(shift, verdict):
     source = cqp.CqpPure(
         quantum.StateVector(("q",), [a, np.sqrt(1 - a * a)]), (), cqp.Trans(("q",), "X", cqp.Success())
     )
-    root = encode.encode_config(source).config
+    root = encode.encode_config(source)
     p = root.rho.entries[0, 0].real
     assert round(p, 9) != round(p + shift, 9)
     moved = qccs.QccsConfig(
@@ -174,9 +174,9 @@ def test_corr_sim_transitive_along_permutation_chain():
     )
     perms = [s for s in cqp.enumerate_steps(src) if s.rule == "R-Perm"]
     assert len(perms) >= 2
-    t0 = encode.encode_config(src).config
-    t1 = encode.encode_config(perms[0].next).config
-    t2 = encode.encode_config(perms[1].next).config
+    t0 = encode.encode_config(src)
+    t1 = encode.encode_config(perms[0].next)
+    t2 = encode.encode_config(perms[1].next)
     l0, l1, l2 = (build_lts(t, qccs_system(labelled=True), BUDGET) for t in (t0, t1, t2))
     assert criteria.corr_sim_check(l0, l1).holds
     assert criteria.corr_sim_check(l1, l2).holds
@@ -203,8 +203,8 @@ def test_corr_sim_requires_success_agreement():
 def _measurement_instance():
     src = cqp.parse_cqp(protocols.read("measurement.cqp"))
     (meas,) = [s for s in cqp.enumerate_steps(src) if s.rule == "R-Measure"]
-    enc_dist = encode.encode_config(meas.next).config
-    enc_src = encode.encode_config(src).config
+    enc_dist = encode.encode_config(meas.next)
+    enc_src = encode.encode_config(src)
     stepped = None
     for s in qccs.reduce_steps(enc_src):
         if not np.allclose(s.next.rho.entries, enc_src.rho.entries):
@@ -228,12 +228,33 @@ def test_permutation_steps_relate_translations_both_ways():
         cqp.Trans(("b",), "X", cqp.Success()),
     )
     (perm,) = [s for s in cqp.enumerate_steps(src) if s.rule == "R-Perm"]
-    t1 = encode.encode_config(src).config
-    t2 = encode.encode_config(perm.next).config
+    t1 = encode.encode_config(src)
+    t2 = encode.encode_config(perm.next)
     l1 = build_lts(t1, qccs_system(labelled=True), BUDGET)
     l2 = build_lts(t2, qccs_system(labelled=True), BUDGET)
     assert criteria.corr_sim_check(l1, l2).holds
     assert criteria.corr_sim_check(l2, l1).holds
+
+
+def test_game_pair_counts_on_measurement_and_permutation_instances():
+    # the greatest relations' sizes, as reported in the verdicts' stats
+    enc_dist, stepped = _measurement_instance()
+    l1 = build_lts(enc_dist, qccs_system(labelled=True), BUDGET)
+    l2 = build_lts(stepped, qccs_system(labelled=True), BUDGET)
+    assert criteria.corr_sim_check(l1, l2).stats == {"pairs": 17, "states": (11, 12)}
+    assert criteria.corr_sim_check(l2, l1).stats == {"pairs": 16, "states": (12, 11)}
+    assert criteria.bisim_check(l1, l2).stats == {"pairs": 16}
+    src = cqp.CqpPure(
+        quantum.StateVector(("a", "b"), np.array([0, 1, 0, 0], dtype=complex)),
+        (),
+        cqp.Trans(("b",), "X", cqp.Success()),
+    )
+    (perm,) = [s for s in cqp.enumerate_steps(src) if s.rule == "R-Perm"]
+    p1 = build_lts(encode.encode_config(src), qccs_system(labelled=True), BUDGET)
+    p2 = build_lts(encode.encode_config(perm.next), qccs_system(labelled=True), BUDGET)
+    assert criteria.corr_sim_check(p1, p2).stats == {"pairs": 3, "states": (2, 2)}
+    assert criteria.corr_sim_check(p2, p1).stats == {"pairs": 3, "states": (2, 2)}
+    assert criteria.bisim_check(p1, p2).stats == {"pairs": 2}
 
 
 def test_size_sensitive_mode_rejects_size_changing_relations():
@@ -314,8 +335,7 @@ def test_generated_configs_satisfy_subject_reduction():
 def test_generated_translations_are_wellformed():
     for seed in range(120):
         config = criteria.gen_config(seed)
-        out = encode.encode_config(config)
-        qccs.check_wellformed(out.defs, out.config, out.op_table)
+        qccs.check_wellformed({}, encode.encode_config(config))
 
 
 def test_congruent_variant_is_congruent():

@@ -95,9 +95,9 @@ def test_enc_dist_rejects_duplicates():
 def test_pure_config_restricts_by_phi_and_takes_outer():
     config = cqp.CqpPure(sv("q", [SQ2, SQ2]), (), cqp.Nil())
     out = encode.encode_config(config)
-    assert out.config.term == qccs.Restrict(qccs.Nil(), ())
-    assert quantum.approx_eq(out.config.rho, quantum.outer(config.sigma), 1e-9)
-    assert out.defs == {}
+    assert isinstance(out, qccs.QccsConfig)
+    assert out.term == qccs.Restrict(qccs.Nil(), ())
+    assert quantum.approx_eq(out.rho, quantum.outer(config.sigma), 1e-9)
 
 
 def test_dist_config_builds_mixture():
@@ -113,15 +113,15 @@ def test_dist_config_builds_mixture():
     want = np.zeros((4, 4), dtype=complex)
     want[0, 0] = 0.5
     want[3, 3] = 0.5
-    assert np.allclose(out.config.rho.entries, want, atol=1e-9)
-    term = out.config.term
+    assert np.allclose(out.rho.entries, want, atol=1e-9)
+    term = out.term
     assert isinstance(term, qccs.Restrict)
     assert isinstance(term.cont, qccs.Choice)
 
 
 def test_teleport_translation_matches_displayed_shape():
     out = encode.encode_config(teleport())
-    term = out.config.term
+    term = out.term
     assert isinstance(term, qccs.Restrict) and term.chans == ()
     inner = term.cont
     for name in ("0", "1", "2", "3"):
@@ -155,12 +155,11 @@ def test_teleport_translation_matches_displayed_shape():
         ),
     )
     assert bob == expect_bob
-    assert set(out.op_table) == {"CNOT", "H", "I", "X", "Y", "Z"}
+    assert encode.emit_translation(out).startswith("# operators: CNOT, H, I, X, Y, Z;")
 
 
 def test_translation_of_welltyped_source_is_wellformed():
-    out = encode.encode_config(teleport())
-    qccs.check_wellformed(out.defs, out.config, out.op_table)
+    qccs.check_wellformed({}, encode.encode_config(teleport()))
 
 
 def test_translation_rejects_illtyped_source():
@@ -176,7 +175,7 @@ def test_translation_rejects_illtyped_source():
 def test_register_size_is_preserved():
     src = teleport()
     out = encode.encode_config(src)
-    assert out.config.rho.num_qubits == src.sigma.num_qubits
+    assert out.rho.num_qubits == src.sigma.num_qubits
 
 
 # -- structural properties -----------------------------------------------------------
@@ -204,8 +203,8 @@ def test_name_invariance_on_teleport_initial():
     # on both sides (substitution is capture avoiding)
     src = teleport()
     gamma = {"0": "a", "1": "b", "2": "c", "3": "d"}
-    left = encode.encode_config(_rename_cqp_config(src, gamma)).config
-    right = _rename_qccs_config(encode.encode_config(src).config, gamma)
+    left = encode.encode_config(_rename_cqp_config(src, gamma))
+    right = _rename_qccs_config(encode.encode_config(src), gamma)
     assert left.term == right.term
     assert quantum.approx_eq(left.rho, right.rho, 1e-9)
 
@@ -220,8 +219,8 @@ def test_name_invariance_on_free_channels():
         ),
     )
     gamma = {"c": "u", "d": "v"}
-    left = encode.encode_config(_rename_cqp_config(src, gamma)).config
-    right = _rename_qccs_config(encode.encode_config(src).config, gamma)
+    left = encode.encode_config(_rename_cqp_config(src, gamma))
+    right = _rename_qccs_config(encode.encode_config(src), gamma)
     assert left.term == right.term
     assert quantum.approx_eq(left.rho, right.rho, 1e-9)
 
@@ -235,8 +234,8 @@ def test_qubit_invariance_on_two_qubit_source():
     gamma = {"q0": "q1", "q1": "q0"}
     renamed_sigma = quantum.StateVector(("q1", "q0"), src.sigma.amps)
     src_renamed = cqp.CqpPure(renamed_sigma, src.phi, cqp.subst_qubit(src.term, gamma))
-    left = encode.encode_config(src_renamed).config
-    right_base = encode.encode_config(src).config
+    left = encode.encode_config(src_renamed)
+    right_base = encode.encode_config(src)
     right = qccs.QccsConfig(
         qccs.subst_qubit(right_base.term, gamma),
         quantum.DensityMatrix(("q1", "q0"), right_base.rho.entries),
@@ -253,8 +252,8 @@ def test_congruence_preservation():
     c1 = cqp.CqpPure(sigma, ("c",), cqp.Par(p, cqp.Par(q_, cqp.Nil())))
     c2 = cqp.CqpPure(sigma, ("c",), cqp.Par(q_, p))
     assert cqp.congruent(c1, c2)
-    t1 = encode.encode_config(c1).config
-    t2 = encode.encode_config(c2).config
+    t1 = encode.encode_config(c1)
+    t2 = encode.encode_config(c2)
     assert qccs.congruent(t1, t2)
 
 
@@ -277,15 +276,16 @@ def test_compositionality_contexts():
 
 def test_emitted_translation_roundtrips():
     out = encode.encode_config(teleport())
-    text1 = encode.emit_translation(out.config, out.defs, {})
+    text1 = encode.emit_translation(out)
     defs2, config2, table2 = qccs.parse_qccs(text1)
-    text2 = encode.emit_translation(config2, defs2, table2)
+    assert defs2 == {} and table2 == {}
+    text2 = encode.emit_translation(config2)
     assert text1 == text2
-    assert qccs.congruent(out.config, config2)
+    assert qccs.congruent(out, config2)
 
 
 def test_emitted_translation_contains_four_branch_choice():
     out = encode.encode_config(teleport())
-    text = encode.emit_translation(out.config)
+    text = encode.emit_translation(out)
     for i in range(4):
         assert f"if tr(E{{{i}}}[q0, q1]) != 0 then E{{{i}}}[q0, q1].{i}!q0.nil" in text

@@ -378,7 +378,7 @@ def test_congruence_survives_renaming_restrictions_and_shuffling():
     for i in range(300):
         rng = random.Random(i)
         fresh = (f"z{k}" for k in rng.sample(range(10**6), 1000))
-        lts = build_lts(encode_config(gen_config(i)).config, qccs_system(), Budget(8, 60))
+        lts = build_lts(encode_config(gen_config(i)), qccs_system(), Budget(8, 60))
         for state in lts.states:
             variant = QccsConfig(_rename_and_shuffle(state.term, rng, fresh), state.rho)
             checked += 1
