@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,14 +255,26 @@ def cmd_translate(args) -> int:
     return EXIT_OK
 
 
-_CHECKS = ("completeness", "soundness", "name-inv", "qubit-inv", "size", "divergence", "success")
+# --which value -> key in criteria.CHECKS
+_CHECKS = {
+    "completeness": "completeness",
+    "soundness": "soundness",
+    "name-inv": "name_invariance",
+    "qubit-inv": "qubit_invariance",
+    "size": "register_size",
+    "divergence": "divergence_reflection",
+    "success": "success",
+}
 
 
 def cmd_check(args) -> int:
     opts = _options(args)
     kind, parsed = _load(args.file)
     which = args.which
-    if kind == "qccs":
+    if kind == "cqp":
+        check = criteria.CHECKS[_CHECKS[which]]
+        verdict = check(criteria.Instance(parsed, opts.budget, opts.seed, opts.tolerance))
+    else:
         defs, config, table = parsed
         lts = criteria.build_lts(config, criteria.qccs_system(defs, table, opts.tolerance), opts.budget)
         if which == "divergence":
@@ -276,27 +287,6 @@ def cmd_check(args) -> int:
             )
         else:
             raise UsageError(f"check --which {which} needs a .cqp source")
-    else:
-        source = parsed
-        rng = random.Random(opts.seed)
-        if which == "completeness":
-            verdict = criteria.check_completeness(source, opts.budget, opts.tolerance)
-        elif which == "soundness":
-            verdict = criteria.check_soundness(source, opts.budget, opts.tolerance)
-        elif which == "name-inv":
-            gamma = criteria.random_channel_renaming(source, rng)
-            verdict = criteria.check_name_invariance(source, gamma, opts.tolerance)
-        elif which == "qubit-inv":
-            gamma = criteria.random_qubit_renaming(source, rng)
-            verdict = criteria.check_qubit_invariance(source, gamma, opts.tolerance)
-        elif which == "size":
-            verdict = criteria.check_register_size(source, opts.budget, opts.tolerance)
-        elif which == "divergence":
-            verdict = criteria.check_divergence_reflection(source, opts.budget, opts.tolerance)
-        elif which == "success":
-            verdict = criteria.check_success(source, opts.budget, opts.tolerance)
-        else:  # pragma: no cover - argparse restricts choices
-            raise UsageError(f"unknown check {which!r}")
     payload = _report(which, verdict, opts)
     if opts.format == "json":
         print(_emit_json(payload))

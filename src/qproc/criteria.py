@@ -5,6 +5,11 @@ one configuration (and of its translation) within a budget and returns a
 verdict.  Universally quantified statements are corroborated by running
 the checks over many generated configurations, never proved.
 
+An ``Instance`` holds one source configuration with its budget, seed and
+tolerance, and builds its translation and both explorations lazily; every
+check in ``CHECKS`` is a function of an ``Instance``, and the campaign and
+the CLI run them from that one table.
+
 States are deduplicated modulo structural congruence: a structural key
 picks a bucket and the quantum states in it are compared within the
 tolerance, so exploration terminates on the loops the calculi can express
@@ -17,6 +22,7 @@ import random
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -457,12 +463,121 @@ def rename_target_qubits(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfi
 
 
 def _target_equal(c1: qccs.QccsConfig, c2: qccs.QccsConfig, tol: float) -> bool:
-    return c1.term == c2.term and c1.rho.qubit_names == c2.rho.qubit_names and bool(
-        np.allclose(c1.rho.entries, c2.rho.entries, rtol=0.0, atol=tol)
+    return c1.term == c2.term and c1.rho.qubit_names == c2.rho.qubit_names and quantum.within_tol(
+        c1.rho.entries, c2.rho.entries, tol
     )
 
 
-def check_name_invariance(source: cqp.CqpConfig, gamma: dict, tol: float = DEFAULT_TOL) -> Verdict:
+# -- one instance ------------------------------------------------------------------------
+
+@dataclass
+class Instance:
+    """One source configuration and its translation, explored on demand.
+
+    Each part is built on first use and kept, so the checks run over one
+    instance share its explorations and translations, and a single check
+    builds only what it reads.  The source itself is translated (and
+    typechecked) once, as ``root``.  ``encode.encode_config`` and
+    ``build_lts`` are looked up on their modules at each call, so a wrapper
+    installed there (as ``perfbench/layers.py`` does) sees every call.
+    """
+
+    source: cqp.CqpConfig
+    budget: Budget = Budget()
+    seed: int = 0
+    tol: float = DEFAULT_TOL
+
+    @cached_property
+    def root(self) -> qccs.QccsConfig:
+        """The source's checked translation."""
+        return encode.encode_config(self.source)
+
+    @cached_property
+    def source_lts(self) -> Lts:
+        return build_lts(self.source, cqp_system(self.tol), self.budget)
+
+    @cached_property
+    def encoded(self) -> list[qccs.QccsConfig]:
+        """The translation of each explored source state, by index."""
+        lts = self.source_lts
+        return [
+            self.root if idx == lts.initial else encode.encode_config(state, check=False)
+            for idx, state in enumerate(lts.states)
+        ]
+
+    @cached_property
+    def target_lts(self) -> Lts:
+        return build_lts(self.root, qccs_system(tol=self.tol), self.budget)
+
+    @cached_property
+    def completeness(self) -> tuple[Verdict, list]:
+        """Match every explored source step with at most one target step.
+
+        Returns the verdict and the matched edges: pairs of a source edge
+        and the matching target configuration (None for permutation steps,
+        which are emulated by doing nothing)."""
+        lts, tol = self.source_lts, self.tol
+        matched = []
+        fallbacks = 0
+        for src, label, dst, _ in lts.edges:
+            enc_src, enc_dst = self.encoded[src], self.encoded[dst]
+            if label.startswith("R-Perm"):
+                # emulated by doing nothing.  The stored successor may be an
+                # alpha-rebound representative, so rebuild the permuted
+                # configuration itself: its translation must be a pure register
+                # reorder of the source translation, and the representative must
+                # be congruent to it.
+                perm = tuple(int(x) for x in re.findall(r"\d+", label))
+                stepped = cqp.apply_perm(lts.states[src], perm).next
+                enc_stepped = encode.encode_config(stepped, check=False)
+                if (
+                    enc_src.term == enc_stepped.term
+                    and quantum.density_equal_mod_order(enc_src.rho, enc_stepped.rho, tol)
+                    and cqp.congruent(stepped, lts.states[dst], tol)
+                ):
+                    matched.append(((src, label, dst), None))
+                    continue
+                return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats()), matched
+            candidates = qccs.reduce_steps(enc_src, {}, {}, tol)
+            hit = None
+            for cand in candidates:
+                if qccs.congruent(enc_dst, cand.next, tol):
+                    hit = cand.next
+                    break
+            fallback_cut = False
+            if hit is None:
+                # measurement under parallel composition: the translated
+                # distribution is correspondence similar to the stepped target;
+                # the preorder is taken size-sensitive, which also rules out
+                # matching an unrelated parallel step.  The game runs on its own
+                # small budget; cutting it makes the verdict inconclusive, not
+                # failing.
+                fb_budget = Budget(min(self.budget.max_depth, 32), min(self.budget.max_states, 220))
+                l1 = build_lts(enc_dst, qccs_system(tol=tol, labelled=True), fb_budget)
+                for cand in candidates:
+                    if cand.next.rho.num_qubits != enc_dst.rho.num_qubits:
+                        continue
+                    fallbacks += 1
+                    l2 = build_lts(cand.next, qccs_system(tol=tol, labelled=True), fb_budget)
+                    outcome = corr_sim_check(l1, l2, size_sensitive=True)
+                    if outcome.holds:
+                        hit = cand.next
+                        break
+                    if outcome.status == "inconclusive":
+                        fallback_cut = True
+            if hit is None:
+                if fallback_cut:
+                    return _inconclusive("fallback budget", edge=label, **lts.stats()), matched
+                return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats()), matched
+            matched.append(((src, label, dst), hit))
+        if lts.truncated:
+            return _inconclusive("budget", matched_edges=len(matched), **lts.stats()), matched
+        return _holds(matched_edges=len(matched), corr_sim_fallbacks=fallbacks, **lts.stats()), matched
+
+
+# -- the checks, each over one instance ----------------------------------------------------
+
+def check_name_invariance(inst: Instance, gamma: dict) -> Verdict:
     """Structural equality of translate-then-rename and rename-then-translate.
 
     The renaming must avoid integer literals: measurement introduces them on
@@ -472,22 +587,18 @@ def check_name_invariance(source: cqp.CqpConfig, gamma: dict, tol: float = DEFAU
     clashes = [c for c in gamma if c.isdigit()]
     if clashes:
         return _inconclusive(f"renaming remaps measurement literals {clashes}")
-    left = encode.encode_config(rename_source_channels(source, gamma))
-    right = rename_target_channels(encode.encode_config(source), gamma)
-    if _target_equal(left, right, tol):
+    left = encode.encode_config(rename_source_channels(inst.source, gamma))
+    if _target_equal(left, rename_target_channels(inst.root, gamma), inst.tol):
         return _holds()
     return _fails([f"gamma={gamma}"])
 
 
-def check_qubit_invariance(source: cqp.CqpConfig, gamma: dict, tol: float = DEFAULT_TOL) -> Verdict:
-    left = encode.encode_config(rename_source_qubits(source, gamma))
-    right = rename_target_qubits(encode.encode_config(source), gamma)
-    if _target_equal(left, right, tol):
+def check_qubit_invariance(inst: Instance, gamma: dict) -> Verdict:
+    left = encode.encode_config(rename_source_qubits(inst.source, gamma))
+    if _target_equal(left, rename_target_qubits(inst.root, gamma), inst.tol):
         return _holds()
     return _fails([f"gamma={gamma}"])
 
-
-# -- operational correspondence --------------------------------------------------------
 
 def _canonical_register_order(names, initial_order):
     base = [n for n in initial_order if n in names]
@@ -495,119 +606,22 @@ def _canonical_register_order(names, initial_order):
     return tuple(base + extras)
 
 
-@dataclass
-class _EncodedSpace:
-    """Source exploration plus memoised translations of its states."""
-
-    lts: Lts
-    encoded: list[qccs.QccsConfig]
+def check_completeness(inst: Instance) -> Verdict:
+    return inst.completeness[0]
 
 
-def _encode_space(source, budget, tol) -> _EncodedSpace:
-    lts = build_lts(source, cqp_system(tol), budget)
-    encoded = [
-        encode.encode_config(state, check=(idx == lts.initial))
-        for idx, state in enumerate(lts.states)
-    ]
-    return _EncodedSpace(lts, encoded)
-
-
-def _completeness_detail(source, budget, tol):
-    """Match every explored source step with at most one target step.
-
-    Returns (verdict, matched, space) where matched maps source edges to
-    the matching target configuration (None for permutation steps, which
-    are emulated by doing nothing)."""
-    space = _encode_space(source, budget, tol)
-    lts = space.lts
-    matched = []
-    fallbacks = 0
-    for src, label, dst, _ in lts.edges:
-        enc_src, enc_dst = space.encoded[src], space.encoded[dst]
-        if label.startswith("R-Perm"):
-            # emulated by doing nothing.  The stored successor may be an
-            # alpha-rebound representative, so rebuild the permuted
-            # configuration itself: its translation must be a pure register
-            # reorder of the source translation, and the representative must
-            # be congruent to it.
-            perm = tuple(int(x) for x in re.findall(r"\d+", label))
-            stepped = cqp.apply_perm(lts.states[src], perm).next
-            enc_stepped = encode.encode_config(stepped, check=False)
-            if (
-                enc_src.term == enc_stepped.term
-                and quantum.density_equal_mod_order(enc_src.rho, enc_stepped.rho, tol)
-                and cqp.congruent(stepped, lts.states[dst], tol)
-            ):
-                matched.append(((src, label, dst), None))
-                continue
-            return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats()), matched, space
-        candidates = qccs.reduce_steps(enc_src, {}, {}, tol)
-        hit = None
-        for cand in candidates:
-            if qccs.congruent(enc_dst, cand.next, tol):
-                hit = cand.next
-                break
-        fallback_cut = False
-        if hit is None:
-            # measurement under parallel composition: the translated
-            # distribution is correspondence similar to the stepped target;
-            # the preorder is taken size-sensitive, which also rules out
-            # matching an unrelated parallel step.  The game runs on its own
-            # small budget; cutting it makes the verdict inconclusive, not
-            # failing.
-            fb_budget = Budget(min(budget.max_depth, 32), min(budget.max_states, 220))
-            l1 = build_lts(enc_dst, qccs_system(tol=tol, labelled=True), fb_budget)
-            for cand in candidates:
-                if cand.next.rho.num_qubits != enc_dst.rho.num_qubits:
-                    continue
-                fallbacks += 1
-                l2 = build_lts(cand.next, qccs_system(tol=tol, labelled=True), fb_budget)
-                outcome = corr_sim_check(l1, l2, size_sensitive=True)
-                if outcome.holds:
-                    hit = cand.next
-                    break
-                if outcome.status == "inconclusive":
-                    fallback_cut = True
-        if hit is None:
-            if fallback_cut:
-                return _inconclusive("fallback budget", edge=label, **lts.stats()), matched, space
-            return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats()), matched, space
-        matched.append(((src, label, dst), hit))
-    if lts.truncated:
-        return _inconclusive("budget", matched_edges=len(matched), **lts.stats()), matched, space
-    verdict = _holds(matched_edges=len(matched), corr_sim_fallbacks=fallbacks, **lts.stats())
-    return verdict, matched, space
-
-
-def check_completeness(source, budget: Budget = Budget(), tol: float = DEFAULT_TOL) -> Verdict:
-    verdict, _, _ = _completeness_detail(source, budget, tol)
-    return verdict
-
-
-def check_soundness(
-    source,
-    budget: Budget = Budget(),
-    tol: float = DEFAULT_TOL,
-    space: _EncodedSpace | None = None,
-    target_lts: Lts | None = None,
-) -> Verdict:
+def check_soundness(inst: Instance) -> Verdict:
     """Every explored target derivative is a choice-resolution away from the
     translation of a source derivative (with permutations and branch picks
     inserted on the source side)."""
-    space = space or _encode_space(source, budget, tol)
-    src_lts = space.lts
-    initial_order = source.sigma_names
-    system = qccs_system(tol=tol)
-    tgt_lts = target_lts or build_lts(space.encoded[src_lts.initial], system, budget)
-
-    translations = StateIndex(system)
+    src_lts, tgt_lts = inst.source_lts, inst.target_lts
+    translations = StateIndex(qccs_system(tol=inst.tol))
     for idx, state in enumerate(src_lts.states):
-        translations.add(space.encoded[idx])
+        translations.add(inst.encoded[idx])
         if isinstance(state, cqp.CqpPure):
-            order = _canonical_register_order(state.sigma.qubit_names, initial_order)
+            order = _canonical_register_order(state.sigma.qubit_names, inst.source.sigma_names)
             if order != state.sigma.qubit_names:
-                perm = tuple(state.sigma.qubit_names.index(n) for n in order)
-                restored = cqp.apply_perm(state, perm).next
+                restored = cqp.restore_perm(state, order).next
                 translations.add(encode.encode_config(restored, check=False))
 
     succ = _succ_map(tgt_lts)
@@ -642,74 +656,29 @@ def check_soundness(
     return _holds(**stats)
 
 
-def _register_size_from_detail(source, verdict, matched, space) -> Verdict:
-    src_size = len(source.sigma_names)
-    root = space.encoded[space.lts.initial]
-    if root.rho.num_qubits != src_size:
-        return _fails([f"root sizes {src_size} vs {root.rho.num_qubits}"])
-    if verdict.fails:
-        return verdict
-    for (src, label, dst), target in matched:
-        if target is None:
-            continue
-        if target.rho.num_qubits != space.lts.sizes[dst]:
+def check_register_size(inst: Instance) -> Verdict:
+    """Translations never change the register size: at every explored
+    source state, the root included, and along every matched derivative
+    pair.  A completeness failure leaves the matched pairs partial, so it
+    makes this check inconclusive, not failing."""
+    lts = inst.source_lts
+    for idx, enc in enumerate(inst.encoded):
+        if enc.rho.num_qubits != lts.sizes[idx]:
             return _fails(
-                [label, f"sizes {space.lts.sizes[dst]} vs {target.rho.num_qubits}"],
-                **space.lts.stats(),
+                [*lts.path_to(idx), f"sizes {lts.sizes[idx]} vs {enc.rho.num_qubits}"], **lts.stats()
             )
-    if verdict.status == "inconclusive":
-        return verdict
-    return _holds(matched_edges=len(matched), **space.lts.stats())
+    verdict, matched = inst.completeness
+    for (src, label, dst), target in matched:
+        if target is not None and target.rho.num_qubits != lts.sizes[dst]:
+            return _fails([label, f"sizes {lts.sizes[dst]} vs {target.rho.num_qubits}"], **lts.stats())
+    if not verdict.holds:
+        return _inconclusive("completeness fails" if verdict.fails else verdict.reason, **verdict.stats)
+    return _holds(matched_edges=len(matched), **lts.stats())
 
 
-def check_register_size(source, budget: Budget = Budget(), tol: float = DEFAULT_TOL) -> Verdict:
-    """Translations never change the register size, at the root and along
-    every matched derivative pair."""
-    verdict, matched, space = _completeness_detail(source, budget, tol)
-    return _register_size_from_detail(source, verdict, matched, space)
-
-
-def run_instance_checks(
-    source,
-    budget: Budget = Budget(),
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> dict[str, Verdict]:
-    """All per-instance criteria over one source, sharing the explorations.
-
-    Used by the corroboration campaign: one source exploration with its
-    per-state translations backs completeness, soundness and register-size;
-    one target exploration backs soundness, success agreement and
-    divergence reflection.
-    """
-    rng = random.Random(seed)
-    comp, matched, space = _completeness_detail(source, budget, tol)
-    tgt_lts = build_lts(space.encoded[space.lts.initial], qccs_system(tol=tol), budget)
-    return {
-        "completeness": comp,
-        "soundness": check_soundness(source, budget, tol, space=space, target_lts=tgt_lts),
-        "name_invariance": check_name_invariance(source, random_channel_renaming(source, rng), tol),
-        "qubit_invariance": check_qubit_invariance(source, random_qubit_renaming(source, rng), tol),
-        "register_size": _register_size_from_detail(source, comp, matched, space),
-        "congruence_preservation": check_congruence_preservation(source, seed, tol),
-        "success": check_success(source, budget, tol, source_lts=space.lts, target_lts=tgt_lts),
-        "divergence_reflection": check_divergence_reflection(
-            source, budget, tol, source_lts=space.lts, target_lts=tgt_lts
-        ),
-    }
-
-
-def check_divergence_reflection(
-    source,
-    budget: Budget = Budget(),
-    tol: float = DEFAULT_TOL,
-    source_lts: Lts | None = None,
-    target_lts: Lts | None = None,
-) -> Verdict:
-    src_lts = source_lts or build_lts(source, cqp_system(tol=tol), budget)
-    target_lts = target_lts or build_lts(encode.encode_config(source), qccs_system(tol=tol), budget)
-    src_div = detect_divergence(src_lts)
-    tgt_div = detect_divergence(target_lts)
+def check_divergence_reflection(inst: Instance) -> Verdict:
+    src_div = detect_divergence(inst.source_lts)
+    tgt_div = detect_divergence(inst.target_lts)
     stats = {"source": src_div.status, "target": tgt_div.status}
     if tgt_div.status == "inconclusive" or src_div.status == "inconclusive":
         return _inconclusive("truncation", **stats)
@@ -718,21 +687,14 @@ def check_divergence_reflection(
     return _holds(**stats)
 
 
-def check_success(
-    source,
-    budget: Budget = Budget(),
-    tol: float = DEFAULT_TOL,
-    source_lts: Lts | None = None,
-    target_lts: Lts | None = None,
-) -> Verdict:
+def check_success(inst: Instance) -> Verdict:
     """May- and must-success agree between a source and its translation."""
-    src_lts = source_lts or build_lts(source, cqp_system(tol=tol), budget)
-    target_lts = target_lts or build_lts(encode.encode_config(source), qccs_system(tol=tol), budget)
+    src_lts, tgt_lts = inst.source_lts, inst.target_lts
     results = {
         "source_may": may_reach_success(src_lts).status,
-        "target_may": may_reach_success(target_lts).status,
+        "target_may": may_reach_success(tgt_lts).status,
         "source_must": must_reach_success(src_lts).status,
-        "target_must": must_reach_success(target_lts).status,
+        "target_must": must_reach_success(tgt_lts).status,
     }
     if "inconclusive" in results.values():
         return _inconclusive("truncation", **results)
@@ -741,15 +703,42 @@ def check_success(
     return _fails([], **results)
 
 
-def check_congruence_preservation(source, seed: int = 0, tol: float = DEFAULT_TOL) -> Verdict:
-    variant = congruent_variant(source, random.Random(seed))
-    if not cqp.congruent(source, variant, tol):
+def check_congruence_preservation(inst: Instance) -> Verdict:
+    variant = congruent_variant(inst.source, random.Random(inst.seed))
+    if not cqp.congruent(inst.source, variant, inst.tol):
         return _fails(["variant generation broke source congruence"])
-    left = encode.encode_config(source)
-    right = encode.encode_config(variant)
-    if qccs.congruent(left, right, tol):
+    if qccs.congruent(inst.root, encode.encode_config(variant), inst.tol):
         return _holds()
-    return _fails([f"seed={seed}"])
+    return _fails([f"seed={inst.seed}"])
+
+
+# The per-instance criteria, in report order.  The invariance checks draw
+# their renamings here: channels map deterministically, qubits are shuffled
+# by ``random.Random(seed)``.
+CHECKS = {
+    "completeness": check_completeness,
+    "soundness": check_soundness,
+    "name_invariance": lambda inst: check_name_invariance(inst, random_channel_renaming(inst.source)),
+    "qubit_invariance": lambda inst: check_qubit_invariance(
+        inst, random_qubit_renaming(inst.source, random.Random(inst.seed))
+    ),
+    "register_size": check_register_size,
+    "congruence_preservation": check_congruence_preservation,
+    "success": check_success,
+    "divergence_reflection": check_divergence_reflection,
+}
+
+
+def run_instance_checks(
+    source,
+    budget: Budget = Budget(),
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+) -> dict[str, Verdict]:
+    """Every check in ``CHECKS`` over one ``Instance`` of the source, so the
+    checks share its explorations and translations."""
+    inst = Instance(source, budget, seed, tol)
+    return {name: check(inst) for name, check in CHECKS.items()}
 
 
 # -- the separation suite ----------------------------------------------------------------
@@ -963,9 +952,10 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
     return cqp.CqpPure(config.sigma, config.phi, shuffle(config.term))
 
 
-def random_channel_renaming(config: cqp.CqpConfig, rng: random.Random) -> dict:
+def random_channel_renaming(config: cqp.CqpConfig) -> dict:
     """Injective renaming of the configuration's symbolic channels to fresh
-    names; measurement literals stay fixed."""
+    names ``u0, u1, ...`` in sorted order; deterministic, and measurement
+    literals stay fixed."""
     free = set(config.phi) | {c for c in cqp.free_names(config.term) if not c.isdigit()}
     free -= set(config.sigma_names)
     return {c: f"u{i}" for i, c in enumerate(sorted(free))}

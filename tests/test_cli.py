@@ -1,6 +1,8 @@
 import json
 
-from qproc import cli, protocols
+import pytest
+
+from qproc import cli, cqp, criteria, protocols
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +110,16 @@ def test_check_success_on_qccs_behaviour(capsys):
     assert payload["stats"]["must"] == "holds"
     code, _, _ = run_cli(capsys, "check", COUNTEREXAMPLE, "--which", "completeness")
     assert code == 3  # encoding checks need a .cqp source
+
+
+@pytest.mark.parametrize("name", ["teleport.cqp", "measurement.cqp"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_check_reports_match_run_instance_checks(capsys, name, seed):
+    expected = criteria.run_instance_checks(cqp.parse_cqp(protocols.read(name)), seed=seed)
+    for which, key in cli._CHECKS.items():
+        argv = ("check", str(protocols.path(name)), "--which", which, "--format", "json", "--seed", str(seed))
+        payload = json.loads(run_cli(capsys, *argv)[1])
+        assert (payload["verdict"], payload["stats"]) == (expected[key].status, expected[key].stats), which
 
 
 def test_counterexample_table(capsys):

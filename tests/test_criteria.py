@@ -93,8 +93,9 @@ def test_soundness_matches_translations_within_tolerance_only(shift, verdict):
     moved = qccs.QccsConfig(
         root.term, quantum.DensityMatrix(root.rho.qubit_names, root.rho.entries + np.diag([shift, -shift]))
     )
-    target = build_lts(moved, qccs_system(), BUDGET)
-    assert criteria.check_soundness(source, BUDGET, target_lts=target).status == verdict
+    inst = criteria.Instance(source, BUDGET)
+    inst.target_lts = build_lts(moved, qccs_system(), BUDGET)
+    assert criteria.check_soundness(inst).status == verdict
 
 
 # -- verdicts ----------------------------------------------------------------------
@@ -283,30 +284,60 @@ def test_measurement_example_passes_all_instance_checks():
         assert verdict.holds, f"{name}: {verdict.status} {verdict.reason or ''}"
 
 
+def test_instance_translates_its_source_once(monkeypatch):
+    src = teleport()
+    calls = []
+    real = encode.encode_config
+
+    def counted(config, check=True):
+        calls.append(config is src)
+        return real(config, check)
+
+    monkeypatch.setattr(encode, "encode_config", counted)
+    criteria.run_instance_checks(src, BUDGET, seed=1)
+    assert calls.count(True) == 1
+
+
+def test_register_size_does_not_report_a_completeness_failure_as_its_own(monkeypatch):
+    # a mutant that drops every gate: completeness fails on the gate step,
+    # but every translation keeps the source's one qubit
+    real = encode.encode_term
+
+    def drop_gates(term, register):
+        return qccs.Nil() if isinstance(term, cqp.Trans) else real(term, register)
+
+    monkeypatch.setattr(encode, "encode_term", drop_gates)
+    src = cqp.CqpPure(quantum.StateVector(("q",), [1, 0]), (), cqp.Trans(("q",), "X", cqp.Success()))
+    inst = criteria.Instance(src, BUDGET)
+    assert criteria.check_completeness(inst).fails
+    verdict = criteria.check_register_size(inst)
+    assert (verdict.status, verdict.reason, verdict.witness) == ("inconclusive", "completeness fails", None)
+
+
 def test_completeness_counts_measurement_fallback():
     src = cqp.parse_cqp(protocols.read("measurement.cqp"))
-    verdict = criteria.check_completeness(src, BUDGET)
+    verdict = criteria.check_completeness(criteria.Instance(src, BUDGET))
     assert verdict.holds
     assert verdict.stats["corr_sim_fallbacks"] >= 1
 
 
 def test_name_invariance_rejects_literal_remapping():
     src = teleport()
-    verdict = criteria.check_name_invariance(src, {"0": "a"})
+    verdict = criteria.check_name_invariance(criteria.Instance(src), {"0": "a"})
     assert verdict.status == "inconclusive"
 
 
 def test_identity_renamings_hold():
-    src = teleport()
-    assert criteria.check_name_invariance(src, {}).holds
-    assert criteria.check_qubit_invariance(src, {}).holds
+    inst = criteria.Instance(teleport())
+    assert criteria.check_name_invariance(inst, {}).holds
+    assert criteria.check_qubit_invariance(inst, {}).holds
     swap = {"q0": "q1", "q1": "q0"}
-    assert criteria.check_qubit_invariance(src, swap).holds
+    assert criteria.check_qubit_invariance(inst, swap).holds
 
 
 def test_qubit_invariance_rejects_merging():
     with pytest.raises(Exception):
-        criteria.check_qubit_invariance(teleport(), {"q0": "q", "q1": "q"})
+        criteria.check_qubit_invariance(criteria.Instance(teleport()), {"q0": "q", "q1": "q"})
 
 
 # -- generator ----------------------------------------------------------------------------
