@@ -769,7 +769,7 @@ def counterexample_suite(tol: float = DEFAULT_TOL) -> dict:
     for name, (amps, probe_matrix, (want_may, want_must)) in inputs.items():
         rho = quantum.outer(quantum.StateVector(("q",), np.array(amps, dtype=complex)))
         after = quantum.superop_apply(probe, ("q",), rho, tol)
-        matrix_ok = bool(np.allclose(after.entries, np.array(probe_matrix), atol=tol))
+        matrix_ok = quantum.within_tol(after.entries, np.array(probe_matrix), tol)
         lts = build_lts(qccs.QccsConfig(term, rho), qccs_system(table=table, tol=tol))
         may = may_reach_success(lts)
         must = must_reach_success(lts)

@@ -2,12 +2,13 @@
 
 State vectors carry an ordered tuple of distinct qubit names next to their
 2**n amplitudes; density matrices do the same for their 2**n x 2**n grid.
-All target addressing is by name: operators are applied by permuting the
-named targets to the front, acting on the leading factor, and permuting
-back.  Super-operators are signed Kraus sums, which is deliberately more
-permissive than completely positive maps so that non-physical probe
-operators stay executable; ``SuperOperator.advisories`` reports CP and
-trace violations without blocking anything.
+All target addressing is by name: an operator acts on the axes of the
+named targets in the register's tensor, and the result keeps the
+register's name order.  Super-operators are signed Kraus sums, which is
+deliberately more permissive than completely positive maps so that
+non-physical probe operators stay executable;
+``SuperOperator.advisories`` reports CP and trace violations without
+blocking anything.
 
 Everything is immutable and pure.  Registers beyond a dozen qubits are out
 of scope and dense numpy is used throughout.
@@ -190,11 +191,11 @@ class MeasurementOutcome:
 class SuperOperator:
     """Signed Kraus sum applied to a named target set.
 
-    Application semantics: rho' = sum_j sign_j (K_j (x) I) rho (K_j (x) I)+,
-    after permuting the targets to the front.  ``normalize_after`` marks the
-    expected-outcome measurement operators, whose branch rule divides by the
-    trace.  ``extends_register`` marks the register-extension operator that
-    appends a fresh qubit in |0>.
+    Application semantics: rho' = sum_j sign_j K_j rho K_j+, with each K_j
+    acting on the target axes and the identity on the rest.
+    ``normalize_after`` marks the expected-outcome measurement operators,
+    whose branch rule divides by the trace.  ``extends_register`` marks the
+    register-extension operator that appends a fresh qubit in |0>.
     """
 
     name: str
@@ -408,8 +409,8 @@ def mix(parts: Sequence[tuple[float, StateVector]]) -> DensityMatrix:
 
 # -- super-operator application ---------------------------------------------
 
-def _signed_kraus_sum(e: SuperOperator, targets: tuple[str, ...], rho: DensityMatrix) -> np.ndarray:
-    """The raw signed Kraus sum on the target-fronted register; unvalidated."""
+def _target_positions(e: SuperOperator, targets: tuple[str, ...], rho: DensityMatrix) -> list[int]:
+    """Register positions of the named targets, in target order."""
     if len(set(targets)) != len(targets):
         raise InvalidArity(f"duplicate targets {targets}")
     if len(targets) != e.arity:
@@ -417,16 +418,27 @@ def _signed_kraus_sum(e: SuperOperator, targets: tuple[str, ...], rho: DensityMa
     for t in targets:
         if t not in rho.qubit_names:
             raise UnknownQubit(f"unknown qubit {t!r} in {rho.qubit_names}")
+    return [rho.qubit_names.index(t) for t in targets]
+
+
+def _signed_kraus_sum(e: SuperOperator, front: list[int], rho: DensityMatrix) -> np.ndarray:
+    """The raw signed Kraus sum on the target positions ``front``, as a grid
+    in rho's own name order; unvalidated.
+
+    The 2n-axis tensor of rho is transposed once so that the target row
+    axes lead and the target column axes trail.  Each term is then two plain
+    matmuls, K on the rows and K+ on the columns, before one transpose back.
+    """
     n = rho.num_qubits
-    front = [rho.qubit_names.index(t) for t in targets]
-    perm = tuple(front + [i for i in range(n) if i not in front])
-    work = permute_density(rho, perm)
-    rest = np.eye(2 ** (n - e.arity))
-    acc = np.zeros_like(work.entries)
+    rest = [i for i in range(n) if i not in front]
+    axes = front + rest + [n + i for i in rest] + [n + i for i in front]
+    dim = 2 ** e.arity
+    work = rho.entries.reshape([2] * (2 * n)).transpose(axes).reshape(dim, -1)
+    acc = 0
     for sign, k in e.terms:
-        full = np.kron(k, rest)
-        acc = acc + sign * (full @ work.entries @ full.conj().T)
-    return acc
+        rows = (k @ work).reshape(-1, dim)
+        acc = acc + sign * (rows @ k.conj().T)
+    return acc.reshape([2] * (2 * n)).transpose(inverse_perm(axes)).reshape(2 ** n, 2 ** n)
 
 
 def superop_apply(
@@ -437,9 +449,9 @@ def superop_apply(
 ) -> DensityMatrix:
     """Apply e to the named targets of rho.
 
-    Internally permutes the targets to the front, applies the signed Kraus
-    sum on the leading factor, and permutes back.  With ``normalize_after``
-    the result is divided by its trace (ZeroBranch when the trace vanishes).
+    The signed Kraus sum acts on the target axes of rho's tensor only; the
+    result keeps rho's name order.  With ``normalize_after`` the result is
+    divided by its trace (ZeroBranch when the trace vanishes).
     """
     targets = tuple(targets)
     if e.extends_register:
@@ -449,29 +461,32 @@ def superop_apply(
         zero = np.array([[1.0, 0.0], [0.0, 0.0]])
         return DensityMatrix(rho.qubit_names + (fresh,), np.kron(rho.entries, zero))
 
-    acc = _signed_kraus_sum(e, targets, rho)
+    acc = _signed_kraus_sum(e, _target_positions(e, targets, rho), rho)
     if e.normalize_after:
         tr = float(np.trace(acc).real)
         if tr <= tol:
             raise ZeroBranch(f"{e.name} applied to a branch of trace {tr}")
         acc = acc / tr
-
-    n = rho.num_qubits
-    front = [rho.qubit_names.index(t) for t in targets]
-    perm = tuple(front + [i for i in range(n) if i not in front])
-    fronted_names = tuple(rho.qubit_names[p] for p in perm)
-    result = DensityMatrix(fronted_names, acc)
-    return permute_density(result, inverse_perm(perm))
+    return DensityMatrix(rho.qubit_names, acc)
 
 
 def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix) -> float:
     """Trace of the raw, never normalised application; guard evaluation.
 
-    Computed on the bare array: probe operators produce intermediate grids
-    outside the partial-density invariants (trace above one), and the guard
-    only needs the number.
+    Equal to sum_j sign_j tr(K_j+ K_j rho_T), with rho_T the reduced state
+    of rho on the targets, so no register-sized grid is built.  Probe
+    operators give traces outside the partial-density invariants (above
+    one), and the guard only needs the number.
     """
-    return float(np.trace(_signed_kraus_sum(e, tuple(targets), rho)).real)
+    targets = tuple(targets)
+    front = _target_positions(e, targets, rho)
+    n = rho.num_qubits
+    # Label each spectator's column axis like its row axis, so einsum traces it out.
+    labels = list(range(n)) + [n + i if i in front else i for i in range(n)]
+    dim = 2 ** e.arity
+    grid = rho.entries.reshape([2] * (2 * n))
+    reduced = np.einsum(grid, labels, front + [n + i for i in front]).reshape(dim, dim)
+    return float(sum(sign * np.trace(k.conj().T @ k @ reduced) for sign, k in e.terms).real)
 
 
 # -- comparison --------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_counterexample_suite_report():
         assert row["states"] <= 6
 
 
+def test_counterexample_suite_checks_probe_matrices_to_tolerance(monkeypatch):
+    # A probe off by ~1e-6 must fail at tol 1e-9; np.allclose's default rtol would pass it.
+    probe = quantum.amplitude_damping_probe
+    monkeypatch.setattr(quantum, "amplitude_damping_probe", lambda p=1.0: probe(1.0 + 1e-6))
+    rows = {row["input"]: row for row in criteria.counterexample_suite(1e-9)["rows"]}
+    assert rows["|0><0|"]["probe_matrix_ok"]
+    assert not rows["|1><1|"]["probe_matrix_ok"]
+    assert not rows["|1><1|"]["ok"]
+
+
 # -- simulation games ----------------------------------------------------------------
 
 def test_corr_sim_reflexive_on_identical_lts():

@@ -355,6 +355,67 @@ def test_invalid_outcome_rejected():
         q.SuperOperator.measure_expected(4, 2)
 
 
+def _kron_oracle(e, targets, rho):
+    """Reference construction: permute the targets to the front, apply
+    sum_j s_j (K_j (x) I) rho (K_j (x) I)+ to the whole register, permute
+    back.  Returns the applied state and the raw trace before normalising."""
+    names = rho.qubit_names
+    front = [names.index(t) for t in targets]
+    perm = tuple(front + [i for i in range(len(names)) if i not in front])
+    work = q.permute_density(rho, perm).entries
+    rest = np.eye(2 ** (len(names) - e.arity))
+    acc = sum(s * (np.kron(k, rest) @ work @ np.kron(k, rest).conj().T) for s, k in e.terms)
+    raw = float(np.trace(acc).real)
+    if e.normalize_after:
+        acc = acc / raw
+    fronted = q.DensityMatrix(tuple(names[p] for p in perm), acc)
+    return q.permute_density(fronted, q.inverse_perm(perm)), raw
+
+
+KERNEL_OPS = (
+    [q.SuperOperator.from_unitary(u) for u in q.GATES.values()]
+    + [q.SuperOperator.measure_unknown(1), q.SuperOperator.measure_unknown(2)]
+    + [q.SuperOperator.measure_expected(i, r) for r in range(3) for i in range(2 ** r)]
+    + [q.amplitude_damping_probe(), q.SuperOperator.new_qubit()]
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_matches_kron_construction(n):
+    rng = np.random.default_rng(100 + n)
+    names = tuple(f"r{i}" for i in range(n))
+    for _ in range(3):
+        rho = q.mix([(0.7, random_state(rng, names)), (0.3, random_state(rng, names))])
+        for e in KERNEL_OPS:
+            if e.arity > n:
+                continue
+            targets = tuple(rng.permutation(names)[: e.arity])
+            got = q.superop_apply(e, targets, rho)
+            assert got.qubit_names == (names + (q.fresh_qubit_name(names),) if e.extends_register else names)
+            assert not got.entries.flags.writeable
+            want, raw = _kron_oracle(e, targets, rho)
+            if e.extends_register:
+                want = q.DensityMatrix(got.qubit_names, np.kron(rho.entries, np.diag([1.0, 0.0])))
+            assert q.approx_eq(got, want, 1e-12)
+            assert q.raw_trace_after(e, targets, rho) == pytest.approx(raw, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "e, targets, error, message",
+    [
+        (q.SuperOperator.from_unitary(q.GATES["CNOT"]), ("a", "a"), InvalidArity, "duplicate targets"),
+        (q.SuperOperator.from_unitary(q.GATES["X"]), ("a", "b"), InvalidArity, "has arity 1"),
+        (q.SuperOperator.measure_expected(0, 1), ("nope",), UnknownQubit, "unknown qubit 'nope'"),
+    ],
+)
+def test_kernel_rejects_bad_targets(e, targets, error, message):
+    rho = q.outer(sv("ab", [1, 0, 0, 0]))
+    with pytest.raises(error, match=message):
+        q.superop_apply(e, targets, rho)
+    with pytest.raises(error, match=message):
+        q.raw_trace_after(e, targets, rho)
+
+
 def test_permutation_superop_matches_permute_state():
     rng = np.random.default_rng(8)
     psi = random_state(rng, ("a", "b", "c"))
