@@ -1,4 +1,4 @@
-"""Structural congruence by signature, shared by both calculi.
+"""Structural congruence and the binder rule, shared by both calculi.
 
 Two terms get the same signature exactly when they are structurally
 congruent: parallel composition is commutative, associative and has the
@@ -21,15 +21,59 @@ Cost: a group of two or more channels walks its components at least twice,
 and a group nested inside the components of another is numbered again on
 every walk of the outer group, so the work grows as 2^d in the nesting depth
 d of such groups.
+
+Substitution in both calculi passes under its binders by one rule,
+``rebind``: the binders shadow their own names, and a binder that the
+substitution would capture is renamed apart first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 UNIT = ("0",)
 PAR = "|"
 RES = "new"
+
+
+def fresh_name(base: str, avoid: Iterable[str]) -> str:
+    """``base`` itself if it is not in ``avoid``, else the first free ``base_k``."""
+    avoid = set(avoid)
+    if base not in avoid:
+        return base
+    k = 0
+    while f"{base}_{k}" in avoid:
+        k += 1
+    return f"{base}_{k}"
+
+
+def rebind(
+    binders: tuple[str, ...],
+    body,
+    mapping: Mapping[str, str],
+    free: Callable,
+    substitute: Callable,
+) -> tuple[tuple[str, ...], object]:
+    """Push the simultaneous substitution ``mapping`` under ``binders``.
+
+    The binders shadow their names in the mapping.  A binder that the rest
+    of the mapping maps a name onto is renamed to a name fresh for the
+    mapping, the other binders and ``free(body)``, in the same single pass
+    over the body, so no substituted name is captured and no fresh name is
+    substituted again.  Returns the binders and the body after substitution.
+    """
+    scoped = {k: v for k, v in mapping.items() if k not in binders}
+    if not scoped:
+        return binders, body
+    values = set(scoped.values())
+    if not values.isdisjoint(binders):
+        avoid = set(binders) | set(scoped) | values | free(body)
+        for b in binders:
+            if b in values:
+                scoped[b] = fresh_name(b, avoid)
+                avoid.add(scoped[b])
+        binders = tuple(scoped.get(b, b) for b in binders)
+    return binders, substitute(body, scoped)
 
 
 def register_env(names: Sequence[str]) -> dict[str, str]:

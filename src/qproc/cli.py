@@ -43,7 +43,6 @@ class RunOptions:
     max_states: int = 100_000
     seed: int = 0
     format: str = "text"
-    perm_mode: str = "on_demand"
     script: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -76,7 +75,6 @@ def _options(args) -> RunOptions:
         max_states=args.max_states,
         seed=seed,
         format=args.format,
-        perm_mode=args.perm_mode,
         script=script,
     )
 
@@ -182,7 +180,6 @@ def cmd_run(args) -> int:
         seed=opts.seed,
         script=list(opts.script),
         max_steps=opts.max_depth,
-        perm_mode=opts.perm_mode,
         tol=opts.tolerance,
     )
     lines = []
@@ -220,7 +217,7 @@ def cmd_steps(args) -> int:
     kind, parsed = _load(args.file)
     rows = []
     if kind == "cqp":
-        for step in cqp.enumerate_steps(parsed, opts.perm_mode, opts.tolerance):
+        for step in cqp.enumerate_steps(parsed, opts.tolerance):
             rows.append({"label": step.label(), "next": cqp.format_config(step.next)})
     else:
         defs, config, table = parsed
@@ -328,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--max-states", type=int, default=100_000)
     shared.add_argument("--seed", type=int, default=None, help="falls back to QPROC_SEED, then 0")
     shared.add_argument("--format", choices=("text", "json"), default="text")
-    shared.add_argument("--perm-mode", choices=("on_demand", "explicit"), default="on_demand")
 
     parser = _Parser(prog="qproc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -28,7 +28,6 @@ from .errors import (
     ArityMismatch,
     DuplicateQubitArg,
     InvalidOutcome,
-    NoCloningViolation,
     ParseError,
     SharedQubit,
     UnknownName,
@@ -179,16 +178,6 @@ def free_names(t: Term) -> frozenset[str]:
     raise TypeError(f"not a CQP- term: {t!r}")
 
 
-def fresh_name(base: str, avoid: Iterable[str]) -> str:
-    avoid = set(avoid)
-    if base not in avoid:
-        return base
-    k = 0
-    while f"{base}_{k}" in avoid:
-        k += 1
-    return f"{base}_{k}"
-
-
 def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
     """Simultaneous capture-avoiding substitution on names and qubit refs."""
     mapping = {k: v for k, v in mapping.items() if k != v}
@@ -204,43 +193,22 @@ def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
         case Par(l, r):
             return Par(substitute(l, mapping), substitute(r, mapping))
         case In(c, x, p):
-            x2, p2 = _subst_under_binder(x, p, mapping)
-            return In(sub(c), x2, p2)
+            (x,), p = canon.rebind((x,), p, mapping, free_names, substitute)
+            return In(sub(c), x, p)
         case Out(c, q, p):
             return Out(sub(c), sub(q), substitute(p, mapping))
         case Trans(qs, g, p):
             return Trans(tuple(sub(q) for q in qs), g, substitute(p, mapping))
         case Measure(qs, x, p):
-            x2, p2 = _subst_under_binder(x, p, mapping)
-            return Measure(tuple(sub(q) for q in qs), x2, p2)
+            (x,), p = canon.rebind((x,), p, mapping, free_names, substitute)
+            return Measure(tuple(sub(q) for q in qs), x, p)
         case NewChan(x, p):
-            x2, p2 = _subst_under_binder(x, p, mapping)
-            return NewChan(x2, p2)
+            (x,), p = canon.rebind((x,), p, mapping, free_names, substitute)
+            return NewChan(x, p)
         case NewQbit(x, p):
-            x2, p2 = _subst_under_binder(x, p, mapping)
-            return NewQbit(x2, p2)
+            (x,), p = canon.rebind((x,), p, mapping, free_names, substitute)
+            return NewQbit(x, p)
     raise TypeError(f"not a CQP- term: {t!r}")
-
-
-def _subst_under_binder(x: str, cont: Term, mapping: Mapping[str, str]):
-    scoped = {k: v for k, v in mapping.items() if k != x}
-    if not scoped:
-        return x, cont
-    if x in scoped.values():
-        # possible capture: alpha-rename the binder first
-        avoid = set(scoped) | set(scoped.values()) | free_names(cont)
-        x2 = fresh_name(x, avoid)
-        cont = substitute(cont, {x: x2})
-        x = x2
-    return x, substitute(cont, scoped)
-
-
-def subst_qubit(t: Term, gamma: Mapping[str, str]) -> Term:
-    """Qubit substitutions must be injective (no cloning by renaming)."""
-    values = list(gamma.values())
-    if len(set(values)) != len(values):
-        raise NoCloningViolation(f"non-injective qubit substitution {dict(gamma)}")
-    return substitute(t, gamma)
 
 
 # -- structural congruence ----------------------------------------------------
@@ -348,15 +316,10 @@ class TQbit:
 
 @dataclass(frozen=True)
 class TChan:
-    payload: tuple = (TQbit(),)
+    pass
 
 
-@dataclass(frozen=True)
-class TOp:
-    arity: int
-
-
-CqpType = TInt | TQbit | TChan | TOp
+CqpType = TInt | TQbit | TChan
 
 
 def _is_int_literal(name: str) -> bool:
@@ -517,18 +480,12 @@ def restore_perm(config: CqpPure, target_names: Sequence[str]) -> CqpStep:
     return apply_perm(config, perm)
 
 
-def enumerate_steps(
-    config: CqpConfig,
-    perm_mode: str = "on_demand",
-    tol: float = DEFAULT_TOL,
-) -> list[CqpStep]:
+def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep]:
     """All derivable steps, modulo structural congruence on the term.
 
-    With ``perm_mode="on_demand"`` the enumeration offers exactly the
-    permutation steps that front the operands of an enabled gate or
-    measurement whose operands do not already lead the register; with
-    ``"explicit"`` no permutations are offered and callers use
-    ``apply_perm``.
+    The enumeration offers exactly the permutation steps that front the
+    operands of an enabled gate or measurement whose operands do not
+    already lead the register.
     """
     if isinstance(config, CqpDist):
         steps = []
@@ -565,36 +522,32 @@ def enumerate_steps(
                 sigma2 = quantum.tensor(sigma, quantum.basis_state((qn,), 0))
                 nxt = CqpPure(sigma2, phi, _replace(term, path, substitute(p, {x: qn})))
                 steps.append(CqpStep("R-Qbit", nxt))
+            case Trans(_, g, _) if g not in GATES:
+                raise UnknownName(f"unknown gate {g!r}")
+            case Trans(qs, _, _) | Measure(qs, _, _) if qs != names[: len(qs)]:
+                if set(qs) <= set(names):
+                    order = tuple(qs) + tuple(n for n in names if n not in qs)
+                    needed_orders.setdefault(order, fronting_perm(names, qs))
             case Trans(qs, g, p):
-                if g not in GATES:
-                    raise UnknownName(f"unknown gate {g!r}")
-                if qs == names[: len(qs)]:
-                    sigma2 = quantum.apply_unitary_prefix(GATES[g], sigma)
-                    steps.append(CqpStep("R-Trans", CqpPure(sigma2, phi, _replace(term, path, p)), gate=g))
-                elif perm_mode == "on_demand" and set(qs) <= set(names):
-                    order = tuple(qs) + tuple(n for n in names if n not in qs)
-                    needed_orders.setdefault(order, fronting_perm(names, qs))
+                sigma2 = quantum.apply_unitary_prefix(GATES[g], sigma)
+                steps.append(CqpStep("R-Trans", CqpPure(sigma2, phi, _replace(term, path, p)), gate=g))
             case Measure(qs, x, p):
-                if qs == names[: len(qs)]:
-                    outcomes = quantum.measure_prefix(sigma, len(qs), tol)
-                    rest = free_names(_replace(term, path, Nil()))
-                    var = x
-                    cont = p
-                    if var in rest:
-                        var = fresh_name(x, rest | free_names(p))
-                        cont = substitute(p, {x: var})
-                    shared = _replace(term, path, cont)
-                    dist = CqpDist(
-                        tuple((o.probability, o.post_state) for o in outcomes),
-                        var,
-                        len(qs),
-                        phi,
-                        shared,
-                    )
-                    steps.append(CqpStep("R-Measure", dist))
-                elif perm_mode == "on_demand" and set(qs) <= set(names):
-                    order = tuple(qs) + tuple(n for n in names if n not in qs)
-                    needed_orders.setdefault(order, fronting_perm(names, qs))
+                outcomes = quantum.measure_prefix(sigma, len(qs), tol)
+                rest = free_names(_replace(term, path, Nil()))
+                var = x
+                cont = p
+                if var in rest:
+                    var = canon.fresh_name(x, rest | free_names(p))
+                    cont = substitute(p, {x: var})
+                shared = _replace(term, path, cont)
+                dist = CqpDist(
+                    tuple((o.probability, o.post_state) for o in outcomes),
+                    var,
+                    len(qs),
+                    phi,
+                    shared,
+                )
+                steps.append(CqpStep("R-Measure", dist))
 
     for opath, onode in outs:
         for ipath, inode in ins:
@@ -621,7 +574,6 @@ def run(
     seed: int = 0,
     script: Sequence[int] | None = None,
     max_steps: int = 64,
-    perm_mode: str = "on_demand",
     tol: float = DEFAULT_TOL,
 ) -> RunResult:
     """Seeded execution.  ``script`` resolves distribution branches by
@@ -647,7 +599,7 @@ def run(
                 continue
             else:
                 restore_to = None
-        steps = enumerate_steps(cur, perm_mode=perm_mode, tol=tol)
+        steps = enumerate_steps(cur, tol)
         if not steps:
             return RunResult(trace, cur, False)
         chosen = None
@@ -671,7 +623,7 @@ def run(
         after_perm = chosen.rule == "R-Perm"
         trace.append(chosen)
         cur = chosen.next
-    return RunResult(trace, cur, bool(enumerate_steps(cur, perm_mode=perm_mode, tol=tol)))
+    return RunResult(trace, cur, bool(enumerate_steps(cur, tol)))
 
 
 # -- concrete syntax ------------------------------------------------------------
@@ -907,7 +859,7 @@ def parse_cqp_term(ts: TokenStream) -> Term:
     return term
 
 
-def parse_cqp(text: str, tol: float = DEFAULT_TOL) -> CqpPure:
+def parse_cqp(text: str) -> CqpPure:
     """Parse the .cqp format: qubit/state/channel header, then the process."""
     ts = TokenStream(text)
     ts.expect("qubits")

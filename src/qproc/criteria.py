@@ -21,12 +21,13 @@ from __future__ import annotations
 import random
 import re
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import cqp, encode, qccs, quantum
+from .errors import NoCloningViolation
 from .quantum import DEFAULT_TOL
 
 
@@ -424,42 +425,43 @@ def bisim_check(lts1: Lts, lts2: Lts) -> Verdict:
 
 # -- encoding-level helpers -----------------------------------------------------------
 
-def rename_source_channels(config: cqp.CqpConfig, gamma: dict) -> cqp.CqpConfig:
+def _check_injective(gamma: dict, register: tuple[str, ...]) -> None:
+    """Qubit renamings must be injective (no cloning by renaming)."""
+    renamed = [gamma[q] for q in register if q in gamma]
+    if len(set(renamed)) != len(renamed):
+        raise NoCloningViolation(f"non-injective qubit substitution {dict(gamma)}")
+
+
+def rename_source(config: cqp.CqpConfig, gamma: dict) -> cqp.CqpConfig:
+    """The configuration with its free channel and qubit names renamed by
+    ``gamma``: in the term, the channel list and the register alike."""
+    _check_injective(gamma, config.sigma_names)
     phi = tuple(gamma.get(c, c) for c in config.phi)
-    if isinstance(config, cqp.CqpPure):
-        return cqp.CqpPure(config.sigma, phi, cqp.substitute(config.term, gamma))
-    return cqp.CqpDist(config.cases, config.var, config.r, phi, cqp.substitute(config.term, gamma))
-
-
-def rename_target_channels(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfig:
-    term = config.term
-    if isinstance(term, qccs.Restrict):
-        # the outermost restriction carries the configuration's channel list
-        renamed = qccs.Restrict(
-            qccs.substitute(term.cont, gamma), tuple(gamma.get(c, c) for c in term.chans)
-        )
-    else:
-        renamed = qccs.substitute(term, gamma)
-    return qccs.QccsConfig(renamed, config.rho)
-
-
-def rename_source_qubits(config: cqp.CqpConfig, gamma: dict) -> cqp.CqpConfig:
-    term = cqp.subst_qubit(config.term, gamma)  # raises on a non-injective gamma
+    term = cqp.substitute(config.term, gamma)
 
     def rename(sigma: quantum.StateVector) -> quantum.StateVector:
         return quantum.StateVector(tuple(gamma.get(n, n) for n in sigma.qubit_names), sigma.amps)
 
     if isinstance(config, cqp.CqpPure):
-        return cqp.CqpPure(rename(config.sigma), config.phi, term)
+        return cqp.CqpPure(rename(config.sigma), phi, term)
     cases = tuple((p, rename(s)) for p, s in config.cases)
-    return cqp.CqpDist(cases, config.var, config.r, config.phi, term)
+    return cqp.CqpDist(cases, config.var, config.r, phi, term)
 
 
-def rename_target_qubits(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfig:
+def rename_target(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfig:
+    """``rename_source`` for a translation.  The outermost restriction
+    carries the configuration's channel list, so its channels are renamed
+    as free names, not alpha-converted."""
+    _check_injective(gamma, config.rho.qubit_names)
     rho = quantum.DensityMatrix(
         tuple(gamma.get(n, n) for n in config.rho.qubit_names), config.rho.entries
     )
-    return qccs.QccsConfig(qccs.subst_qubit(config.term, gamma), rho)
+    term = config.term
+    if isinstance(term, qccs.Restrict):
+        term = qccs.Restrict(qccs.substitute(term.cont, gamma), tuple(gamma.get(c, c) for c in term.chans))
+    else:
+        term = qccs.substitute(term, gamma)
+    return qccs.QccsConfig(term, rho)
 
 
 def _target_equal(c1: qccs.QccsConfig, c2: qccs.QccsConfig, tol: float) -> bool:
@@ -577,8 +579,16 @@ class Instance:
 
 # -- the checks, each over one instance ----------------------------------------------------
 
+def _renaming_commutes(inst: Instance, gamma: dict) -> Verdict:
+    """Structural equality of translate-then-rename and rename-then-translate."""
+    left = encode.encode_config(rename_source(inst.source, gamma))
+    if _target_equal(left, rename_target(inst.root, gamma), inst.tol):
+        return _holds()
+    return _fails([f"gamma={gamma}"])
+
+
 def check_name_invariance(inst: Instance, gamma: dict) -> Verdict:
-    """Structural equality of translate-then-rename and rename-then-translate.
+    """The translation commutes with the channel renaming ``gamma``.
 
     The renaming must avoid integer literals: measurement introduces them on
     both the source branch rule and the target choice, so remapping them is
@@ -587,17 +597,12 @@ def check_name_invariance(inst: Instance, gamma: dict) -> Verdict:
     clashes = [c for c in gamma if c.isdigit()]
     if clashes:
         return _inconclusive(f"renaming remaps measurement literals {clashes}")
-    left = encode.encode_config(rename_source_channels(inst.source, gamma))
-    if _target_equal(left, rename_target_channels(inst.root, gamma), inst.tol):
-        return _holds()
-    return _fails([f"gamma={gamma}"])
+    return _renaming_commutes(inst, gamma)
 
 
 def check_qubit_invariance(inst: Instance, gamma: dict) -> Verdict:
-    left = encode.encode_config(rename_source_qubits(inst.source, gamma))
-    if _target_equal(left, rename_target_qubits(inst.root, gamma), inst.tol):
-        return _holds()
-    return _fails([f"gamma={gamma}"])
+    """The translation commutes with the injective qubit renaming ``gamma``."""
+    return _renaming_commutes(inst, gamma)
 
 
 def _canonical_register_order(names, initial_order):
@@ -937,17 +942,7 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
             # name-clash case the invariance statements exclude
             return t
         fresh = f"{t.var}_r{rng.randrange(1000)}"
-        cont = cqp.substitute(t.cont, {t.var: fresh})
-        match t:
-            case cqp.In(c, _, _):
-                return cqp.In(c, fresh, cont)
-            case cqp.Measure(qs, _, _):
-                return cqp.Measure(qs, fresh, cont)
-            case cqp.NewChan(_, _):
-                return cqp.NewChan(fresh, cont)
-            case cqp.NewQbit(_, _):
-                return cqp.NewQbit(fresh, cont)
-        return t
+        return replace(t, var=fresh, cont=cqp.substitute(t.cont, {t.var: fresh}))
 
     return cqp.CqpPure(config.sigma, config.phi, shuffle(config.term))
 

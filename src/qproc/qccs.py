@@ -27,12 +27,7 @@ from .errors import (
     WellFormednessError,
     ZeroBranch,
 )
-from .cqp import (
-    TokenStream,
-    fresh_name,
-    parse_amp_expr,
-    parse_coefficient_sum,
-)
+from .cqp import TokenStream, parse_amp_expr, parse_coefficient_sum
 from .quantum import DEFAULT_TOL, GATES, DensityMatrix, SuperOperator, fresh_qubit_name as _fresh_register_name
 
 RESERVED_OPS = {"M", "E", "new", "tau", "nil", "ok", "if", "then", "true", "false", "tr"}
@@ -130,18 +125,7 @@ class TraceNonzero:
     qubits: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BNot:
-    inner: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class BAnd:
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-BoolExpr = BTrue | BFalse | TraceNonzero | BNot | BAnd
+BoolExpr = BTrue | BFalse | TraceNonzero
 
 
 def eval_bool(b: BoolExpr, rho: DensityMatrix, table=None, tol: float = DEFAULT_TOL) -> bool:
@@ -151,10 +135,6 @@ def eval_bool(b: BoolExpr, rho: DensityMatrix, table=None, tol: float = DEFAULT_
             return True
         case BFalse():
             return False
-        case BNot(inner):
-            return not eval_bool(inner, rho, table, tol)
-        case BAnd(l, r):
-            return eval_bool(l, rho, table, tol) and eval_bool(r, rho, table, tol)
         case TraceNonzero(op, qubits):
             resolved = resolve_op(op, len(qubits), table)
             # raw application: the guard inspects the unnormalised branch
@@ -258,10 +238,6 @@ def _bool_qubits(b: BoolExpr) -> frozenset[str]:
     match b:
         case TraceNonzero(_, qubits):
             return frozenset(qubits)
-        case BNot(inner):
-            return _bool_qubits(inner)
-        case BAnd(l, r):
-            return _bool_qubits(l) | _bool_qubits(r)
         case _:
             return frozenset()
 
@@ -313,15 +289,9 @@ def free_channels(t: Term) -> frozenset[str]:
 # -- substitution -----------------------------------------------------------------
 
 def _subst_bool(b: BoolExpr, mapping: Mapping[str, str]) -> BoolExpr:
-    match b:
-        case TraceNonzero(op, qubits):
-            return TraceNonzero(op, tuple(mapping.get(q, q) for q in qubits))
-        case BNot(inner):
-            return BNot(_subst_bool(inner, mapping))
-        case BAnd(l, r):
-            return BAnd(_subst_bool(l, mapping), _subst_bool(r, mapping))
-        case _:
-            return b
+    if isinstance(b, TraceNonzero):
+        return TraceNonzero(b.op, tuple(mapping.get(q, q) for q in b.qubits))
+    return b
 
 
 def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
@@ -341,13 +311,8 @@ def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
         case SuperOp(op, qs, p):
             return SuperOp(op, tuple(sub(q) for q in qs), substitute(p, mapping))
         case In(c, x, p):
-            scoped = {k: v for k, v in mapping.items() if k != x}
-            if x in scoped.values():
-                # possible capture: alpha-rename the binder first
-                x2 = fresh_name(x, set(scoped) | set(scoped.values()) | _free_all(p))
-                p = substitute(p, {x: x2})
-                x = x2
-            return In(sub(c), x, substitute(p, scoped))
+            (x,), p = canon.rebind((x,), p, mapping, _free_all, substitute)
+            return In(sub(c), x, p)
         case Out(c, q, p):
             return Out(sub(c), sub(q), substitute(p, mapping))
         case Choice(l, r):
@@ -355,19 +320,8 @@ def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
         case Par(l, r):
             return Par(substitute(l, mapping), substitute(r, mapping))
         case Restrict(p, chans):
-            scoped = {k: v for k, v in mapping.items() if k not in chans}
-            values = set(scoped.values())
-            renames = {}
-            if values & set(chans):
-                avoid = set(chans) | values | _free_all(p)
-                for c in chans:
-                    if c in values:
-                        renames[c] = fresh_name(c, avoid)
-                        avoid.add(renames[c])
-            if renames:
-                p = substitute(p, renames)
-                chans = tuple(renames.get(c, c) for c in chans)
-            return Restrict(substitute(p, scoped), chans)
+            chans, p = canon.rebind(chans, p, mapping, _free_all, substitute)
+            return Restrict(p, chans)
         case IfThen(b, p):
             return IfThen(_subst_bool(b, mapping), substitute(p, mapping))
         case ConstCall(name, args):
@@ -377,13 +331,6 @@ def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
 
 def _free_all(t: Term) -> frozenset[str]:
     return free_qubits(t) | free_channels(t)
-
-
-def subst_qubit(t: Term, gamma: Mapping[str, str]) -> Term:
-    values = list(gamma.values())
-    if len(set(values)) != len(values):
-        raise NoCloningViolation(f"non-injective qubit substitution {dict(gamma)}")
-    return substitute(t, gamma)
 
 
 # -- well-formedness --------------------------------------------------------------
@@ -675,10 +622,6 @@ def _node(t: Term | BoolExpr) -> tuple:
             return ("ff", (), (), ())
         case TraceNonzero(op, qs):
             return ("tr:" + format_op(op, ()), qs, (), ())
-        case BNot(inner):
-            return ("not", (), (), (inner,))
-        case BAnd(l, r):
-            return ("and", (), (), (l, r))
     raise TypeError(f"not a qCCS term: {t!r}")
 
 
@@ -918,7 +861,7 @@ def _parse_rho(ts: TokenStream, names: tuple[str, ...]) -> DensityMatrix:
     return DensityMatrix(names, entries)
 
 
-def parse_qccs(text: str, tol: float = DEFAULT_TOL):
+def parse_qccs(text: str):
     """Parse the .qccs format.
 
     Returns (defs, config, table): process constant definitions, the
@@ -994,10 +937,6 @@ def format_bool(b: BoolExpr) -> str:
             return "false"
         case TraceNonzero(op, qs):
             return f"tr({format_op(op, qs)}) != 0"
-        case BNot(inner):
-            return f"not ({format_bool(inner)})"
-        case BAnd(l, r):
-            return f"({format_bool(l)}) and ({format_bool(r)})"
     raise TypeError(f"not a boolean guard: {b!r}")
 
 

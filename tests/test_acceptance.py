@@ -178,21 +178,43 @@ def test_criterion_5_property_campaign():
         checks = 0
         fails = []
         inconclusive = []
+        totals = dict.fromkeys(
+            ("source_states", "matched_edges", "fallback_games", "target_states", "may_success", "diverging"), 0
+        )
         for seed in range(500):
             source = criteria.gen_config(seed, size=4, depth=6)
-            for name, verdict in criteria.run_instance_checks(source, budget, seed).items():
+            verdicts = criteria.run_instance_checks(source, budget, seed)
+            for name, verdict in verdicts.items():
                 checks += 1
                 if verdict.fails:
                     fails.append((seed, name))
                 if verdict.status == "inconclusive":
                     inconclusive.append((seed, name))
+            completeness = verdicts["completeness"].stats
+            totals["source_states"] += completeness["states"]
+            totals["matched_edges"] += completeness.get("matched_edges", 0)
+            totals["fallback_games"] += completeness.get("corr_sim_fallbacks", 0)
+            totals["target_states"] += verdicts["soundness"].stats["target_states"]
+            totals["may_success"] += verdicts["success"].stats["source_may"] == "holds"
+            totals["diverging"] += verdicts["divergence_reflection"].stats["source"] == "holds"
         rate = len(inconclusive) / checks
         print(
             f"  campaign: {checks} checks over 500 configurations, "
-            f"{len(fails)} fails, inconclusive rate {rate:.4%}"
+            f"{len(fails)} fails, inconclusive rate {rate:.4%}, explored {totals}"
         )
         assert fails == []
         assert rate < 0.01
+        # The explorations behind the verdicts are pinned too: a change to
+        # stepping, dedup or translation that keeps every verdict but
+        # explores a different state space shows here.
+        assert totals == {
+            "source_states": 3277,
+            "matched_edges": 3385,
+            "fallback_games": 191,
+            "target_states": 2437,
+            "may_success": 138,
+            "diverging": 14,
+        }
 
 
 def test_criterion_6_corr_sim_vs_bisimulation():

@@ -21,7 +21,6 @@ from qproc.errors import (
     ArityMismatch,
     DuplicateQubitArg,
     InvalidOutcome,
-    NoCloningViolation,
     ParseError,
     SharedQubit,
     UnknownName,
@@ -115,17 +114,6 @@ def test_subst_avoids_capture():
     assert isinstance(got, In) and got.chan == "c"
     assert got.var != "x"
     assert got.cont == Out("c", "x", Nil())
-
-
-def test_subst_qubit_swap_is_simultaneous():
-    term = Out("c", "q0", Out("d", "q1", Nil()))
-    got = cqp.subst_qubit(term, {"q0": "q1", "q1": "q0"})
-    assert got == Out("c", "q1", Out("d", "q0", Nil()))
-
-
-def test_subst_qubit_rejects_merging():
-    with pytest.raises(NoCloningViolation):
-        cqp.subst_qubit(Nil(), {"q0": "q", "q1": "q"})
 
 
 # -- congruence -----------------------------------------------------------------
@@ -302,11 +290,6 @@ def test_trans_requires_fronted_operands_and_perm_is_offered():
     (op,) = cqp.enumerate_steps(permed)
     assert op.rule == "R-Trans"
     assert np.allclose(op.next.sigma.amps, [1, 0, 0, 0])  # b flipped back to 0
-
-
-def test_explicit_perm_mode_offers_no_perms():
-    config = pure("ab", [0, 1, 0, 0], Trans(("b",), "X", Nil()))
-    assert cqp.enumerate_steps(config, perm_mode="explicit") == []
 
 
 def test_measure_produces_distribution_with_zero_cases():

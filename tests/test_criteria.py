@@ -4,8 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from qproc import cqp, criteria, encode, protocols, qccs, quantum
 from qproc.criteria import Budget, build_lts, cqp_system, qccs_system
+from qproc.errors import NoCloningViolation
 
 BUDGET = Budget(48, 2000)
 
@@ -348,6 +352,122 @@ def test_identity_renamings_hold():
 def test_qubit_invariance_rejects_merging():
     with pytest.raises(Exception):
         criteria.check_qubit_invariance(criteria.Instance(teleport()), {"q0": "q", "q1": "q"})
+
+
+# -- renaming and the binder rule ----------------------------------------------------------
+
+def _swap_config(calculus):
+    """A two-qubit configuration whose term uses both qubits, and the term
+    expected after swapping them."""
+    if calculus == "source":
+        sigma = quantum.StateVector(("a", "b"), np.array([1, 0, 0, 0], dtype=complex))
+        term = cqp.Par(cqp.Out("c", "a", cqp.Nil()), cqp.In("d", "x", cqp.Trans(("b",), "H", cqp.Nil())))
+        swapped = cqp.Par(cqp.Out("c", "b", cqp.Nil()), cqp.In("d", "x", cqp.Trans(("a",), "H", cqp.Nil())))
+        return cqp.CqpPure(sigma, ("c", "d"), term), swapped
+    rho = quantum.DensityMatrix(("a", "b"), np.diag([1, 0, 0, 0]).astype(complex))
+    term = qccs.Par(qccs.Out("c", "a", qccs.Nil()), qccs.In("d", "x", qccs.SuperOp(qccs.GateOp("H"), ("b",), qccs.Nil())))
+    swapped = qccs.Par(qccs.Out("c", "b", qccs.Nil()), qccs.In("d", "x", qccs.SuperOp(qccs.GateOp("H"), ("a",), qccs.Nil())))
+    return qccs.QccsConfig(term, rho), swapped
+
+
+RENAME = {"source": criteria.rename_source, "target": criteria.rename_target}
+
+
+@pytest.mark.parametrize("calculus", RENAME)
+def test_rename_swaps_qubits_simultaneously(calculus):
+    config, swapped = _swap_config(calculus)
+    got = RENAME[calculus](config, {"a": "b", "b": "a"})
+    assert got.term == swapped
+    names = got.sigma_names if calculus == "source" else got.rho.qubit_names
+    assert names == ("b", "a")
+
+
+@pytest.mark.parametrize("calculus", RENAME)
+def test_rename_rejects_merging_qubits(calculus):
+    config, _ = _swap_config(calculus)
+    with pytest.raises(NoCloningViolation, match="non-injective qubit substitution"):
+        RENAME[calculus](config, {"a": "q", "b": "q"})
+
+
+# Each mapping sends a free name onto a binder and also maps the binder's
+# first fresh candidate ``<binder>_0``, so a renamed binder that the mapping
+# reaches again would escape as a free name.
+CAPTURE_CASES = {
+    "cqp-NewChan": (
+        cqp.substitute,
+        cqp.NewChan("c", cqp.Par(cqp.Out("c", "q", cqp.Nil()), cqp.Out("d", "p", cqp.Nil()))),
+        {"d": "c", "c_0": "e"},
+        cqp.NewChan("c_1", cqp.Par(cqp.Out("c_1", "q", cqp.Nil()), cqp.Out("c", "p", cqp.Nil()))),
+    ),
+    "cqp-In": (
+        cqp.substitute,
+        cqp.In("a", "x", cqp.Out("y", "x", cqp.Nil())),
+        {"y": "x", "x_0": "e"},
+        cqp.In("a", "x_1", cqp.Out("x", "x_1", cqp.Nil())),
+    ),
+    "qccs-Restrict": (
+        qccs.substitute,
+        qccs.Restrict(qccs.Par(qccs.Out("c", "q", qccs.Nil()), qccs.Out("d", "p", qccs.Nil())), ("c",)),
+        {"d": "c", "c_0": "e"},
+        qccs.Restrict(qccs.Par(qccs.Out("c_1", "q", qccs.Nil()), qccs.Out("c", "p", qccs.Nil())), ("c_1",)),
+    ),
+    "qccs-Restrict-two-channels": (
+        qccs.substitute,
+        qccs.Restrict(qccs.Par(qccs.Out("c", "q", qccs.Nil()), qccs.Out("d", "p", qccs.Nil())), ("c", "c_1")),
+        {"d": "c", "c_0": "e"},
+        qccs.Restrict(qccs.Par(qccs.Out("c_2", "q", qccs.Nil()), qccs.Out("c", "p", qccs.Nil())), ("c_2", "c_1")),
+    ),
+    "qccs-In": (
+        qccs.substitute,
+        qccs.In("a", "x", qccs.Out("y", "x", qccs.Nil())),
+        {"y": "x", "x_0": "e"},
+        qccs.In("a", "x_1", qccs.Out("x", "x_1", qccs.Nil())),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CAPTURE_CASES)
+def test_substitution_renames_captured_binders_apart(case):
+    substitute, term, mapping, expected = CAPTURE_CASES[case]
+    assert substitute(term, mapping) == expected
+
+
+def _bound_names(t) -> set[str]:
+    """Every name a binder inside ``t`` introduces."""
+    names = set()
+    for f in dataclasses.fields(t):
+        value = getattr(t, f.name)
+        if dataclasses.is_dataclass(value):
+            names |= _bound_names(value)
+    if isinstance(t, (cqp.In, cqp.Measure, cqp.NewChan, cqp.NewQbit, qccs.In)):
+        names.add(t.var)
+    elif isinstance(t, qccs.Restrict):
+        names.update(t.chans)
+    return names
+
+
+CALCULI = {
+    "cqp": (cqp.substitute, cqp.free_names, lambda c: c.term),
+    "qccs": (
+        qccs.substitute,
+        lambda t: qccs.free_qubits(t) | qccs.free_channels(t),
+        lambda c: encode.encode_config(c).term,
+    ),
+}
+
+
+@pytest.mark.parametrize("calculus", CALCULI)
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 499), data=st.data())
+def test_substitution_maps_exactly_the_free_names(calculus, seed, data):
+    substitute, free, term_of = CALCULI[calculus]
+    term = term_of(criteria.gen_config(seed))
+    bound = sorted(_bound_names(term))
+    assume(bound)
+    keys = sorted(free(term) | {f"{b}_0" for b in bound})
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=4))
+    sigma = {k: data.draw(st.sampled_from(bound)) for k in chosen}
+    assert free(substitute(term, sigma)) == {sigma.get(n, n) for n in free(term)}
 
 
 # -- generator ----------------------------------------------------------------------------

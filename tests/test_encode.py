@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qproc import cqp, encode, protocols, qccs, quantum
+from qproc import cqp, criteria, encode, protocols, qccs, quantum
 from qproc.errors import InvalidArity, SharedQubit
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -180,31 +180,13 @@ def test_register_size_is_preserved():
 
 # -- structural properties -----------------------------------------------------------
 
-def _rename_cqp_config(config, gamma):
-    term = cqp.substitute(config.term, gamma)
-    phi = tuple(gamma.get(c, c) for c in config.phi)
-    return cqp.CqpPure(config.sigma, phi, term)
-
-
-def _rename_qccs_config(config, gamma):
-    # the outermost restriction is the configuration's channel list, so a
-    # configuration-level renaming passes through it
-    term = config.term
-    assert isinstance(term, qccs.Restrict)
-    renamed = qccs.Restrict(
-        qccs.substitute(term.cont, gamma),
-        tuple(gamma.get(c, c) for c in term.chans),
-    )
-    return qccs.QccsConfig(renamed, config.rho)
-
-
 def test_name_invariance_on_teleport_initial():
     # the protocol channels are binder-bound, so renaming them is absorbed
     # on both sides (substitution is capture avoiding)
     src = teleport()
     gamma = {"0": "a", "1": "b", "2": "c", "3": "d"}
-    left = encode.encode_config(_rename_cqp_config(src, gamma))
-    right = _rename_qccs_config(encode.encode_config(src), gamma)
+    left = encode.encode_config(criteria.rename_source(src, gamma))
+    right = criteria.rename_target(encode.encode_config(src), gamma)
     assert left.term == right.term
     assert quantum.approx_eq(left.rho, right.rho, 1e-9)
 
@@ -219,8 +201,8 @@ def test_name_invariance_on_free_channels():
         ),
     )
     gamma = {"c": "u", "d": "v"}
-    left = encode.encode_config(_rename_cqp_config(src, gamma))
-    right = _rename_qccs_config(encode.encode_config(src), gamma)
+    left = encode.encode_config(criteria.rename_source(src, gamma))
+    right = criteria.rename_target(encode.encode_config(src), gamma)
     assert left.term == right.term
     assert quantum.approx_eq(left.rho, right.rho, 1e-9)
 
@@ -232,14 +214,9 @@ def test_qubit_invariance_on_two_qubit_source():
         cqp.Out("c", "q0", cqp.Trans(("q1",), "H", cqp.Nil())),
     )
     gamma = {"q0": "q1", "q1": "q0"}
-    renamed_sigma = quantum.StateVector(("q1", "q0"), src.sigma.amps)
-    src_renamed = cqp.CqpPure(renamed_sigma, src.phi, cqp.subst_qubit(src.term, gamma))
-    left = encode.encode_config(src_renamed)
-    right_base = encode.encode_config(src)
-    right = qccs.QccsConfig(
-        qccs.subst_qubit(right_base.term, gamma),
-        quantum.DensityMatrix(("q1", "q0"), right_base.rho.entries),
-    )
+    left = encode.encode_config(criteria.rename_source(src, gamma))
+    right = criteria.rename_target(encode.encode_config(src), gamma)
+    assert left.rho.qubit_names == ("q1", "q0")
     assert left.term == right.term
     assert left.rho.qubit_names == right.rho.qubit_names
     assert np.allclose(left.rho.entries, right.rho.entries, atol=1e-9)

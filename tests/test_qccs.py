@@ -148,17 +148,6 @@ def test_wellformed_rejects_duplicate_constant_args():
 
 # -- substitution ---------------------------------------------------------------
 
-def test_subst_qubit_swap():
-    term = Par(Out("c", "a", Nil()), In("d", "x", SuperOp(GateOp("H"), ("b",), Nil())))
-    got = qccs.subst_qubit(term, {"a": "b", "b": "a"})
-    assert got == Par(Out("c", "b", Nil()), In("d", "x", SuperOp(GateOp("H"), ("a",), Nil())))
-
-
-def test_subst_qubit_rejects_merge():
-    with pytest.raises(NoCloningViolation):
-        qccs.subst_qubit(Nil(), {"a": "q", "b": "q"})
-
-
 def test_subst_respects_restriction_binders():
     term = Restrict(Out("c", "q", Nil()), ("c",))
     got = qccs.substitute(term, {"d": "c"})  # c is bound; the outer d->c must not capture
