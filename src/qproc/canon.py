@@ -24,7 +24,10 @@ d of such groups.
 
 Substitution in both calculi passes under its binders by one rule,
 ``rebind``: the binders shadow their own names, and a binder that the
-substitution would capture is renamed apart first.
+substitution would capture is renamed apart first.  In qCCS a binder
+binds one sort of name, a restriction channels and an input a qubit, so
+the rule runs on that sort's mapping and a free name of the other sort is
+substituted like any other.
 """
 
 from __future__ import annotations
@@ -60,11 +63,11 @@ def rebind(
     of the mapping maps a name onto is renamed to a name fresh for the
     mapping, the other binders and ``free(body)``, in the same single pass
     over the body, so no substituted name is captured and no fresh name is
-    substituted again.  Returns the binders and the body after substitution.
+    substituted again.  Returns the binders and the body after substitution;
+    ``substitute`` is called even when no name is left to map here, so a
+    caller may carry the names of another sort in it.
     """
     scoped = {k: v for k, v in mapping.items() if k not in binders}
-    if not scoped:
-        return binders, body
     values = set(scoped.values())
     if not values.isdisjoint(binders):
         avoid = set(binders) | set(scoped) | values | free(body)

@@ -14,6 +14,24 @@ States are deduplicated modulo structural congruence: a structural key
 picks a bucket and the quantum states in it are compared within the
 tolerance, so exploration terminates on the loops the calculi can express
 and no verdict hinges on where a float falls.
+
+Completeness matches a source step to a target step by congruence, then by
+the measurement-choice law, and only then by a correspondence-simulation
+game.  The law is the expansion-law step (Milner 1989) of the paper's
+operational-correspondence proof.  When a process measures ``qs`` beside
+parallel components ``R``, the translation of the resulting distribution
+is ``Σ_i if tr(E{i}[qs]) != 0 then E{i}[qs].(P_i | R)``, while the target
+stepped by ``M[qs]`` is ``(Σ_i if ... then E{i}[qs].P_i) | R``.
+``qccs.factor_measurement_choices`` moves such shared components ``R`` out
+of the choice; the law accepts a candidate congruent to the translation
+once both are factored.  Its side conditions are what the argument
+needs: ``R`` occurs in every branch, so both sides run it whatever the
+outcome; it has no free qubit in ``qs``, so a step of ``R`` taken before a
+branch is picked commutes with that branch's ``E{i}[qs]``; and the guards
+cover every outcome of ``qs``, so some branch is always enabled and the
+choice side catches up with such a step by picking a branch first.  The two sides are then correspondence similar, though not
+bisimilar (criterion 6), so the law is a sufficient condition for a match
+and never a congruence: the state keys and ``qccs.congruent`` do not use it.
 """
 
 from __future__ import annotations
@@ -470,6 +488,10 @@ def _target_equal(c1: qccs.QccsConfig, c2: qccs.QccsConfig, tol: float) -> bool:
     )
 
 
+def _factor(config: qccs.QccsConfig) -> qccs.QccsConfig:
+    return qccs.QccsConfig(qccs.factor_measurement_choices(config.term), config.rho)
+
+
 # -- one instance ------------------------------------------------------------------------
 
 @dataclass
@@ -511,16 +533,33 @@ class Instance:
     def target_lts(self) -> Lts:
         return build_lts(self.root, qccs_system(tol=self.tol), self.budget)
 
+    def game_lts(self, config: qccs.QccsConfig) -> Lts:
+        """The labelled exploration of a translation that completeness's
+        fallback game plays on, within the game's own small budget."""
+        budget = Budget(min(self.budget.max_depth, 32), min(self.budget.max_states, 220))
+        return build_lts(config, qccs_system(tol=self.tol, labelled=True), budget)
+
     @cached_property
     def completeness(self) -> tuple[Verdict, list]:
         """Match every explored source step with at most one target step.
 
+        A permutation step is emulated by doing nothing.  Any other step is
+        matched by the first target reduction of its source's translation
+        that is congruent to the translation of its successor; failing
+        that, by the first of equal register size that is congruent to it
+        once both are factored by the measurement-choice law (module
+        docstring); failing that, by the first of equal register size that
+        wins a size-sensitive correspondence-simulation game within the
+        game's own budget (``game_lts``).  A game cut by that budget makes
+        the verdict inconclusive, not failing.  The stats count the edges
+        the law matched (``law_matches``) and the games played
+        (``corr_sim_fallbacks``).
+
         Returns the verdict and the matched edges: pairs of a source edge
-        and the matching target configuration (None for permutation steps,
-        which are emulated by doing nothing)."""
+        and the matching target configuration (None for permutation steps)."""
         lts, tol = self.source_lts, self.tol
         matched = []
-        fallbacks = 0
+        law_matches = fallbacks = 0
         for src, label, dst, _ in lts.edges:
             enc_src, enc_dst = self.encoded[src], self.encoded[dst]
             if label.startswith("R-Perm"):
@@ -546,22 +585,27 @@ class Instance:
                 if qccs.congruent(enc_dst, cand.next, tol):
                     hit = cand.next
                     break
+            if hit is None:
+                # the measurement-choice law: congruent once the components
+                # every branch shares are factored out of the choice
+                factored = _factor(enc_dst)
+                for cand in candidates:
+                    if cand.next.rho.num_qubits == enc_dst.rho.num_qubits and qccs.congruent(
+                        factored, _factor(cand.next), tol
+                    ):
+                        hit = cand.next
+                        law_matches += 1
+                        break
             fallback_cut = False
             if hit is None:
-                # measurement under parallel composition: the translated
-                # distribution is correspondence similar to the stepped target;
-                # the preorder is taken size-sensitive, which also rules out
-                # matching an unrelated parallel step.  The game runs on its own
-                # small budget; cutting it makes the verdict inconclusive, not
-                # failing.
-                fb_budget = Budget(min(self.budget.max_depth, 32), min(self.budget.max_states, 220))
-                l1 = build_lts(enc_dst, qccs_system(tol=tol, labelled=True), fb_budget)
+                # an edge the law leaves: the game is size-sensitive, which
+                # also rules out matching an unrelated parallel step
+                l1 = self.game_lts(enc_dst)
                 for cand in candidates:
                     if cand.next.rho.num_qubits != enc_dst.rho.num_qubits:
                         continue
                     fallbacks += 1
-                    l2 = build_lts(cand.next, qccs_system(tol=tol, labelled=True), fb_budget)
-                    outcome = corr_sim_check(l1, l2, size_sensitive=True)
+                    outcome = corr_sim_check(l1, self.game_lts(cand.next), size_sensitive=True)
                     if outcome.holds:
                         hit = cand.next
                         break
@@ -574,7 +618,10 @@ class Instance:
             matched.append(((src, label, dst), hit))
         if lts.truncated:
             return _inconclusive("budget", matched_edges=len(matched), **lts.stats()), matched
-        return _holds(matched_edges=len(matched), corr_sim_fallbacks=fallbacks, **lts.stats()), matched
+        return (
+            _holds(matched_edges=len(matched), law_matches=law_matches, corr_sim_fallbacks=fallbacks, **lts.stats()),
+            matched,
+        )
 
 
 # -- the checks, each over one instance ----------------------------------------------------

@@ -11,9 +11,10 @@ system; the translated teleportation relies on this).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, reduce
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -297,35 +298,44 @@ def _subst_bool(b: BoolExpr, mapping: Mapping[str, str]) -> BoolExpr:
 def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
     """Simultaneous capture-avoiding substitution on channels and qubits."""
     mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
+    return _substitute(t, mapping, mapping)
+
+
+def _substitute(t: Term, chans: Mapping[str, str], qubits: Mapping[str, str]) -> Term:
+    """``substitute`` with one mapping for channel positions and one for
+    qubit positions.  They part below a binder, which binds one sort: a
+    restriction's channels and an input's qubit shadow and are renamed
+    apart in that sort only, and a free name of the other sort is
+    substituted as usual."""
+    if not chans and not qubits:
         return t
 
-    def sub(name):
-        return mapping.get(name, name)
+    def sub(p):
+        return _substitute(p, chans, qubits)
 
     match t:
         case Nil() | Success():
             return t
         case Tau(p):
-            return Tau(substitute(p, mapping))
+            return Tau(sub(p))
         case SuperOp(op, qs, p):
-            return SuperOp(op, tuple(sub(q) for q in qs), substitute(p, mapping))
+            return SuperOp(op, tuple(qubits.get(q, q) for q in qs), sub(p))
         case In(c, x, p):
-            (x,), p = canon.rebind((x,), p, mapping, _free_all, substitute)
-            return In(sub(c), x, p)
+            (x,), p = canon.rebind((x,), p, qubits, _free_all, lambda body, inner: _substitute(body, chans, inner))
+            return In(chans.get(c, c), x, p)
         case Out(c, q, p):
-            return Out(sub(c), sub(q), substitute(p, mapping))
+            return Out(chans.get(c, c), qubits.get(q, q), sub(p))
         case Choice(l, r):
-            return Choice(substitute(l, mapping), substitute(r, mapping))
+            return Choice(sub(l), sub(r))
         case Par(l, r):
-            return Par(substitute(l, mapping), substitute(r, mapping))
-        case Restrict(p, chans):
-            chans, p = canon.rebind(chans, p, mapping, _free_all, substitute)
-            return Restrict(p, chans)
+            return Par(sub(l), sub(r))
+        case Restrict(p, bound):
+            bound, p = canon.rebind(bound, p, chans, _free_all, lambda body, inner: _substitute(body, inner, qubits))
+            return Restrict(p, bound)
         case IfThen(b, p):
-            return IfThen(_subst_bool(b, mapping), substitute(p, mapping))
+            return IfThen(_subst_bool(b, qubits), sub(p))
         case ConstCall(name, args):
-            return ConstCall(name, tuple(sub(a) for a in args))
+            return ConstCall(name, tuple(qubits.get(a, a) for a in args))
     raise TypeError(f"not a qCCS term: {t!r}")
 
 
@@ -491,7 +501,8 @@ def _term_steps(t, rho, defs, table, tol, unfolding):
             out = []
             for q in rho.qubit_names:
                 if q not in blocked:
-                    out.append((LIn(c, q), substitute(p, {x: q}), rho, False))
+                    # x is a qubit variable: a channel named x stays free
+                    out.append((LIn(c, q), _substitute(p, {}, {x: q}), rho, False))
             return out
         case Out(c, q, p):
             return [(LOut(c, q), p, rho, False)]
@@ -652,6 +663,75 @@ def canonical_key(config: QccsConfig) -> str:
         cached = f"Q{config.rho.num_qubits}|{_signature(config)}"
         object.__setattr__(config, "_key", cached)
     return cached
+
+
+# -- the measurement-choice law -------------------------------------------------------
+
+def _components(t: Term, kind: type) -> list[Term]:
+    """The operands of a nest of ``kind`` (``Par`` or ``Choice``) nodes."""
+    if isinstance(t, kind):
+        return _components(t.left, kind) + _components(t.right, kind)
+    return [t]
+
+
+def _par_of(parts: Iterable[Term]) -> Term:
+    parts = list(parts)
+    return reduce(Par, parts) if parts else Nil()
+
+
+def _measurement_branches(t: Choice) -> tuple[tuple[str, ...], list[IfThen]] | None:
+    """``qs`` and the branches of a measurement choice
+    ``Σ_i if tr(E{i}[qs]) != 0 then E{i}[qs].body_i`` whose branches
+    cover every outcome of ``qs`` once, or None for any other choice."""
+    branches = _components(t, Choice)
+    qs = None
+    for branch in branches:
+        match branch:
+            case IfThen(TraceNonzero(ProjectOp(i), guarded), SuperOp(ProjectOp(j), applied, _)) if (
+                i == j and guarded == applied and qs in (None, applied)
+            ):
+                qs = applied
+            case _:
+                return None
+    if sorted(b.cond.op.index for b in branches) != list(range(2 ** len(qs))):
+        return None
+    return qs, branches
+
+
+def factor_measurement_choices(t: Term) -> Term:
+    """Move the components every branch of a measurement choice shares out
+    of the choice:  Σ_i if tr(E{i}[qs]) != 0 then E{i}[qs].(P_i | R)
+    becomes  (Σ_i if tr(E{i}[qs]) != 0 then E{i}[qs].P_i) | R.
+
+    Measurement choices are found through ``Par`` and ``Restrict`` only.
+    ``R`` is the multiset of parallel components, compared by term
+    equality, that occur in every ``body_i`` and have no free qubit in
+    ``qs``; everything else is left as it is.  The two sides are
+    correspondence similar, not congruent (see ``criteria``), so the
+    congruence and the state keys never call this.
+    """
+    match t:
+        case Par(l, r):
+            return Par(factor_measurement_choices(l), factor_measurement_choices(r))
+        case Restrict(p, chans):
+            return Restrict(factor_measurement_choices(p), chans)
+        case Choice():
+            found = _measurement_branches(t)
+            if found is None:
+                return t
+            qs, branches = found
+            parts = [Counter(_components(b.cont.cont, Par)) for b in branches]
+            shared = Counter({c: n for c, n in parts[0].items() if free_qubits(c).isdisjoint(qs)})
+            for counted in parts[1:]:
+                shared &= counted
+            if not shared:
+                return t
+            factored = [
+                IfThen(b.cond, SuperOp(b.cont.op, qs, _par_of((own - shared).elements())))
+                for b, own in zip(branches, parts)
+            ]
+            return Par(choice_chain(factored), _par_of(shared.elements()))
+    return t
 
 
 # -- concrete syntax ------------------------------------------------------------------

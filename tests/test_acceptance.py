@@ -179,7 +179,16 @@ def test_criterion_5_property_campaign():
         fails = []
         inconclusive = []
         totals = dict.fromkeys(
-            ("source_states", "matched_edges", "fallback_games", "target_states", "may_success", "diverging"), 0
+            (
+                "source_states",
+                "matched_edges",
+                "law_matches",
+                "fallback_games",
+                "target_states",
+                "may_success",
+                "diverging",
+            ),
+            0,
         )
         for seed in range(500):
             source = criteria.gen_config(seed, size=4, depth=6)
@@ -193,6 +202,7 @@ def test_criterion_5_property_campaign():
             completeness = verdicts["completeness"].stats
             totals["source_states"] += completeness["states"]
             totals["matched_edges"] += completeness.get("matched_edges", 0)
+            totals["law_matches"] += completeness.get("law_matches", 0)
             totals["fallback_games"] += completeness.get("corr_sim_fallbacks", 0)
             totals["target_states"] += verdicts["soundness"].stats["target_states"]
             totals["may_success"] += verdicts["success"].stats["source_may"] == "holds"
@@ -210,7 +220,8 @@ def test_criterion_5_property_campaign():
         assert totals == {
             "source_states": 3277,
             "matched_edges": 3385,
-            "fallback_games": 191,
+            "law_matches": 181,
+            "fallback_games": 0,
             "target_states": 2437,
             "may_success": 138,
             "diverging": 14,

@@ -328,11 +328,52 @@ def test_register_size_does_not_report_a_completeness_failure_as_its_own(monkeyp
     assert (verdict.status, verdict.reason, verdict.witness) == ("inconclusive", "completeness fails", None)
 
 
-def test_completeness_counts_measurement_fallback():
+def test_completeness_matches_measurement_edges_by_the_law():
     src = cqp.parse_cqp(protocols.read("measurement.cqp"))
     verdict = criteria.check_completeness(criteria.Instance(src, BUDGET))
     assert verdict.holds
-    assert verdict.stats["corr_sim_fallbacks"] >= 1
+    assert (verdict.stats["law_matches"], verdict.stats["corr_sim_fallbacks"]) == (2, 0)
+
+
+def test_completeness_plays_the_game_on_edges_the_law_leaves(monkeypatch):
+    # a mutant that translates X as Z: no candidate is congruent, factored
+    # or not, so the edge reaches the game, which compares no state; only
+    # soundness sees the wrong state
+    real = encode.encode_term
+
+    def x_as_z(term, register):
+        if isinstance(term, cqp.Trans) and term.gate == "X":
+            return qccs.SuperOp(qccs.GateOp("Z"), term.qubits, real(term.cont, register))
+        return real(term, register)
+
+    monkeypatch.setattr(encode, "encode_term", x_as_z)
+    src = cqp.CqpPure(quantum.StateVector(("q",), [1, 0]), (), cqp.Trans(("q",), "X", cqp.Success()))
+    inst = criteria.Instance(src, BUDGET)
+    verdict = criteria.check_completeness(inst)
+    assert (verdict.stats["law_matches"], verdict.stats["corr_sim_fallbacks"]) == (0, 1)
+    assert criteria.check_soundness(inst).fails
+
+
+@pytest.mark.parametrize("seed", [4, 122, 235, 403])
+def test_law_matches_only_where_the_game_holds(seed):
+    # these seeds each matched some measurement edges only by a game before
+    # the law: the game must still hold on the candidate the law picks
+    inst = criteria.Instance(criteria.gen_config(seed, size=4, depth=6), Budget(48, 800), seed)
+    verdict, matched = inst.completeness
+    law_edges = 0
+    for (src, label, dst), hit in matched:
+        if hit is None:
+            continue
+        enc_dst = inst.encoded[dst]
+        steps = qccs.reduce_steps(inst.encoded[src], {}, {}, inst.tol)
+        if any(qccs.congruent(enc_dst, s.next, inst.tol) for s in steps):
+            continue
+        law_edges += 1
+        game = criteria.corr_sim_check(inst.game_lts(enc_dst), inst.game_lts(hit), size_sensitive=True)
+        assert game.holds, (seed, label)
+    assert verdict.holds
+    assert law_edges == verdict.stats["law_matches"] > 0
+    assert verdict.stats["corr_sim_fallbacks"] == 0
 
 
 def test_name_invariance_rejects_literal_remapping():
@@ -419,9 +460,9 @@ CAPTURE_CASES = {
     ),
     "qccs-In": (
         qccs.substitute,
-        qccs.In("a", "x", qccs.Out("y", "x", qccs.Nil())),
+        qccs.In("a", "x", qccs.Out("c", "y", qccs.Out("d", "x", qccs.Nil()))),
         {"y": "x", "x_0": "e"},
-        qccs.In("a", "x_1", qccs.Out("x", "x_1", qccs.Nil())),
+        qccs.In("a", "x_1", qccs.Out("c", "x", qccs.Out("d", "x_1", qccs.Nil()))),
     ),
 }
 

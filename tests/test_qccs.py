@@ -159,6 +159,33 @@ def test_subst_respects_restriction_binders():
     assert qccs.free_channels(got2) == {"c"}  # the free d became the free c
 
 
+def test_subst_restriction_rebinds_channel_positions_only():
+    # the restriction binds the channel c, not the free qubit c
+    term = Restrict(Par(Out("c", "c", Nil()), Out("d", "p", Nil())), ("c",))
+    captured = qccs.substitute(term, {"d": "c"})
+    assert qccs.free_qubits(captured) == {"c", "p"}
+    assert qccs.free_channels(captured) == {"c"}
+    (bound,) = captured.chans
+    assert captured.cont.left.chan == bound != "c"
+    shadowed = qccs.substitute(term, {"c": "e"})
+    assert qccs.free_qubits(shadowed) == {"e", "p"}
+    assert shadowed.chans == ("c",) and shadowed.cont.left.chan == "c"
+
+
+def test_subst_input_rebinds_qubit_positions_only():
+    # the input binds the qubit x, not the channel x
+    term = In("a", "x", Out("x", "x", Nil()))
+    assert qccs.free_channels(term) == {"a", "x"}
+    assert qccs.substitute(term, {"x": "e"}) == In("a", "x", Out("e", "x", Nil()))
+    moved = qccs.substitute(In("a", "x", Out("y", "x", Nil())), {"y": "x"})
+    # the channel y became the free channel x; the qubit stays bound
+    assert (qccs.free_channels(moved), qccs.free_qubits(moved)) == ({"a", "x"}, set())
+    assert moved.cont.qubit == moved.var
+    received = Par(Out("a", "q", Nil()), term)
+    (tau,) = qccs.reduce_steps(cfg(received))
+    assert tau.next.term == Par(Nil(), Out("x", "q", Nil()))
+
+
 # -- semantics --------------------------------------------------------------------
 
 def test_tau_step():
@@ -307,6 +334,25 @@ def test_choice_is_not_commutative_for_congruence():
     a = Tau(Success())
     b = Tau(Nil())
     assert not qccs.congruent(cfg(Choice(a, b)), cfg(Choice(b, a)))
+
+
+def _measured(i, body):
+    return IfThen(TraceNonzero(ProjectOp(i), ("q",)), SuperOp(ProjectOp(i), ("q",), body))
+
+
+def test_factor_measurement_choices_moves_out_what_every_branch_shares():
+    shared = Out("d", "r", Nil())
+    on_q = Tau(SuperOp(GateOp("X"), ("q",), Nil()))  # in every branch, but acts on the measured qubit
+    sent = Out("0", "q", Nil())
+    choice = Choice(_measured(0, Par(sent, Par(shared, on_q))), _measured(1, Par(on_q, shared)))
+    term = Restrict(Par(choice, Success()), ("d",))
+    factored = Choice(_measured(0, Par(sent, on_q)), _measured(1, on_q))
+    assert qccs.factor_measurement_choices(term) == Restrict(Par(Par(factored, shared), Success()), ("d",))
+    # a law, not a congruence
+    assert not qccs.congruent_terms(qccs.factor_measurement_choices(term), term)
+    # choices that miss an outcome, and choices under a prefix, stay as they are
+    for other in (Choice(_measured(0, shared), _measured(0, shared)), Tau(choice)):
+        assert qccs.factor_measurement_choices(other) == other
 
 
 def test_nested_restrictions_merge():
