@@ -1,4 +1,16 @@
-"""Structural congruence and the binder rule, shared by both calculi.
+"""Interned terms, structural congruence and the binder rule, shared by
+both calculi.
+
+The term and guard classes of both calculi derive from ``Interned``:
+structurally equal nodes are one object, so equality and hashing are
+identity, and each node keeps what is derived from it alone (its free names,
+its congruence node and signatures, its translation) and computes it once
+(Filliatre & Conchon 2006).  The table is keyed by class and constructor
+arguments and holds its nodes weakly, so it never outlives the terms in use:
+a node goes when the last term holding it does, and its derived data with
+it, so a process that checks instance after instance keeps nothing of the
+earlier ones.  A hit costs one dict lookup and runs no ``__init__``; a
+``list`` argument is interned as a tuple.
 
 Two terms get the same signature exactly when they are structurally
 congruent: parallel composition is commutative, associative and has the
@@ -17,10 +29,21 @@ split by the sorted signatures of the components each occurs in until
 stable, and channels still tied are tried in turn, skipping choices that a
 symmetry of the group already covers.
 
-Cost: a group of two or more channels walks its components at least twice,
-and a group nested inside the components of another is numbered again on
-every walk of the outer group, so the work grows as 2^d in the nesting depth
-d of such groups.
+Each node's signatures are memoised on it, keyed by the binder depth and
+the tokens that the environment gives its signature-free names, a group
+channel reading as its current number.  The signature-free names come from
+the node tuples: a node's names and its children's, less its binders, and
+less a restriction's live channels.  The pass reads the environment only
+through these names, and the signature text is a function of the depth and
+the tokens it reads, so an entry is valid wherever its key recurs, in any
+pass.  The only other effect of signing a node is to record which group
+channels it read, so a hit replays that: it records the group channels
+among its signature-free names, and refinement sees the same occurrences.
+
+Cost: a group of two or more channels walks its components at least twice.
+A group nested inside the components of another is numbered again only when
+the walk of the outer group reaches it under a token assignment not seen
+before.  There is no proved bound on the number of such assignments.
 
 Substitution in both calculi passes under its binders by one rule,
 ``rebind``: the binders shadow their own names, and a binder that the
@@ -32,11 +55,72 @@ substituted like any other.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from typing import Callable, Iterable, Mapping, Sequence
 
 UNIT = ("0",)
 PAR = "|"
 RES = "new"
+
+# (class, *constructor arguments) -> weak reference to the one such node
+_table: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _table.get(ref.key) is ref:
+        del _table[ref.key]
+
+
+class _Interning(type):
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            names = cls.__match_args__
+            if sorted(kwargs) != sorted(names[len(args):]):
+                raise TypeError(f"{cls.__name__} takes the arguments {names}")
+            args += tuple(kwargs[n] for n in names[len(args):])
+        key = (cls, *args)
+        try:
+            ref = _table.get(key)
+        except TypeError:  # unhashable: a list argument, interned as a tuple
+            key = (cls, *[tuple(a) if type(a) is list else a for a in args])
+            ref = _table.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            if len(args) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes the arguments {cls.__match_args__}")
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls.__match_args__, key[1:]))
+            _table[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+
+class Interned(metaclass=_Interning):
+    """Base of the frozen, ``eq=False`` dataclasses of terms and guards: a
+    constructor call returns the existing node with the same class and
+    arguments, so structurally equal nodes are one object.  The fields are
+    the dataclass's positional fields, and the dataclass ``__init__`` never
+    runs."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so they intern too
+        return type(self), tuple(self.__dict__[n] for n in self.__match_args__)
+
+
+def per_node(fn: Callable) -> Callable:
+    """``fn`` of one interned node, computed once per node and kept on it."""
+    attr = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def once(t):
+        value = getattr(t, attr, None)
+        if value is None:
+            value = t.__dict__[attr] = fn(t)
+        return value
+
+    return once
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -85,8 +169,11 @@ def register_env(names: Sequence[str]) -> dict[str, str]:
 
 
 def signature(term, node: Callable, env: Mapping[str, str] | None = None) -> str:
-    """The congruence signature of ``term``; ``env`` names free names."""
-    return _Pass(node).sig(node(term), dict(env or {}), 0)
+    """The congruence signature of ``term``; ``env`` names free names.
+
+    ``node`` is the calculus's node function; a term is only ever signed
+    with one, since its node tuple is kept on it."""
+    return _Pass(node).sig(term, {} if env is None else env, 0)
 
 
 class _Channel:
@@ -100,50 +187,90 @@ class _Pass:
         self.node = node
         # group channels read by the component being walked
         self.hits: set[_Channel] = set()
+        # groups being numbered: while none is, no name reads as a channel
+        self.open = 0
 
-    def name(self, n: str, env: dict) -> str:
-        tok = env.get(n, "f:" + n)
-        if type(tok) is _Channel:
-            self.hits.add(tok)
-            return tok.token
-        return tok
+    def entry(self, t) -> tuple[tuple, tuple[str, ...], dict]:
+        """The node tuple of ``t``, its signature-free names and its memo;
+        computed on first use, then read from ``t._canon``."""
+        n = self.node(t)
+        if n is UNIT:
+            names, bound, kids = (), (), ()
+        elif n[0] == PAR:
+            names, bound, kids = (), (), n[1:]
+        elif n[0] == RES:
+            names, bound, kids = (), n[1], (n[2],)
+        else:
+            _, names, bound, kids = n
+        free: set[str] = set()
+        for c in kids:
+            free.update((getattr(c, "_canon", None) or self.entry(c))[1])
+        free.difference_update(bound)
+        free.update(names)
+        entry = t.__dict__["_canon"] = (n, tuple(free), {})
+        return entry
 
-    def sig(self, n: tuple, env: dict, depth: int) -> str:
-        if n is UNIT or n[0] == PAR or n[0] == RES:
-            return self.group(n, env, depth)
-        tag, names, binders, children = n
-        refs = ",".join([self.name(x, env) for x in names])
-        if binders:
-            env = dict(env)
-            for b in binders:
-                env[b] = f"b{depth}"
-                depth += 1
-        subs = ";".join([self.sig(self.node(c), env, depth) for c in children])
-        return f"{tag}[{refs};{subs}]"
+    def sig(self, t, env: dict, depth: int) -> str:
+        """The signature of ``t`` under ``env`` below ``depth`` binders."""
+        n, free, memo = getattr(t, "_canon", None) or self.entry(t)
+        key = (depth, *map(env.get, free))  # None: a free name, read as itself
+        if self.open:
+            chans = [tok for tok in key if type(tok) is _Channel]
+            if chans:
+                # the group channels ``t`` reads, whether signed now or memoised
+                self.hits.update(chans)
+                key = tuple([tok.token if type(tok) is _Channel else tok for tok in key])
+        s = memo.get(key)
+        if s is not None:
+            return s
+        if len(n) < 4:  # UNIT, PAR or RES
+            s = self.group(t, env, depth)
+        else:
+            tag, names, binders, children = n
+            refs = []
+            for x in names:
+                tok = env.get(x, "f:" + x)
+                refs.append(tok.token if type(tok) is _Channel else tok)
+            if binders:
+                env = dict(env)
+                for b in binders:
+                    env[b] = f"b{depth}"
+                    depth += 1
+            if len(children) == 1:
+                subs = self.sig(children[0], env, depth)
+            else:
+                subs = ";".join([self.sig(c, env, depth) for c in children])
+            s = f"{tag}[{','.join(refs)};{subs}]"
+        memo[key] = s
+        return s
 
-    def flatten(self, n: tuple, env: dict, comps: list, chans: list[_Channel]) -> None:
+    def flatten(self, t, env: dict, comps: list, chans: list[_Channel]) -> None:
+        n = (getattr(t, "_canon", None) or self.entry(t))[0]
         if n is UNIT:
             return
         if n[0] == PAR:
-            self.flatten(self.node(n[1]), env, comps, chans)
-            self.flatten(self.node(n[2]), env, comps, chans)
+            self.flatten(n[1], env, comps, chans)
+            self.flatten(n[2], env, comps, chans)
         elif n[0] == RES:
             if n[1]:
                 env = dict(env)
                 for c in n[1]:
                     env[c] = ch = _Channel()
                     chans.append(ch)
-            self.flatten(self.node(n[2]), env, comps, chans)
+            self.flatten(n[2], env, comps, chans)
         else:
-            comps.append((n, env))
+            comps.append((t, env))
 
-    def group(self, n: tuple, env: dict, depth: int) -> str:
-        comps: list[tuple[tuple, dict]] = []
+    def group(self, t, env: dict, depth: int) -> str:
+        comps: list[tuple[object, dict]] = []
         chans: list[_Channel] = []
-        self.flatten(n, env, comps, chans)
+        self.flatten(t, env, comps, chans)
         if chans:
-            return f"{RES}{len(chans)}({self.label(comps, chans, depth)})"
-        sigs = [s for s, _ in self.walk(comps, depth)]
+            self.open += 1
+            body = self.label(comps, chans, depth)
+            self.open -= 1
+            return f"{RES}{len(chans)}({body})"
+        sigs = sorted([self.sig(c, cenv, depth) for c, cenv in comps])
         if len(sigs) == 1:
             return sigs[0]
         return f"({'|'.join(sigs)})" if sigs else "0"
@@ -151,9 +278,9 @@ class _Pass:
     def walk(self, comps: list, depth: int) -> list[tuple[str, set[_Channel]]]:
         """Component signatures in order, each with the group channels it reads."""
         outer, out = self.hits, []
-        for n, env in comps:
+        for t, env in comps:
             self.hits = set()
-            out.append((self.sig(n, env, depth), self.hits))
+            out.append((self.sig(t, env, depth), self.hits))
             outer |= self.hits
         self.hits = outer
         out.sort(key=lambda p: p[0])

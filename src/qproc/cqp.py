@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,58 +40,58 @@ class UnknownQubitName(UnknownName):
 
 # -- terms --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Nil:
+@dataclass(frozen=True, eq=False)
+class Nil(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class Success:
+@dataclass(frozen=True, eq=False)
+class Success(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False)
+class Par(canon.Interned):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class In:
+@dataclass(frozen=True, eq=False)
+class In(canon.Interned):
     chan: str
     var: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Out:
+@dataclass(frozen=True, eq=False)
+class Out(canon.Interned):
     chan: str
     qubit: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Trans:
+@dataclass(frozen=True, eq=False)
+class Trans(canon.Interned):
     qubits: tuple[str, ...]
     gate: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Measure:
+@dataclass(frozen=True, eq=False)
+class Measure(canon.Interned):
     qubits: tuple[str, ...]
     var: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class NewChan:
+@dataclass(frozen=True, eq=False)
+class NewChan(canon.Interned):
     var: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class NewQbit:
+@dataclass(frozen=True, eq=False)
+class NewQbit(canon.Interned):
     var: str
     cont: "Term"
 
@@ -158,7 +157,7 @@ CqpConfig = CqpPure | CqpDist
 
 # -- free names and substitution ----------------------------------------------
 
-@lru_cache(maxsize=65536)
+@canon.per_node
 def free_names(t: Term) -> frozenset[str]:
     match t:
         case Nil() | Success():
@@ -179,9 +178,10 @@ def free_names(t: Term) -> frozenset[str]:
 
 
 def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
-    """Simultaneous capture-avoiding substitution on names and qubit refs."""
+    """Simultaneous capture-avoiding substitution on names and qubit refs;
+    ``t`` itself when no mapped name is free in it."""
     mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
+    if mapping.keys().isdisjoint(free_names(t)):
         return t
 
     def sub(name):

@@ -52,31 +52,42 @@ def encode_term(term: cqp.Term, register: Sequence[str]) -> qccs.Term:
 
     The register is threaded so that nested qubit creations substitute
     successive fresh names, matching what the extension operator appends
-    at run time.
+    at run time.  It is the only context a clause reads, so the translation
+    is compositional and each node keeps its translations per register:
+    the states of one exploration translate the subterms they share once.
     """
     register = tuple(register)
+    memo = getattr(term, "_encoded", None)
+    if memo is None:
+        memo = {}
+    elif register in memo:
+        return memo[register]
     match term:
         case cqp.Nil():
-            return qccs.Nil()
+            out = qccs.Nil()
         case cqp.Success():
-            return qccs.Success()
+            out = qccs.Success()
         case cqp.Par(l, r):
-            return qccs.Par(encode_term(l, register), encode_term(r, register))
+            out = qccs.Par(encode_term(l, register), encode_term(r, register))
         case cqp.In(c, x, p):
-            return qccs.In(c, x, encode_term(p, register))
+            out = qccs.In(c, x, encode_term(p, register))
         case cqp.Out(c, q, p):
-            return qccs.Out(c, q, encode_term(p, register))
+            out = qccs.Out(c, q, encode_term(p, register))
         case cqp.Trans(qs, g, p):
-            return qccs.SuperOp(qccs.GateOp(g), qs, encode_term(p, register))
+            out = qccs.SuperOp(qccs.GateOp(g), qs, encode_term(p, register))
         case cqp.Measure(qs, x, p):
-            return qccs.SuperOp(qccs.MeasureOp(), qs, enc_dist(qs, x, encode_term(p, register)))
+            out = qccs.SuperOp(qccs.MeasureOp(), qs, enc_dist(qs, x, encode_term(p, register)))
         case cqp.NewChan(x, p):
-            return qccs.Tau(qccs.Restrict(encode_term(p, register), (x,)))
+            out = qccs.Tau(qccs.Restrict(encode_term(p, register), (x,)))
         case cqp.NewQbit(x, p):
             fresh = quantum.fresh_qubit_name(register)
             body = encode_term(p, register + (fresh,))
-            return qccs.SuperOp(qccs.NewOp(), (), qccs.substitute(body, {x: fresh}))
-    raise TypeError(f"not a CQP- term: {term!r}")
+            out = qccs.SuperOp(qccs.NewOp(), (), qccs.substitute(body, {x: fresh}))
+        case _:
+            raise TypeError(f"not a CQP- term: {term!r}")
+    memo[register] = out
+    term.__dict__["_encoded"] = memo
+    return out
 
 
 def _used_gates(t: qccs.Term) -> set[str]:

@@ -36,28 +36,28 @@ RESERVED_OPS = {"M", "E", "new", "tau", "nil", "ok", "if", "then", "true", "fals
 
 # -- operator references -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GateOp:
+@dataclass(frozen=True, eq=False)
+class GateOp(canon.Interned):
     gate: str
 
 
-@dataclass(frozen=True)
-class MeasureOp:
+@dataclass(frozen=True, eq=False)
+class MeasureOp(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class ProjectOp:
+@dataclass(frozen=True, eq=False)
+class ProjectOp(canon.Interned):
     index: int
 
 
-@dataclass(frozen=True)
-class NewOp:
+@dataclass(frozen=True, eq=False)
+class NewOp(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class CustomOp:
+@dataclass(frozen=True, eq=False)
+class CustomOp(canon.Interned):
     name: str
 
 
@@ -110,18 +110,18 @@ def format_op(op: OpRef, qubits: Sequence[str]) -> str:
 
 # -- boolean guards --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BTrue:
+@dataclass(frozen=True, eq=False)
+class BTrue(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class BFalse:
+@dataclass(frozen=True, eq=False)
+class BFalse(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class TraceNonzero:
+@dataclass(frozen=True, eq=False)
+class TraceNonzero(canon.Interned):
     op: OpRef
     qubits: tuple[str, ...]
 
@@ -145,71 +145,68 @@ def eval_bool(b: BoolExpr, rho: DensityMatrix, table=None, tol: float = DEFAULT_
 
 # -- terms -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Nil:
+@dataclass(frozen=True, eq=False)
+class Nil(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class Success:
+@dataclass(frozen=True, eq=False)
+class Success(canon.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class Tau:
+@dataclass(frozen=True, eq=False)
+class Tau(canon.Interned):
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class SuperOp:
+@dataclass(frozen=True, eq=False)
+class SuperOp(canon.Interned):
     op: OpRef
     qubits: tuple[str, ...]
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class In:
+@dataclass(frozen=True, eq=False)
+class In(canon.Interned):
     chan: str
     var: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Out:
+@dataclass(frozen=True, eq=False)
+class Out(canon.Interned):
     chan: str
     qubit: str
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Choice:
+@dataclass(frozen=True, eq=False)
+class Choice(canon.Interned):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False)
+class Par(canon.Interned):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Restrict:
+@dataclass(frozen=True, eq=False)
+class Restrict(canon.Interned):
     cont: "Term"
     chans: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "chans", tuple(self.chans))
 
-
-@dataclass(frozen=True)
-class IfThen:
+@dataclass(frozen=True, eq=False)
+class IfThen(canon.Interned):
     cond: BoolExpr
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class ConstCall:
+@dataclass(frozen=True, eq=False)
+class ConstCall(canon.Interned):
     name: str
     args: tuple[str, ...]
 
@@ -243,35 +240,51 @@ def _bool_qubits(b: BoolExpr) -> frozenset[str]:
             return frozenset()
 
 
-@lru_cache(maxsize=65536)
-def free_qubits(t: Term, active_only: bool = False) -> frozenset[str]:
-    """Free qubits; with ``active_only`` input-guarded continuations are
-    ignored (the demand notion used by the parallel no-cloning condition)."""
+@canon.per_node
+def free_qubits(t: Term) -> frozenset[str]:
     match t:
         case Nil() | Success():
             return frozenset()
-        case Tau(p):
-            return free_qubits(p, active_only)
+        case Tau(p) | Restrict(p, _):
+            return free_qubits(p)
         case SuperOp(_, qs, p):
-            return frozenset(qs) | free_qubits(p, active_only)
+            return frozenset(qs) | free_qubits(p)
         case In(_, x, p):
-            if active_only:
-                return frozenset()
-            return free_qubits(p, active_only) - {x}
+            return free_qubits(p) - {x}
         case Out(_, q, p):
-            return frozenset({q}) | free_qubits(p, active_only)
+            return frozenset({q}) | free_qubits(p)
         case Choice(l, r) | Par(l, r):
-            return free_qubits(l, active_only) | free_qubits(r, active_only)
-        case Restrict(p, _):
-            return free_qubits(p, active_only)
+            return free_qubits(l) | free_qubits(r)
         case IfThen(b, p):
-            return _bool_qubits(b) | free_qubits(p, active_only)
+            return _bool_qubits(b) | free_qubits(p)
         case ConstCall(_, args):
             return frozenset(args)
     raise TypeError(f"not a qCCS term: {t!r}")
 
 
-@lru_cache(maxsize=65536)
+@canon.per_node
+def _demanded_qubits(t: Term) -> frozenset[str]:
+    """Free qubits outside input-guarded continuations: the demand notion
+    of the parallel no-cloning condition."""
+    match t:
+        case In():
+            return frozenset()
+        case Nil() | Success() | ConstCall():
+            return free_qubits(t)
+        case Tau(p) | Restrict(p, _):
+            return _demanded_qubits(p)
+        case SuperOp(_, qs, p):
+            return frozenset(qs) | _demanded_qubits(p)
+        case Out(_, q, p):
+            return frozenset({q}) | _demanded_qubits(p)
+        case Choice(l, r) | Par(l, r):
+            return _demanded_qubits(l) | _demanded_qubits(r)
+        case IfThen(b, p):
+            return _bool_qubits(b) | _demanded_qubits(p)
+    raise TypeError(f"not a qCCS term: {t!r}")
+
+
+@canon.per_node
 def free_channels(t: Term) -> frozenset[str]:
     match t:
         case Nil() | Success() | ConstCall():
@@ -306,8 +319,8 @@ def _substitute(t: Term, chans: Mapping[str, str], qubits: Mapping[str, str]) ->
     qubit positions.  They part below a binder, which binds one sort: a
     restriction's channels and an input's qubit shadow and are renamed
     apart in that sort only, and a free name of the other sort is
-    substituted as usual."""
-    if not chans and not qubits:
+    substituted as usual.  ``t`` itself when no mapped name is free in it."""
+    if chans.keys().isdisjoint(free_channels(t)) and qubits.keys().isdisjoint(free_qubits(t)):
         return t
 
     def sub(p):
@@ -394,7 +407,7 @@ def check_wellformed(
                 visit(l, path + ".choice.left", bound, register)
                 visit(r, path + ".choice.right", bound, register)
             case Par(l, r):
-                shared = free_qubits(l, active_only=True) & free_qubits(r, active_only=True)
+                shared = _demanded_qubits(l) & _demanded_qubits(r)
                 if shared:
                     raise WellFormednessError(
                         "Cond2", path, f"parallel components both demand {sorted(shared)}"

@@ -1,0 +1,182 @@
+"""Interned terms and the memoised congruence signature, in both calculi."""
+
+import copy
+import dataclasses
+import gc
+import pickle
+
+import numpy as np
+import pytest
+
+from qproc import canon, cqp, criteria, encode, qccs, quantum
+
+# -- interning ---------------------------------------------------------------
+
+
+def test_building_a_term_twice_gives_one_object():
+    def built():
+        return cqp.Par(cqp.Out("c", "q", cqp.Nil()), cqp.In("c", "x", cqp.Trans(("x",), "H", cqp.Success())))
+
+    assert built() is built()
+    parsed = cqp.parse_cqp("qubits q ; state |0> ; channels c ; process c![q].0 | c?[x].{x *= H}.ok")
+    assert parsed.term is built()
+    assert cqp.substitute(built(), {"c": "d"}) is cqp.substitute(built(), {"c": "d"})
+    assert dataclasses.replace(built(), right=built().right) is built()
+    assert copy.deepcopy(built()) is built()
+    assert pickle.loads(pickle.dumps(built())) is built()
+
+    def guarded():
+        return qccs.IfThen(qccs.TraceNonzero(qccs.ProjectOp(1), ("q",)), qccs.SuperOp(qccs.GateOp("X"), ("q",), qccs.Nil()))
+
+    assert guarded() is guarded()
+    _, config, _ = qccs.parse_qccs("state qubits q ; rho = outer(|0>) ; process if tr(E{1}[q]) != 0 then X[q].nil")
+    assert config.term is guarded()
+    assert qccs.substitute(guarded(), {"q": "p"}) is qccs.substitute(guarded(), {"q": "p"})
+
+
+def test_translating_a_configuration_twice_gives_one_term():
+    source = cqp.parse_cqp("qubits q ; state |0> ; channels c ; process c![q].0 | (qbit y){y *= H}.ok")
+    first, second = encode.encode_config(source), encode.encode_config(source)
+    assert first is not second and first.term is second.term
+    direct = qccs.Restrict(
+        qccs.Par(
+            qccs.Out("c", "q", qccs.Nil()),
+            qccs.SuperOp(qccs.NewOp(), (), qccs.SuperOp(qccs.GateOp("H"), ("q1",), qccs.Success())),
+        ),
+        ("c",),
+    )
+    assert first.term is direct
+
+
+def test_a_list_argument_interns_as_a_tuple():
+    body = qccs.Out("a", "q", qccs.Nil())
+    listed = qccs.Restrict(body, ["a", "b"])
+    assert listed is qccs.Restrict(body, ("a", "b"))
+    assert listed.chans == ("a", "b")
+    assert cqp.Trans(["q"], "H", cqp.Nil()) is cqp.Trans(("q",), "H", cqp.Nil())
+
+
+def test_constructor_arguments_are_checked():
+    with pytest.raises(TypeError):
+        qccs.Out("c", "q")
+    with pytest.raises(TypeError):
+        cqp.In("c", "x", cqp.Nil(), extra=1)
+
+
+@pytest.mark.parametrize(
+    "substitute, term, mapping",
+    [
+        # no mapped name occurs
+        (cqp.substitute, cqp.In("c", "x", cqp.Out("x", "q", cqp.Nil())), {"d": "e"}),
+        # the binder is the target of a name that does not occur: no renaming
+        (cqp.substitute, cqp.In("c", "x", cqp.Out("x", "q", cqp.Nil())), {"y": "x"}),
+        (qccs.substitute, qccs.Restrict(qccs.Out("c", "q", qccs.Nil()), ("c",)), {"c": "d"}),
+        (qccs.substitute, qccs.In("a", "x", qccs.Out("x", "x", qccs.Nil())), {"y": "x"}),
+    ],
+)
+def test_substitution_returns_the_node_when_no_mapped_name_is_free(substitute, term, mapping):
+    assert substitute(term, mapping) is term
+
+
+def test_intern_table_forgets_an_instance_once_it_is_dropped():
+    names = {"zq", "zc", "zx", "zy"}
+
+    def held() -> list:
+        return [key for key in canon._table if any(
+            a in names or (type(a) is tuple and names.intersection(a)) for a in key[1:]
+        )]
+
+    source = cqp.parse_cqp(
+        "qubits zq ; state |0> ; channels zc ; process zc![zq].0 | zc?[zx].(zy := measure zx).ok"
+    )
+    verdicts = criteria.run_instance_checks(source, criteria.Budget(16, 200), seed=0)
+    assert all(v.status == "holds" for v in verdicts.values())
+    assert held()
+    del source, verdicts
+    gc.collect()
+    assert held() == []
+
+
+# -- the signature memo ----------------------------------------------------------
+
+
+def _qccs(term):
+    return qccs.QccsConfig(term, quantum.outer(quantum.StateVector(("q",), np.array([1, 0], dtype=complex))))
+
+
+def _cqp(term):
+    return cqp.CqpPure(quantum.StateVector(("q",), np.array([1, 0], dtype=complex)), ("c",), term)
+
+
+def test_one_subterm_free_and_restricted_gets_two_signatures():
+    out = qccs.Out("c", "q", qccs.Nil())
+    renamed = qccs.Restrict(qccs.Out("d", "q", qccs.Nil()), ("d",))
+    for term in (qccs.Par(out, qccs.Restrict(out, ("c",))), qccs.Par(qccs.Restrict(out, ("c",)), out)):
+        assert qccs.congruent(_qccs(term), _qccs(qccs.Par(out, renamed)))
+        assert not qccs.congruent(_qccs(term), _qccs(qccs.Par(out, out)))
+        assert not qccs.congruent(_qccs(term), _qccs(qccs.Restrict(qccs.Par(out, out), ("c",))))
+
+    sent = cqp.Out("c", "q", cqp.Nil())
+    bound = cqp.NewChan("d", cqp.Out("d", "q", cqp.Nil()))
+    for term in (cqp.Par(sent, cqp.NewChan("c", sent)), cqp.Par(cqp.NewChan("c", sent), sent)):
+        assert cqp.congruent(_cqp(term), _cqp(cqp.Par(sent, bound)))
+        assert not cqp.congruent(_cqp(term), _cqp(cqp.Par(sent, sent)))
+
+
+def test_one_subterm_under_binders_at_two_depths_gets_two_signatures():
+    # x is bound at depth 0 in a?x.Y and at depth 1 in b?y.a?x.Y
+    inner = qccs.Out("c", "x", qccs.Nil())
+    shallow, deep = qccs.In("a", "x", inner), qccs.In("b", "y", qccs.In("a", "x", inner))
+    assert qccs.congruent(_qccs(qccs.Par(shallow, deep)), _qccs(qccs.Par(
+        qccs.In("a", "z", qccs.Out("c", "z", qccs.Nil())),
+        qccs.In("b", "x", qccs.In("a", "y", qccs.Out("c", "y", qccs.Nil()))),
+    )))
+    assert not qccs.congruent(_qccs(deep), _qccs(qccs.In("b", "x", qccs.In("a", "y", qccs.Out("c", "x", qccs.Nil())))))
+
+    sent = cqp.Out("c", "x", cqp.Nil())
+    shallow, deep = cqp.In("a", "x", sent), cqp.In("b", "y", cqp.In("a", "x", sent))
+    assert cqp.congruent(_cqp(cqp.Par(shallow, deep)), _cqp(cqp.Par(
+        cqp.In("a", "z", cqp.Out("c", "z", cqp.Nil())),
+        cqp.In("b", "x", cqp.In("a", "y", cqp.Out("c", "y", cqp.Nil()))),
+    )))
+    assert not cqp.congruent(_cqp(deep), _cqp(cqp.In("b", "x", cqp.In("a", "y", cqp.Out("c", "x", cqp.Nil())))))
+
+
+def _links(edges, order):
+    """(v channels) the parallel composition of c?x.d?y.0 for each edge (c, d), in ``order``."""
+    parts = [qccs.In(c, "x", qccs.In(d, "y", qccs.Nil())) for c, d in edges]
+    term = parts[order[0]]
+    for k in order[1:]:
+        term = qccs.Par(term, parts[k])
+    return _qccs(qccs.Restrict(term, tuple(dict.fromkeys(c for edge in edges for c in edge))))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(f"ring{k}", f"ring{(k + 1) % 6}") for k in range(6)],
+        [(f"star{k}", "star") for k in range(6)],
+        [(f"match{k}", f"pair{k}") for k in range(6)],
+        [("path0", "path1"), ("path1", "path2"), ("path2", "path3"), ("path0", "path4")],
+    ],
+)
+def test_memoised_components_report_the_group_channels_they_read(edges, monkeypatch):
+    # refinement splits a tied group's channels by the components each one
+    # occurs in, so a component read from its memo must report the channels
+    # it reads just as signing it afresh does
+    reads = []
+    walk = canon._Pass.walk
+
+    def recorded(self, comps, depth):
+        out = walk(self, comps, depth)
+        reads.append([sorted(len(hits) for _, hits in out)])
+        return out
+
+    monkeypatch.setattr(canon._Pass, "walk", recorded)
+    forward = list(range(len(edges)))
+    fresh = qccs.canonical_key(_links(edges, forward))
+    fresh_reads, reads[:] = reads[:], []
+    # the same interned components under a new root: every one is memoised
+    memoised = qccs.canonical_key(_links(edges, forward[::-1]))
+    assert memoised == fresh
+    assert reads == fresh_reads
