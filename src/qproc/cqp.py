@@ -871,7 +871,8 @@ def parse_cqp(text: str) -> CqpPure:
     ts.expect(";")
     ts.expect("state")
     amps = parse_amp_expr(ts, len(qubits))
-    norm2 = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(norm2 - 1.0) > 1e-6:
         ts.error(f"state amplitudes are not normalised (|psi|^2 = {norm2:.9f})")
     ts.expect(";")

@@ -501,15 +501,34 @@ class Instance:
     Each part is built on first use and kept, so the checks run over one
     instance share its explorations and translations, and a single check
     builds only what it reads.  The source itself is translated (and
-    typechecked) once, as ``root``.  ``encode.encode_config`` and
-    ``build_lts`` are looked up on their modules at each call, so a wrapper
-    installed there (as ``perfbench/layers.py`` does) sees every call.
+    typechecked) once, as ``root``.  ``encode.encode_config``,
+    ``qccs.reduce_steps`` and ``build_lts`` are looked up on their modules
+    at each call, so a wrapper installed there (as ``perfbench/layers.py``
+    does) sees every call.
+
+    Completeness and the target exploration step translations through one
+    reduction table (``reductions``), so each configuration is stepped once
+    per instance.  The table is exact: its key is the interned term, the
+    register's name order and the bytes of rho's entries, and equal keys
+    are equal inputs to the deterministic ``qccs.reduce_steps``, so no
+    tolerance decides a hit.  It lives and dies with its instance.
     """
 
     source: cqp.CqpConfig
     budget: Budget = Budget()
     seed: int = 0
     tol: float = DEFAULT_TOL
+    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def reductions(self, config: qccs.QccsConfig) -> tuple[qccs.QccsStep, ...]:
+        """``qccs.reduce_steps`` of a translation, from the reduction table;
+        a tuple, since every caller with an equal key gets the same one."""
+        rho = config.rho
+        key = (config.term, rho.qubit_names, rho.entries.tobytes())
+        steps = self._reductions.get(key)
+        if steps is None:
+            steps = self._reductions[key] = tuple(qccs.reduce_steps(config, {}, {}, self.tol))
+        return steps
 
     @cached_property
     def root(self) -> qccs.QccsConfig:
@@ -531,7 +550,10 @@ class Instance:
 
     @cached_property
     def target_lts(self) -> Lts:
-        return build_lts(self.root, qccs_system(tol=self.tol), self.budget)
+        def steps(config):
+            return [(qccs.format_label(s.label), s.next, s.reduces_choice) for s in self.reductions(config)]
+
+        return build_lts(self.root, replace(qccs_system(tol=self.tol), steps=steps), self.budget)
 
     def game_lts(self, config: qccs.QccsConfig) -> Lts:
         """The labelled exploration of a translation that completeness's
@@ -579,7 +601,7 @@ class Instance:
                     matched.append(((src, label, dst), None))
                     continue
                 return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats()), matched
-            candidates = qccs.reduce_steps(enc_src, {}, {}, tol)
+            candidates = self.reductions(enc_src)
             hit = None
             for cand in candidates:
                 if qccs.congruent(enc_dst, cand.next, tol):

@@ -949,8 +949,10 @@ def _parse_rho(ts: TokenStream, names: tuple[str, ...]) -> DensityMatrix:
         outer_part()
     dim = 2 ** len(names)
     entries = np.zeros((dim, dim), dtype=complex)
-    for p, amps in parts:
-        entries += p * np.outer(amps, amps.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing mixture is left to the DensityMatrix checks
+        for p, amps in parts:
+            entries += p * np.outer(amps, amps.conj())
     return DensityMatrix(names, entries)
 
 

@@ -49,6 +49,53 @@ def _check_names(names):
     return names
 
 
+def _clearly_normalised(amps: np.ndarray) -> bool:
+    """A squared norm more than 1e-12 inside ``_check_state_vector``'s
+    accepted band.  ``vdot`` raises no floating-point warning, and its sum
+    differs from the reference formula by far less than that margin."""
+    norm2 = np.vdot(amps, amps).real
+    return norm2 <= DEFAULT_TOL - 1e-12 or abs(norm2 - 1.0) <= 1e-6 - 1e-12
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_state_vector(names: tuple[str, ...], amps: np.ndarray) -> None:
+    """The state-vector checks one by one, in their order of precedence."""
+    if not np.all(np.isfinite(amps)):
+        raise InvalidRegister("non-finite entry in state vector")
+    if amps.ndim != 1 or amps.shape[0] != 2 ** len(names):
+        raise InvalidRegister(
+            f"expected {2 ** len(names)} amplitudes for {len(names)} qubits, got {amps.shape}"
+        )
+    norm2 = float(np.sum(np.abs(amps) ** 2))
+    if norm2 > DEFAULT_TOL and abs(norm2 - 1.0) > 1e-6:
+        raise InvalidRegister(f"state vector not normalised: |psi|^2 = {norm2}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _clearly_density(entries: np.ndarray) -> bool:
+    """``_check_density``'s Hermiticity and trace checks on a square grid,
+    with the same arithmetic.  A NaN defect fails the first comparison, and
+    an overflow fails a check instead of warning."""
+    if not abs(entries - entries.conj().T).max() <= 1e-7:
+        return False
+    tr = entries.trace()
+    return abs(tr.imag) <= 1e-7 and tr.real <= 1.0 + 1e-7
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_density(entries: np.ndarray, dim: int) -> None:
+    """The density-matrix checks one by one, in their order of precedence."""
+    if not np.all(np.isfinite(entries)):
+        raise InvalidRegister("non-finite entry in density matrix")
+    if entries.shape != (dim, dim):
+        raise InvalidRegister(f"expected a {dim}x{dim} grid, got {entries.shape}")
+    if np.max(np.abs(entries - entries.conj().T)) > 1e-7:
+        raise InvalidRegister("density matrix not Hermitian")
+    tr = complex(np.trace(entries))
+    if abs(tr.imag) > 1e-7 or tr.real > 1.0 + 1e-7:
+        raise InvalidRegister(f"trace must be real and <= 1, got {tr}")
+
+
 def fresh_qubit_name(names: Sequence[str]) -> str:
     """Deterministic name for a register extension: smallest free q<k>, k >= n.
 
@@ -68,6 +115,13 @@ class StateVector:
     A zero vector is accepted as the flagged placeholder carried by
     zero-probability measurement outcomes; every other stored vector must
     have unit norm within DEFAULT_TOL.
+
+    The checks run as one pass over a private copy of the amplitudes: a
+    squared norm that is finite and more than 1e-12 inside the accepted
+    band accepts the vector, since a finite squared norm implies finite
+    amplitudes.  Anything else runs the full check sequence
+    (``_check_state_vector``), so a rejected vector raises the same typed
+    error, in the same order of precedence, as the checks run one by one.
     """
 
     qubit_names: tuple[str, ...]
@@ -75,14 +129,10 @@ class StateVector:
 
     def __post_init__(self):
         names = _check_names(self.qubit_names)
-        amps = _as_complex_array(self.amps, "state vector")
-        if amps.ndim != 1 or amps.shape[0] != 2 ** len(names):
-            raise InvalidRegister(
-                f"expected {2 ** len(names)} amplitudes for {len(names)} qubits, got {amps.shape}"
-            )
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if norm2 > DEFAULT_TOL and abs(norm2 - 1.0) > 1e-6:
-            raise InvalidRegister(f"state vector not normalised: |psi|^2 = {norm2}")
+        amps = np.array(self.amps, dtype=np.complex128)
+        if not (amps.shape == (2 ** len(names),) and _clearly_normalised(amps)):
+            _check_state_vector(names, amps)
+        amps.setflags(write=False)
         object.__setattr__(self, "qubit_names", names)
         object.__setattr__(self, "amps", amps)
 
@@ -105,6 +155,13 @@ class DensityMatrix:
 
     Positivity is not enforced: signed Kraus probes legitimately produce
     indefinite matrices.
+
+    The checks run as one pass over a private copy of the entries: a
+    Hermiticity defect <= 1e-7 cannot be NaN, so it also shows that every
+    entry is finite, and the trace is checked next.  Anything else runs the
+    full check sequence (``_check_density``), so a rejected grid raises the
+    same typed error, in the same order of precedence, as the checks run
+    one by one.
     """
 
     qubit_names: tuple[str, ...]
@@ -112,15 +169,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         names = _check_names(self.qubit_names)
-        entries = _as_complex_array(self.entries, "density matrix")
+        entries = np.array(self.entries, dtype=np.complex128)
         dim = 2 ** len(names)
-        if entries.shape != (dim, dim):
-            raise InvalidRegister(f"expected a {dim}x{dim} grid, got {entries.shape}")
-        if np.max(np.abs(entries - entries.conj().T)) > 1e-7:
-            raise InvalidRegister("density matrix not Hermitian")
-        tr = complex(np.trace(entries))
-        if abs(tr.imag) > 1e-7 or tr.real > 1.0 + 1e-7:
-            raise InvalidRegister(f"trace must be real and <= 1, got {tr}")
+        if not (entries.shape == (dim, dim) and _clearly_density(entries)):
+            _check_density(entries, dim)
+        entries.setflags(write=False)
         object.__setattr__(self, "qubit_names", names)
         object.__setattr__(self, "entries", entries)
 
@@ -441,6 +494,7 @@ def _signed_kraus_sum(e: SuperOperator, front: list[int], rho: DensityMatrix) ->
     return acc.reshape([2] * (2 * n)).transpose(inverse_perm(axes)).reshape(2 ** n, 2 ** n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def superop_apply(
     e: SuperOperator,
     targets: Sequence[str],
@@ -451,7 +505,9 @@ def superop_apply(
 
     The signed Kraus sum acts on the target axes of rho's tensor only; the
     result keeps rho's name order.  With ``normalize_after`` the result is
-    divided by its trace (ZeroBranch when the trace vanishes).
+    divided by its trace (ZeroBranch when the trace vanishes).  An
+    overflow in the arithmetic raises no floating-point warning: the
+    result's check rejects it with a typed error.
     """
     targets = tuple(targets)
     if e.extends_register:
@@ -470,13 +526,15 @@ def superop_apply(
     return DensityMatrix(rho.qubit_names, acc)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix) -> float:
     """Trace of the raw, never normalised application; guard evaluation.
 
     Equal to sum_j sign_j tr(K_j+ K_j rho_T), with rho_T the reduced state
     of rho on the targets, so no register-sized grid is built.  Probe
     operators give traces outside the partial-density invariants (above
-    one), and the guard only needs the number.
+    one), and the guard only needs the number.  An overflow gives an
+    infinite or NaN trace without a floating-point warning.
     """
     targets = tuple(targets)
     front = _target_positions(e, targets, rho)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -177,3 +178,38 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", MEASUREMENT, "--which", "success", "--format", "json")
     assert code == 0
     assert json.loads(out)["seed"] == 23
+
+
+@pytest.mark.parametrize(
+    "name, source, message",
+    [
+        (
+            "trace.qccs",
+            "state qubits q ; rho = matrix [[1e308, 0], [0, 1e308]] ; process tau.nil",
+            "error: trace must be real and <= 1, got (inf+0j)",
+        ),
+        (
+            "norm.cqp",
+            "qubits q ; state 1e200|0> ; channels ; process 0",
+            "error: 1:27: state amplitudes are not normalised (|psi|^2 = inf)",
+        ),
+        (
+            "kraus.qccs",
+            "superop Q(1) { +[[1e300, 0], [0, 1]]; } state qubits q ; rho = outer(|0>) ; process Q[q].nil",
+            "error: non-finite entry in density matrix",
+        ),
+        (
+            "mixture.qccs",
+            "state qubits q ; rho = 1e300 * outer(1e100|0>) ; process tau.nil",
+            "error: non-finite entry in density matrix",
+        ),
+    ],
+    ids=["trace", "norm", "kraus", "mixture"],
+)
+def test_overflowing_numbers_give_the_typed_error_and_no_warning(tmp_path, capsys, name, source, message):
+    path = tmp_path / name
+    path.write_text(source)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "steps", str(path))
+    assert (code, out, err) == (1, "", message + "\n")

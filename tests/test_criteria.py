@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -310,6 +312,71 @@ def test_instance_translates_its_source_once(monkeypatch):
     monkeypatch.setattr(encode, "encode_config", counted)
     criteria.run_instance_checks(src, BUDGET, seed=1)
     assert calls.count(True) == 1
+
+
+# -- the reduction table --------------------------------------------------------------
+
+def _measurement():
+    return cqp.parse_cqp(protocols.read("measurement.cqp"))
+
+
+def test_reduction_table_returns_the_stored_steps_for_an_equal_key():
+    inst = criteria.Instance(_measurement(), BUDGET)
+    root = inst.root
+    steps = inst.reductions(root)
+    copy = qccs.QccsConfig(root.term, quantum.DensityMatrix(root.rho.qubit_names, root.rho.entries.copy()))
+    assert inst.reductions(copy) is steps
+
+
+def test_reduction_table_keys_rho_bitwise(monkeypatch):
+    calls = []
+    real = qccs.reduce_steps
+
+    def counted(config, *args):
+        calls.append(config)
+        return real(config, *args)
+
+    monkeypatch.setattr(qccs, "reduce_steps", counted)
+    inst = criteria.Instance(_measurement(), BUDGET)
+    root = inst.root
+    entries = root.rho.entries.copy()
+    entries[0, 0] = np.nextafter(entries[0, 0].real, 2.0)
+    nudged = qccs.QccsConfig(root.term, quantum.DensityMatrix(root.rho.qubit_names, entries))
+    assert quantum.within_tol(entries, root.rho.entries, 1e-15)
+    steps = inst.reductions(root)
+    assert inst.reductions(nudged) is not steps
+    assert calls == [root, nudged]
+
+
+def test_reduction_table_dies_with_its_instance():
+    inst = criteria.Instance(_measurement(), BUDGET)
+    criteria.check_soundness(inst)
+    criteria.check_completeness(inst)
+    step = inst.reductions(inst.root)[0]
+    gone = weakref.ref(inst), weakref.ref(step), weakref.ref(step.next.rho)
+    del inst, step
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None, None]
+
+
+def test_every_translation_is_stepped_once_per_instance(monkeypatch):
+    keys = []
+    real = qccs.reduce_steps
+
+    def counted(config, *args):
+        keys.append((config.term, config.rho.qubit_names, config.rho.entries.tobytes()))
+        return real(config, *args)
+
+    monkeypatch.setattr(qccs, "reduce_steps", counted)
+    inst = criteria.Instance(_measurement(), BUDGET, seed=2)
+    for check in criteria.CHECKS.values():
+        assert check(inst).holds
+    assert len(keys) == len(set(keys))
+    # completeness looks up the translation of each edge's source, and the
+    # target exploration that of each state it expands: 10 + 9 lookups on
+    # this instance, for 13 distinct configurations
+    edges = [label for _, label, _, _ in inst.source_lts.edges if not label.startswith("R-Perm")]
+    assert (len(edges), len(inst.target_lts.states), len(keys)) == (10, 9, 13)
 
 
 def test_register_size_does_not_report_a_completeness_failure_as_its_own(monkeypatch):

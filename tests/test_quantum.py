@@ -48,6 +48,154 @@ def test_density_matrix_rejects_non_hermitian_and_bad_trace():
     q.DensityMatrix(("a",), [[-1, 0], [0, 2]])
 
 
+# -- one-pass validation against the checks run one by one -------------------
+
+def _reference_names(names):
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise InvalidRegister(f"duplicate qubit names in {names}")
+    return names
+
+
+def _reference_state_vector(names, amps):
+    """The state-vector checks one by one, as they ran before the fused pass."""
+    names = _reference_names(names)
+    arr = np.array(amps, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidRegister("non-finite entry in state vector")
+    if arr.ndim != 1 or arr.shape[0] != 2 ** len(names):
+        raise InvalidRegister(
+            f"expected {2 ** len(names)} amplitudes for {len(names)} qubits, got {arr.shape}"
+        )
+    norm2 = float(np.sum(np.abs(arr) ** 2))
+    if norm2 > q.DEFAULT_TOL and abs(norm2 - 1.0) > 1e-6:
+        raise InvalidRegister(f"state vector not normalised: |psi|^2 = {norm2}")
+    return arr
+
+
+def _reference_density(names, entries):
+    """The density-matrix checks one by one, as they ran before the fused pass."""
+    names = _reference_names(names)
+    arr = np.array(entries, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidRegister("non-finite entry in density matrix")
+    dim = 2 ** len(names)
+    if arr.shape != (dim, dim):
+        raise InvalidRegister(f"expected a {dim}x{dim} grid, got {arr.shape}")
+    if np.max(np.abs(arr - arr.conj().T)) > 1e-7:
+        raise InvalidRegister("density matrix not Hermitian")
+    tr = complex(np.trace(arr))
+    if abs(tr.imag) > 1e-7 or tr.real > 1.0 + 1e-7:
+        raise InvalidRegister(f"trace must be real and <= 1, got {tr}")
+    return arr
+
+
+def _assert_validates_like(reference, build, names, data):
+    """Same exception type and message as the reference, or acceptance with
+    a bitwise-equal, read-only, private copy of the data."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference(names, data)
+    except InvalidRegister as err:
+        with pytest.raises(InvalidRegister) as got:
+            build(names, data)
+        assert str(got.value) == str(err)
+        return
+    got = build(names, data)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    assert not np.shares_memory(got, data)
+
+
+# Offsets that land on, just inside and just outside an accept edge, and
+# across the 1e-12 band in which the squared norm falls back to the
+# reference formula.
+_NEAR = st.sampled_from([0.0, 1e-16, 1e-13, 5e-13, 1e-12, 1.5e-12, 1e-11, 1e-9, 1e-7]).flatmap(
+    lambda d: st.sampled_from([d, -d])
+)
+
+
+@st.composite
+def _names(draw):
+    n = draw(st.integers(0, 3))
+    if n >= 2 and draw(st.integers(0, 9)) == 0:
+        return ("a",) * n
+    return tuple(f"q{i}" for i in range(n))
+
+
+def _poison(draw, arr):
+    """NaN or an infinity in the real or the imaginary part of one entry,
+    on or off a grid's diagonal."""
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    flat = arr.reshape(-1)
+    i = draw(st.integers(0, flat.size - 1))
+    if draw(st.booleans()):
+        flat[i] = complex(bad, flat[i].imag)
+    else:
+        flat[i] = complex(flat[i].real, bad)
+
+
+@st.composite
+def state_vector_inputs(draw):
+    names = draw(_names())
+    dim = 2 ** len(names)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["ok"] * 6 + ["short", "long", "grid"]))
+    size = {"ok": dim, "short": dim - 1, "long": dim + 1, "grid": dim}[shape]
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if size:
+        norm2 = draw(st.sampled_from([1.0, 1.0 - 1e-6, 1.0 + 1e-6, q.DEFAULT_TOL, 0.0])) + draw(_NEAR)
+        amps *= np.sqrt(max(norm2, 0.0)) / np.linalg.norm(amps)
+        if draw(st.integers(0, 4)) == 0:
+            _poison(draw, amps)
+    if shape == "grid":
+        amps = amps.reshape(1, -1)
+    return names, amps
+
+
+@st.composite
+def density_inputs(draw):
+    names = draw(_names())
+    dim = 2 ** len(names)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = (a + a.conj().T) / 2
+    trace = draw(st.sampled_from([1.0, 1.0 + 1e-7, 0.5, -3.0])) + draw(_NEAR)
+    rho += np.eye(dim) * (trace - rho.trace().real) / dim
+    if draw(st.booleans()):
+        # an imaginary trace part near the bound, spread over the diagonal;
+        # it is also a Hermiticity defect of twice its share
+        rho += np.eye(dim) * 1j * (1e-7 + draw(_NEAR)) / dim
+    if dim > 1 and draw(st.booleans()):
+        phase = np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+        rho[0, dim - 1] += phase * (1e-7 + draw(_NEAR))
+    if draw(st.integers(0, 3)) == 0:
+        _poison(draw, rho)
+    shape = draw(st.sampled_from(["ok"] * 6 + ["row", "flat"]))
+    if shape == "row":
+        rho = rho[:-1]
+    elif shape == "flat":
+        rho = rho.reshape(-1)
+    return names, rho
+
+
+@settings(max_examples=400, deadline=None)
+@given(state_vector_inputs())
+def test_state_vector_validates_like_the_checks_one_by_one(data):
+    names, amps = data
+    _assert_validates_like(_reference_state_vector, lambda n, a: q.StateVector(n, a).amps, names, amps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(density_inputs())
+def test_density_matrix_validates_like_the_checks_one_by_one(data):
+    names, entries = data
+    _assert_validates_like(
+        _reference_density, lambda n, e: q.DensityMatrix(n, e).entries, names, entries
+    )
+
+
 def test_unitary_validation():
     with pytest.raises(InvalidArity):
         q.Unitary([[1, 1], [0, 1]])
