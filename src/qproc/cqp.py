@@ -254,9 +254,13 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
 
     Parallel unit/commutativity/associativity, alpha conversion on binders
     and on the register's qubit names; quantum states compared entrywise
-    within tol.
+    within tol.  The channel lists are compared as multisets: no rule reads
+    their order (R-New tests membership, and the translation restricts by
+    the list as one group), so two orders of the same channel creations are
+    one state.  Channel names stay literal, so a channel named by a
+    measurement result keeps its meaning.
     """
-    if isinstance(c1, CqpPure) != isinstance(c2, CqpPure) or c1.phi != c2.phi:
+    if isinstance(c1, CqpPure) != isinstance(c2, CqpPure) or sorted(c1.phi) != sorted(c2.phi):
         return False
     if isinstance(c1, CqpPure):
         if not quantum.within_tol(c1.sigma.amps, c2.sigma.amps, tol):
@@ -270,13 +274,14 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
 
 
 def canonical_key(config: CqpConfig) -> str:
-    """Hash key modulo congruence: register size, free channels, the shape
-    of a distribution and the term signature.  Congruent configurations
-    share it; ``congruent`` decides the amplitudes and probabilities."""
+    """Hash key modulo congruence: register size, the channel list sorted,
+    the shape of a distribution and the term signature.  Congruent
+    configurations share it; ``congruent`` decides the amplitudes and
+    probabilities."""
     cached = getattr(config, "_key", None)
     if cached is not None:
         return cached
-    phi = ";".join(config.phi)
+    phi = ";".join(sorted(config.phi))
     if isinstance(config, CqpPure):
         cached = f"P{config.sigma.num_qubits}|{phi}|{_signature(config)}"
     else:
@@ -398,10 +403,6 @@ def _check_term(t: Term, env: dict) -> set[str]:
             inner = dict(env, **{x: TQbit()})
             return _check_term(p, inner) - {x}
     raise TypeError(f"not a CQP- term: {t!r}")
-
-
-def typecheck_surface(env: Mapping[str, CqpType], term: Term) -> None:
-    _check_term(term, dict(env))
 
 
 def typecheck_internal(config: CqpConfig) -> None:

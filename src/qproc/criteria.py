@@ -511,7 +511,15 @@ class Instance:
     per instance.  The table is exact: its key is the interned term, the
     register's name order and the bytes of rho's entries, and equal keys
     are equal inputs to the deterministic ``qccs.reduce_steps``, so no
-    tolerance decides a hit.  It lives and dies with its instance.
+    tolerance decides a hit.
+
+    Every translation goes through ``translate``, which hands
+    ``encode.encode_config`` the instance's first state vector with the
+    same names and amplitude bytes, so the pure register states of one
+    instance that are equal byte for byte share one density matrix
+    (``quantum.StateVector.density``).  Both tables live and die with
+    their instance, and so does every shared matrix but one: the source's
+    own vector keeps its matrix, as the source keeps its congruence key.
     """
 
     source: cqp.CqpConfig
@@ -519,6 +527,19 @@ class Instance:
     seed: int = 0
     tol: float = DEFAULT_TOL
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _registers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def translate(self, config: cqp.CqpConfig, check: bool = False) -> qccs.QccsConfig:
+        """``encode.encode_config(config, check)``, with a pure
+        configuration's state vector replaced by the instance's first one
+        with the same names and amplitude bytes.  The key is exact, so the
+        translation is the same as without the replacement."""
+        if isinstance(config, cqp.CqpPure):
+            sigma = config.sigma
+            shared = self._registers.setdefault((sigma.qubit_names, sigma.amps.tobytes()), sigma)
+            if shared is not sigma:
+                config = cqp.CqpPure(shared, config.phi, config.term)
+        return encode.encode_config(config, check)
 
     def reductions(self, config: qccs.QccsConfig) -> tuple[qccs.QccsStep, ...]:
         """``qccs.reduce_steps`` of a translation, from the reduction table;
@@ -533,7 +554,7 @@ class Instance:
     @cached_property
     def root(self) -> qccs.QccsConfig:
         """The source's checked translation."""
-        return encode.encode_config(self.source)
+        return self.translate(self.source, check=True)
 
     @cached_property
     def source_lts(self) -> Lts:
@@ -544,7 +565,7 @@ class Instance:
         """The translation of each explored source state, by index."""
         lts = self.source_lts
         return [
-            self.root if idx == lts.initial else encode.encode_config(state, check=False)
+            self.root if idx == lts.initial else self.translate(state)
             for idx, state in enumerate(lts.states)
         ]
 
@@ -592,7 +613,7 @@ class Instance:
                 # be congruent to it.
                 perm = tuple(int(x) for x in re.findall(r"\d+", label))
                 stepped = cqp.apply_perm(lts.states[src], perm).next
-                enc_stepped = encode.encode_config(stepped, check=False)
+                enc_stepped = self.translate(stepped)
                 if (
                     enc_src.term == enc_stepped.term
                     and quantum.density_equal_mod_order(enc_src.rho, enc_stepped.rho, tol)
@@ -650,7 +671,7 @@ class Instance:
 
 def _renaming_commutes(inst: Instance, gamma: dict) -> Verdict:
     """Structural equality of translate-then-rename and rename-then-translate."""
-    left = encode.encode_config(rename_source(inst.source, gamma))
+    left = inst.translate(rename_source(inst.source, gamma), check=True)
     if _target_equal(left, rename_target(inst.root, gamma), inst.tol):
         return _holds()
     return _fails([f"gamma={gamma}"])
@@ -696,7 +717,7 @@ def check_soundness(inst: Instance) -> Verdict:
             order = _canonical_register_order(state.sigma.qubit_names, inst.source.sigma_names)
             if order != state.sigma.qubit_names:
                 restored = cqp.restore_perm(state, order).next
-                translations.add(encode.encode_config(restored, check=False))
+                translations.add(inst.translate(restored))
 
     succ = _succ_map(tgt_lts)
     translated = [translations.find(s) is not None for s in tgt_lts.states]
@@ -781,7 +802,7 @@ def check_congruence_preservation(inst: Instance) -> Verdict:
     variant = congruent_variant(inst.source, random.Random(inst.seed))
     if not cqp.congruent(inst.source, variant, inst.tol):
         return _fails(["variant generation broke source congruence"])
-    if qccs.congruent(inst.root, encode.encode_config(variant), inst.tol):
+    if qccs.congruent(inst.root, inst.translate(variant, check=True), inst.tol):
         return _holds()
     return _fails([f"seed={inst.seed}"])
 

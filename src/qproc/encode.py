@@ -55,8 +55,13 @@ def encode_term(term: cqp.Term, register: Sequence[str]) -> qccs.Term:
     at run time.  It is the only context a clause reads, so the translation
     is compositional and each node keeps its translations per register:
     the states of one exploration translate the subterms they share once.
+    A clause reads the register only through ``fresh_qubit_name`` and by
+    extending it with that name, and both depend on which names it holds,
+    not on their order.  So the memo is keyed by the sorted names, and the
+    register is threaded sorted: every order of one register shares a
+    translation.
     """
-    register = tuple(register)
+    register = tuple(sorted(register))
     memo = getattr(term, "_encoded", None)
     if memo is None:
         memo = {}
@@ -108,14 +113,17 @@ def encode_config(config: cqp.CqpConfig, check: bool = True) -> qccs.QccsConfig:
     """Translate a configuration; requires an internally well-typed source.
 
     ``check=False`` skips re-typechecking, for callers that already hold a
-    checked configuration's derivative (subject reduction).
+    checked configuration's derivative (subject reduction).  A pure
+    configuration's density matrix is its state vector's ``density``, so
+    configurations that hold one vector share one matrix
+    (``criteria.Instance.translate``).
     """
     if check:
         cqp.typecheck_internal(config)
     names = config.sigma_names
     term = encode_term(config.term, names)
     if isinstance(config, cqp.CqpPure):
-        rho = quantum.outer(config.sigma)
+        rho = config.sigma.density
     else:
         term = enc_dist(names[: config.r], config.var, term)
         rho = quantum.mix(config.cases)

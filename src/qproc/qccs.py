@@ -11,6 +11,7 @@ system; the translated teleportation relies on this).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -21,6 +22,7 @@ import numpy as np
 from . import canon, quantum
 from .errors import (
     ArityMismatch,
+    InvalidRegister,
     NoCloningViolation,
     ParseError,
     UnboundQubit,
@@ -138,8 +140,13 @@ def eval_bool(b: BoolExpr, rho: DensityMatrix, table=None, tol: float = DEFAULT_
             return False
         case TraceNonzero(op, qubits):
             resolved = resolve_op(op, len(qubits), table)
-            # raw application: the guard inspects the unnormalised branch
-            return abs(quantum.raw_trace_after(resolved, qubits, rho)) > tol
+            # raw application: the guard inspects the unnormalised branch.
+            # An overflowing trace is rejected like an overflowing prefix,
+            # not read as zero (a NaN fails the comparison below).
+            trace = quantum.raw_trace_after(resolved, qubits, rho)
+            if not math.isfinite(trace):
+                raise InvalidRegister(f"non-finite trace in guard tr({format_op(op, qubits)})")
+            return abs(trace) > tol
     raise TypeError(f"not a boolean guard: {b!r}")
 
 
@@ -662,10 +669,6 @@ def congruent(c1: QccsConfig, c2: QccsConfig, tol: float = DEFAULT_TOL) -> bool:
     """Parallel laws, alpha conversion (binders and register names), nested
     and parallel restrictions merged; states compared entrywise within tol."""
     return quantum.within_tol(c1.rho.entries, c2.rho.entries, tol) and _signature(c1) == _signature(c2)
-
-
-def congruent_terms(t1: Term, t2: Term) -> bool:
-    return canon.signature(t1, _node) == canon.signature(t2, _node)
 
 
 def canonical_key(config: QccsConfig) -> str:

@@ -17,6 +17,7 @@ of scope and dense numpy is used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +113,7 @@ def fresh_qubit_name(names: Sequence[str]) -> str:
 class StateVector:
     """Normalised amplitude vector over an ordered, named register.
 
-    A zero vector is accepted as the flagged placeholder carried by
+    A zero vector is accepted as the placeholder carried by
     zero-probability measurement outcomes; every other stored vector must
     have unit norm within DEFAULT_TOL.
 
@@ -140,10 +141,13 @@ class StateVector:
     def num_qubits(self) -> int:
         return len(self.qubit_names)
 
-    @property
-    def is_zero(self) -> bool:
-        """Flag for the placeholder post-state of an impossible outcome."""
-        return bool(np.sum(np.abs(self.amps) ** 2) <= DEFAULT_TOL)
+    @cached_property
+    def density(self) -> "DensityMatrix":
+        """``outer(self)``, built on first use and kept on the vector, the
+        way a configuration keeps its congruence key: a translation reads
+        its density matrix here, so the configurations that hold one vector
+        share one matrix, and it goes when the vector does."""
+        return outer(self)
 
     def __repr__(self):
         return f"StateVector({','.join(self.qubit_names)}; {np.round(self.amps, 6)})"
@@ -231,7 +235,7 @@ GATES: dict[str, Unitary] = {
 class MeasurementOutcome:
     """One branch of measuring the leading r qubits.
 
-    ``post_state`` is the flagged zero vector whenever probability is zero;
+    ``post_state`` is the zero vector whenever probability is zero;
     downstream rules filter those branches out.
     """
 
@@ -384,22 +388,6 @@ def inverse_perm(perm: Sequence[int]) -> tuple[int, ...]:
     for i, p in enumerate(perm):
         inv[p] = i
     return tuple(inv)
-
-
-def permutation_unitary(perm: Sequence[int]) -> Unitary:
-    """Unitary sending |b_0..b_{n-1}> to |b_{perm^-1(0)}..b_{perm^-1(n-1)}>."""
-    n = len(tuple(perm))
-    perm = _check_perm(perm, n)
-    inv = inverse_perm(perm)
-    dim = 2 ** n
-    matrix = np.zeros((dim, dim))
-    for b in range(dim):
-        bits = [(b >> (n - 1 - j)) & 1 for j in range(n)]
-        c = 0
-        for i in range(n):
-            c = (c << 1) | bits[inv[i]]
-        matrix[c, b] = 1.0
-    return Unitary(matrix, "Perm")
 
 
 def permute_state(psi: StateVector, perm: Sequence[int]) -> StateVector:

@@ -218,9 +218,9 @@ def test_criterion_5_property_campaign():
         # stepping, dedup or translation that keeps every verdict but
         # explores a different state space shows here.
         assert totals == {
-            "source_states": 3277,
-            "matched_edges": 3385,
-            "law_matches": 181,
+            "source_states": 3053,
+            "matched_edges": 3109,
+            "law_matches": 169,
             "fallback_games": 0,
             "target_states": 2437,
             "may_success": 138,

@@ -213,3 +213,21 @@ def test_overflowing_numbers_give_the_typed_error_and_no_warning(tmp_path, capsy
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "steps", str(path))
     assert (code, out, err) == (1, "", message + "\n")
+
+
+GUARD_OVERFLOW = (
+    "superop Q(1) { +[[1e300, 0], [0, 1]]; } state qubits q ; rho = outer(|0>) ; "
+    "process if tr(Q[q]) != 0 then tau.ok"
+)
+
+
+@pytest.mark.parametrize("argv", [("steps",), ("check", "--which", "success")], ids=["steps", "check"])
+def test_an_overflowing_guard_trace_gives_the_typed_error(tmp_path, capsys, argv):
+    # the guard's raw trace is NaN; read as zero, it disabled the branch
+    path = tmp_path / "guard.qccs"
+    path.write_text(GUARD_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (1, "", "error: non-finite trace in guard tr(Q[q])\n")
+

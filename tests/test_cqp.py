@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc import cqp, protocols, quantum
 from qproc.cqp import (
@@ -13,8 +15,6 @@ from qproc.cqp import (
     Out,
     Par,
     Success,
-    TChan,
-    TQbit,
     Trans,
 )
 from qproc.errors import (
@@ -151,6 +151,28 @@ def test_congruence_respects_register_order():
     assert not cqp.congruent(left, right)
 
 
+CHANNEL_LISTS = st.lists(st.sampled_from(["a", "b", "c", "0", "1"]), max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), CHANNEL_LISTS, CHANNEL_LISTS, st.booleans())
+def test_channel_list_is_compared_as_a_multiset(data, phi, other, dist):
+    def config(channels):
+        term = Par(Out("a", "q", Nil()), In("0", "x", Success()))
+        if dist:
+            cases = ((0.5, sv("q", [1, 0])), (0.5, sv("q", [0, 1])))
+            return CqpDist(cases, "m", 1, channels, Par(term, Out("m", "q", Nil())))
+        return pure("q", [SQ2, SQ2], term, phi=channels)
+
+    reordered = config(phi), config(data.draw(st.permutations(phi)))
+    assert cqp.congruent(*reordered)
+    assert cqp.canonical_key(reordered[0]) == cqp.canonical_key(reordered[1])
+    if sorted(other) != sorted(phi):
+        apart = config(phi), config(other)
+        assert not cqp.congruent(*apart)
+        assert cqp.canonical_key(apart[0]) != cqp.canonical_key(apart[1])
+
+
 # 0.1234567895 lies halfway between two 9-digit roundings
 BOUNDARY = 0.1234567895
 
@@ -181,39 +203,40 @@ def test_probabilities_astride_a_rounding_boundary_share_key_and_congruence():
 # -- type systems -----------------------------------------------------------------
 
 def test_surface_accepts_single_gate():
-    cqp.typecheck_surface({"q": TQbit()}, Trans(("q",), "H", Nil()))
+    cqp.typecheck_internal(pure("q", [1, 0], Trans(("q",), "H", Nil())))
 
 
 def test_surface_rejects_shared_qubit():
     term = Par(Out("c", "q", Nil()), Out("c", "q", Nil()))
     with pytest.raises(SharedQubit):
-        cqp.typecheck_surface({"q": TQbit(), "c": TChan()}, term)
+        cqp.typecheck_internal(pure("q", [1, 0], term, phi=("c",)))
 
 
 def test_surface_rejects_use_after_send():
     term = Out("c", "q", Trans(("q",), "H", Nil()))
     with pytest.raises(UnknownName):
-        cqp.typecheck_surface({"q": TQbit(), "c": TChan()}, term)
+        cqp.typecheck_internal(pure("q", [1, 0], term, phi=("c",)))
 
 
 def test_surface_checks_gate_arity_and_duplicates():
-    with pytest.raises(ArityMismatch):
-        cqp.typecheck_surface({"q": TQbit()}, Trans(("q",), "CNOT", Nil()))
-    with pytest.raises(DuplicateQubitArg):
-        cqp.typecheck_surface({"q": TQbit()}, Trans(("q", "q"), "CNOT", Nil()))
-    with pytest.raises(UnknownName):
-        cqp.typecheck_surface({"q": TQbit()}, Trans(("q",), "NOPE", Nil()))
+    for term, error in (
+        (Trans(("q",), "CNOT", Nil()), ArityMismatch),
+        (Trans(("q", "q"), "CNOT", Nil()), DuplicateQubitArg),
+        (Trans(("q",), "NOPE", Nil()), UnknownName),
+    ):
+        with pytest.raises(error):
+            cqp.typecheck_internal(pure("q", [1, 0], term))
 
 
 def test_surface_accepts_teleport_system():
     src = teleport()
-    env = {q: TQbit() for q in ("q0", "q1", "q2")}
-    cqp.typecheck_surface(env, src.term)
+    assert src.sigma_names == ("q0", "q1", "q2") and src.phi == ()
+    cqp.typecheck_internal(src)
 
 
 def test_measured_variable_usable_as_channel():
     term = Measure(("q",), "x", Out("x", "q", Nil()))
-    cqp.typecheck_surface({"q": TQbit()}, term)
+    cqp.typecheck_internal(pure("q", [1, 0], term))
 
 
 def test_internal_accepts_output_of_register_qubit():

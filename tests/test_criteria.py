@@ -379,6 +379,101 @@ def test_every_translation_is_stepped_once_per_instance(monkeypatch):
     assert (len(edges), len(inst.target_lts.states), len(keys)) == (10, 9, 13)
 
 
+# -- source states up to channel-list order, shared density matrices ----------------
+
+def test_channel_list_order_makes_no_second_source_state():
+    src = cqp.parse_cqp("qubits q ; state |0> ; channels ; process (new a)0 | (new b)0 | (new c)0")
+    inst = criteria.Instance(src, BUDGET)
+    # one state per set of created channels (2^3), where each order of the
+    # creations was a state of its own (1 + 3 + 6 + 6 = 16, over 15 edges)
+    assert (len(inst.source_lts.states), len(inst.source_lts.edges)) == (8, 12)
+    assert len(inst.target_lts.states) == 4
+    for name, check in criteria.CHECKS.items():
+        assert check(inst).holds, name
+
+
+def _count_outer(monkeypatch) -> list:
+    built = []
+    real = quantum.outer
+
+    def counted(psi):
+        built.append((psi.qubit_names, psi.amps.tobytes()))
+        return real(psi)
+
+    monkeypatch.setattr(quantum, "outer", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", ["teleport.cqp", "measurement.cqp"])
+def test_one_density_matrix_per_register_state_per_instance(monkeypatch, name):
+    built = _count_outer(monkeypatch)
+    pure = []
+    real = encode.encode_config
+
+    def counted(config, check=True):
+        if isinstance(config, cqp.CqpPure):
+            pure.append(config)
+        return real(config, check)
+
+    monkeypatch.setattr(encode, "encode_config", counted)
+    inst = criteria.Instance(cqp.parse_cqp(protocols.read(name)), BUDGET, seed=1)
+    for check in criteria.CHECKS.values():
+        assert check(inst).holds
+    distinct = {(c.sigma.qubit_names, c.sigma.amps.tobytes()) for c in pure}
+    assert len(built) == len(set(built)) == len(distinct) < len(pure)
+
+
+def test_an_amplitude_one_ulp_away_gets_its_own_density_matrix(monkeypatch):
+    built = _count_outer(monkeypatch)
+    sq2 = 1.0 / np.sqrt(2.0)
+    src = cqp.CqpPure(quantum.StateVector(("q",), [sq2, sq2]), (), cqp.Trans(("q",), "H", cqp.Success()))
+    inst = criteria.Instance(src, BUDGET)
+    amps = src.sigma.amps.copy()
+    equal = cqp.CqpPure(quantum.StateVector(("q",), amps), (), src.term)
+    amps[0] = np.nextafter(amps[0].real, 1.0)
+    near = cqp.CqpPure(quantum.StateVector(("q",), amps), (), src.term)
+    assert inst.translate(equal).rho is inst.root.rho
+    assert inst.translate(near).rho is not inst.root.rho
+    assert len(built) == 2
+
+
+def test_shared_density_matrices_die_with_their_instance():
+    src = teleport()
+    inst = criteria.Instance(src, BUDGET, seed=1)
+    criteria.check_soundness(inst)
+    root = weakref.ref(inst.root.rho)
+    # every matrix but the source's own hangs on a vector of the exploration
+    others = {id(enc.rho): enc.rho for enc in inst.encoded if enc.rho is not root()}
+    assert len(others) > 1
+    gone = [weakref.ref(inst)] + [weakref.ref(rho) for rho in others.values()]
+    del inst, others
+    gc.collect()
+    assert [ref() for ref in gone] == [None] * len(gone)
+    # the source's vector keeps its own, as the source keeps its congruence key
+    assert root() is src.sigma.density
+    del src
+    gc.collect()
+    assert root() is None
+
+
+def test_renaming_and_variant_checks_typecheck_every_translation(monkeypatch):
+    inst = criteria.Instance(teleport(), BUDGET, seed=1)
+    inst.root
+    checked = []
+    real = cqp.typecheck_internal
+
+    def counted(config):
+        checked.append(config)
+        return real(config)
+
+    monkeypatch.setattr(cqp, "typecheck_internal", counted)
+    for name in ("name_invariance", "qubit_invariance", "congruence_preservation"):
+        assert criteria.CHECKS[name](inst).holds
+    assert len(checked) == 3
+    with pytest.raises(NoCloningViolation, match="non-injective qubit substitution"):
+        criteria.check_qubit_invariance(inst, {"q0": "q", "q1": "q"})
+
+
 def test_register_size_does_not_report_a_completeness_failure_as_its_own(monkeypatch):
     # a mutant that drops every gate: completeness fails on the gate step,
     # but every translation keeps the source's one qubit

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,24 @@ def test_emitted_translation_contains_four_branch_choice():
     text = encode.emit_translation(out)
     for i in range(4):
         assert f"if tr(E{{{i}}}[q0, q1]) != 0 then E{{{i}}}[q0, q1].{i}!q0.nil" in text
+
+
+def _forget_translations(term):
+    term.__dict__.pop("_encoded", None)
+    for child in (getattr(term, "left", None), getattr(term, "right", None), getattr(term, "cont", None)):
+        if child is not None:
+            _forget_translations(child)
+
+
+def test_translation_is_shared_across_register_orders():
+    inner = cqp.NewQbit("y", cqp.Trans(("x", "y"), "CNOT", cqp.Out("c", "y", cqp.Nil())))
+    term = cqp.Par(cqp.NewQbit("x", inner), cqp.Trans(("q1",), "H", cqp.Nil()))
+    register = ("q0", "q1", "q3")
+    first = encode.encode_term(term, register)
+    # q3 is taken, so the creations pick q4 and then q5, whatever the order
+    assert {"q4", "q5"} <= qccs.free_qubits(first)
+    for order in itertools.permutations(register):
+        _forget_translations(term)
+        assert encode.encode_term(term, order) is first
+        assert encode.encode_term(term, order) is first  # and from the memo
+

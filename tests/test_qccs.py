@@ -151,7 +151,7 @@ def test_wellformed_rejects_duplicate_constant_args():
 def test_subst_respects_restriction_binders():
     term = Restrict(Out("c", "q", Nil()), ("c",))
     got = qccs.substitute(term, {"d": "c"})  # c is bound; the outer d->c must not capture
-    assert qccs.congruent_terms(got, term)
+    assert qccs.congruent(cfg(got), cfg(term))
     term2 = Restrict(Par(Out("c", "q", Nil()), Out("d", "q2", Nil())), ("c",))
     got2 = qccs.substitute(term2, {"d": "c"})
     assert isinstance(got2, Restrict)
@@ -206,7 +206,8 @@ def test_comm_step():
     steps = qccs.lts_steps(cfg(term, names=("q", "p"), amps=(1, 0, 0, 0)))
     taus = [s for s in steps if s.label == LTau()]
     assert len(taus) == 1
-    assert qccs.congruent_terms(taus[0].next.term, Par(Nil(), SuperOp(GateOp("X"), ("q",), Success())))
+    want = cfg(Par(Nil(), SuperOp(GateOp("X"), ("q",), Success())), names=("q", "p"), amps=(1, 0, 0, 0))
+    assert qccs.congruent(taus[0].next, want)
 
 
 def test_input_menu_excludes_held_qubits():
@@ -349,7 +350,7 @@ def test_factor_measurement_choices_moves_out_what_every_branch_shares():
     factored = Choice(_measured(0, Par(sent, on_q)), _measured(1, on_q))
     assert qccs.factor_measurement_choices(term) == Restrict(Par(Par(factored, shared), Success()), ("d",))
     # a law, not a congruence
-    assert not qccs.congruent_terms(qccs.factor_measurement_choices(term), term)
+    assert not qccs.congruent(cfg(qccs.factor_measurement_choices(term)), cfg(term))
     # choices that miss an outcome, and choices under a prefix, stay as they are
     for other in (Choice(_measured(0, shared), _measured(0, shared)), Tau(choice)):
         assert qccs.factor_measurement_choices(other) == other

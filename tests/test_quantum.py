@@ -277,12 +277,27 @@ def test_unitary_prefix_preserves_norm(seed, gate, n):
 
 # -- permutations ------------------------------------------------------------
 
+def permutation_unitary(perm):
+    """Oracle for the register permutations: the unitary sending
+    |b_0..b_{n-1}> to |b_{perm^-1(0)}..b_{perm^-1(n-1)}>, built bit by bit."""
+    n = len(perm)
+    inv = q.inverse_perm(perm)
+    matrix = np.zeros((2 ** n, 2 ** n))
+    for b in range(2 ** n):
+        bits = [(b >> (n - 1 - j)) & 1 for j in range(n)]
+        c = 0
+        for i in range(n):
+            c = (c << 1) | bits[inv[i]]
+        matrix[c, b] = 1.0
+    return q.Unitary(matrix, "Perm")
+
+
 def test_identity_permutation_is_identity_matrix():
-    assert np.allclose(q.permutation_unitary((0, 1, 2)).matrix, np.eye(8))
+    assert np.allclose(permutation_unitary((0, 1, 2)).matrix, np.eye(8))
 
 
 def test_swap_permutation_on_basis_state():
-    pi = q.permutation_unitary((1, 0))
+    pi = permutation_unitary((1, 0))
     got = pi.matrix @ np.array([0, 1, 0, 0])  # |01>
     assert np.allclose(got, [0, 0, 1, 0])  # |10>
 
@@ -291,7 +306,7 @@ def test_permutation_times_inverse_is_identity():
     rng = np.random.default_rng(5)
     for n in range(1, 5):
         perm = tuple(rng.permutation(n))
-        prod = q.permutation_unitary(perm).matrix @ q.permutation_unitary(q.inverse_perm(perm)).matrix
+        prod = permutation_unitary(perm).matrix @ permutation_unitary(q.inverse_perm(perm)).matrix
         assert np.allclose(prod, np.eye(2 ** n))
 
 
@@ -301,7 +316,7 @@ def test_permute_state_matches_permutation_unitary():
     perm = (2, 0, 1)
     moved = q.permute_state(psi, perm)
     assert moved.qubit_names == ("c", "a", "b")
-    via_matrix = q.permutation_unitary(q.inverse_perm(perm)).matrix @ psi.amps
+    via_matrix = permutation_unitary(q.inverse_perm(perm)).matrix @ psi.amps
     assert np.allclose(moved.amps, via_matrix)
 
 
@@ -316,8 +331,11 @@ def test_permute_density_consistent_with_state():
 
 
 def test_bad_permutation_rejected():
+    psi = sv("ab", [1, 0, 0, 0])
     with pytest.raises(InvalidPermutation):
-        q.permutation_unitary((0, 0))
+        q.permute_state(psi, (0, 0))
+    with pytest.raises(InvalidPermutation):
+        q.permute_density(q.outer(psi), (0, 2))
 
 
 # -- measurement -------------------------------------------------------------
@@ -357,7 +375,7 @@ def test_measure_zero_qubits_is_trivial():
 def test_zero_probability_branch_is_flagged():
     outcomes = q.measure_prefix(sv("a", [1, 0]), 1)
     assert outcomes[1].probability == 0.0
-    assert outcomes[1].post_state.is_zero
+    assert not outcomes[1].post_state.amps.any()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -568,7 +586,7 @@ def test_permutation_superop_matches_permute_state():
     rng = np.random.default_rng(8)
     psi = random_state(rng, ("a", "b", "c"))
     perm = (2, 0, 1)
-    pi = q.permutation_unitary(q.inverse_perm(perm))
+    pi = permutation_unitary(q.inverse_perm(perm))
     via_superop = q.superop_apply(q.SuperOperator.from_unitary(pi), psi.qubit_names, q.outer(psi))
     direct = q.outer(q.StateVector(psi.qubit_names, pi.matrix @ psi.amps))
     assert q.approx_eq(via_superop, direct, 1e-9)
