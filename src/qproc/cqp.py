@@ -352,6 +352,17 @@ def _check_operands(qs: Sequence[str], env):
         _check_qbit(q, env)
 
 
+@canon.per_node
+def _creates_qubit(t: Term) -> bool:
+    """Whether a ``NewQbit`` occurs in the term, guarded or not."""
+    match t:
+        case Nil() | Success():
+            return False
+        case Par(l, r):
+            return _creates_qubit(l) or _creates_qubit(r)
+    return isinstance(t, NewQbit) or _creates_qubit(t.cont)
+
+
 def _check_term(t: Term, env: dict) -> set[str]:
     """Returns the set of qubits the term demands; raises on errors.
 
@@ -371,6 +382,8 @@ def _check_term(t: Term, env: dict) -> set[str]:
             clash = ul & ur
             if clash:
                 raise SharedQubit(f"parallel components share qubits {sorted(clash)}")
+            if _creates_qubit(l) and _creates_qubit(r):
+                raise SharedQubit("parallel components both create qubits")
             return ul | ur
         case In(c, x, p):
             _check_chan(c, env)
@@ -407,7 +420,13 @@ def _check_term(t: Term, env: dict) -> set[str]:
 
 def typecheck_internal(config: CqpConfig) -> None:
     """Runtime configurations: register names are the qubit assumptions,
-    the channel list supplies the channel assumptions."""
+    the channel list supplies the channel assumptions.
+
+    The fragment is CQP- with at most one chain of qubit creations: the two
+    operands of a parallel composition may not both contain a ``(qbit x)``,
+    guarded or not.  The translation names a created qubit statically, by
+    the register it is created beside, so two parallel creations would get
+    the same name."""
     env: dict[str, CqpType] = {} if isinstance(config, CqpPure) else {config.var: TInt()}
     env.update({q: TQbit() for q in config.sigma_names})
     env.update({c: TChan() for c in config.phi if not _is_int_literal(c)})
@@ -707,7 +726,9 @@ class TokenStream:
 
 def parse_coefficient_product(ts: TokenStream) -> complex:
     """One coefficient: rationals, decimals, sqrt(...), i, products and
-    quotients; parenthesised sums allowed."""
+    quotients; parenthesised sums allowed.  A '*' multiplies only when an
+    atom follows it, so the '*' of ``0.5 * |0>`` or ``0.5 * outer(...)``
+    is left to the caller."""
 
     def atom() -> complex:
         tok = ts.peek()
@@ -729,8 +750,12 @@ def parse_coefficient_product(ts: TokenStream) -> complex:
             return complex(float(tok.text))
         ts.error(f"expected a coefficient, found {tok.text!r}")
 
+    def multiplies() -> bool:
+        op, after = ts.peek(), ts.peek(1)
+        return op.text == "/" or (op.text == "*" and (after.kind == "num" or after.text in ("(", "sqrt", "i")))
+
     value = atom()
-    while ts.peek().text in ("*", "/"):
+    while multiplies():
         op = ts.next().text
         rhs = atom()
         value = value * rhs if op == "*" else value / rhs

@@ -15,9 +15,9 @@ picks a bucket and the quantum states in it are compared within the
 tolerance, so exploration terminates on the loops the calculi can express
 and no verdict hinges on where a float falls.
 
-Completeness matches a source step to a target step by congruence, then by
-the measurement-choice law, and only then by a correspondence-simulation
-game.  The law is the expansion-law step (Milner 1989) of the paper's
+Completeness matches a source step to a target step by congruence or,
+failing that, by the measurement-choice law, and by nothing else.  The law
+is the expansion-law step (Milner 1989) of the paper's
 operational-correspondence proof.  When a process measures ``qs`` beside
 parallel components ``R``, the translation of the resulting distribution
 is ``Σ_i if tr(E{i}[qs]) != 0 then E{i}[qs].(P_i | R)``, while the target
@@ -29,9 +29,13 @@ needs: ``R`` occurs in every branch, so both sides run it whatever the
 outcome; it has no free qubit in ``qs``, so a step of ``R`` taken before a
 branch is picked commutes with that branch's ``E{i}[qs]``; and the guards
 cover every outcome of ``qs``, so some branch is always enabled and the
-choice side catches up with such a step by picking a branch first.  The two sides are then correspondence similar, though not
-bisimilar (criterion 6), so the law is a sufficient condition for a match
-and never a congruence: the state keys and ``qccs.congruent`` do not use it.
+choice side catches up with such a step by picking a branch first.  The two
+sides are then correspondence similar, though not bisimilar (criterion 6),
+so the law is a sufficient condition for a match and never a congruence:
+the state keys and ``qccs.congruent`` do not use it.  Both ways compare the
+quantum states, so a translation that steps to the wrong state fails
+completeness.  ``corr_sim_check`` is the reference the tests check the law
+against, and ``bisim_check`` is the diagnostic of criterion 6.
 """
 
 from __future__ import annotations
@@ -576,33 +580,21 @@ class Instance:
 
         return build_lts(self.root, replace(qccs_system(tol=self.tol), steps=steps), self.budget)
 
-    def game_lts(self, config: qccs.QccsConfig) -> Lts:
-        """The labelled exploration of a translation that completeness's
-        fallback game plays on, within the game's own small budget."""
-        budget = Budget(min(self.budget.max_depth, 32), min(self.budget.max_states, 220))
-        return build_lts(config, qccs_system(tol=self.tol, labelled=True), budget)
-
     @cached_property
-    def completeness(self) -> tuple[Verdict, list]:
-        """Match every explored source step with at most one target step.
+    def completeness(self) -> Verdict:
+        """Match every explored source step with one target step.
 
         A permutation step is emulated by doing nothing.  Any other step is
         matched by the first target reduction of its source's translation
-        that is congruent to the translation of its successor; failing
+        that is congruent to the translation of its successor, or failing
         that, by the first of equal register size that is congruent to it
         once both are factored by the measurement-choice law (module
-        docstring); failing that, by the first of equal register size that
-        wins a size-sensitive correspondence-simulation game within the
-        game's own budget (``game_lts``).  A game cut by that budget makes
-        the verdict inconclusive, not failing.  The stats count the edges
-        the law matched (``law_matches``) and the games played
-        (``corr_sim_fallbacks``).
-
-        Returns the verdict and the matched edges: pairs of a source edge
-        and the matching target configuration (None for permutation steps)."""
+        docstring).  A step that neither matches fails the check, so every
+        edge is decided on the translations' terms and states alike.  The
+        stats count the edges matched (``matched_edges``) and those the law
+        matched (``law_matches``)."""
         lts, tol = self.source_lts, self.tol
-        matched = []
-        law_matches = fallbacks = 0
+        law_matches = 0
         for src, label, dst, _ in lts.edges:
             enc_src, enc_dst = self.encoded[src], self.encoded[dst]
             if label.startswith("R-Perm"):
@@ -619,52 +611,24 @@ class Instance:
                     and quantum.density_equal_mod_order(enc_src.rho, enc_stepped.rho, tol)
                     and cqp.congruent(stepped, lts.states[dst], tol)
                 ):
-                    matched.append(((src, label, dst), None))
                     continue
-                return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats()), matched
-            candidates = self.reductions(enc_src)
-            hit = None
-            for cand in candidates:
-                if qccs.congruent(enc_dst, cand.next, tol):
-                    hit = cand.next
-                    break
-            if hit is None:
-                # the measurement-choice law: congruent once the components
-                # every branch shares are factored out of the choice
-                factored = _factor(enc_dst)
-                for cand in candidates:
-                    if cand.next.rho.num_qubits == enc_dst.rho.num_qubits and qccs.congruent(
-                        factored, _factor(cand.next), tol
-                    ):
-                        hit = cand.next
-                        law_matches += 1
-                        break
-            fallback_cut = False
-            if hit is None:
-                # an edge the law leaves: the game is size-sensitive, which
-                # also rules out matching an unrelated parallel step
-                l1 = self.game_lts(enc_dst)
-                for cand in candidates:
-                    if cand.next.rho.num_qubits != enc_dst.rho.num_qubits:
-                        continue
-                    fallbacks += 1
-                    outcome = corr_sim_check(l1, self.game_lts(cand.next), size_sensitive=True)
-                    if outcome.holds:
-                        hit = cand.next
-                        break
-                    if outcome.status == "inconclusive":
-                        fallback_cut = True
-            if hit is None:
-                if fallback_cut:
-                    return _inconclusive("fallback budget", edge=label, **lts.stats()), matched
-                return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats()), matched
-            matched.append(((src, label, dst), hit))
+                return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats())
+            candidates = [cand.next for cand in self.reductions(enc_src)]
+            if any(qccs.congruent(enc_dst, cand, tol) for cand in candidates):
+                continue
+            # the measurement-choice law: congruent once the components
+            # every branch shares are factored out of the choice
+            factored = _factor(enc_dst)
+            if any(
+                cand.rho.num_qubits == enc_dst.rho.num_qubits and qccs.congruent(factored, _factor(cand), tol)
+                for cand in candidates
+            ):
+                law_matches += 1
+                continue
+            return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats())
         if lts.truncated:
-            return _inconclusive("budget", matched_edges=len(matched), **lts.stats()), matched
-        return (
-            _holds(matched_edges=len(matched), law_matches=law_matches, corr_sim_fallbacks=fallbacks, **lts.stats()),
-            matched,
-        )
+            return _inconclusive("budget", matched_edges=len(lts.edges), **lts.stats())
+        return _holds(matched_edges=len(lts.edges), law_matches=law_matches, **lts.stats())
 
 
 # -- the checks, each over one instance ----------------------------------------------------
@@ -702,7 +666,7 @@ def _canonical_register_order(names, initial_order):
 
 
 def check_completeness(inst: Instance) -> Verdict:
-    return inst.completeness[0]
+    return inst.completeness
 
 
 def check_soundness(inst: Instance) -> Verdict:
@@ -753,22 +717,21 @@ def check_soundness(inst: Instance) -> Verdict:
 
 def check_register_size(inst: Instance) -> Verdict:
     """Translations never change the register size: at every explored
-    source state, the root included, and along every matched derivative
-    pair.  A completeness failure leaves the matched pairs partial, so it
-    makes this check inconclusive, not failing."""
+    source state, the root included.  Completeness matches each step with a
+    target step whose register agrees with its successor's translation, so
+    this holds along every matched step once completeness holds.  A
+    completeness failure leaves those steps unmatched, so it makes this
+    check inconclusive, not failing."""
     lts = inst.source_lts
     for idx, enc in enumerate(inst.encoded):
         if enc.rho.num_qubits != lts.sizes[idx]:
             return _fails(
                 [*lts.path_to(idx), f"sizes {lts.sizes[idx]} vs {enc.rho.num_qubits}"], **lts.stats()
             )
-    verdict, matched = inst.completeness
-    for (src, label, dst), target in matched:
-        if target is not None and target.rho.num_qubits != lts.sizes[dst]:
-            return _fails([label, f"sizes {lts.sizes[dst]} vs {target.rho.num_qubits}"], **lts.stats())
+    verdict = inst.completeness
     if not verdict.holds:
         return _inconclusive("completeness fails" if verdict.fails else verdict.reason, **verdict.stats)
-    return _holds(matched_edges=len(matched), **lts.stats())
+    return _holds(matched_edges=verdict.stats["matched_edges"], **lts.stats())
 
 
 def check_divergence_reflection(inst: Instance) -> Verdict:

@@ -30,7 +30,7 @@ from .errors import (
     WellFormednessError,
     ZeroBranch,
 )
-from .cqp import TokenStream, parse_amp_expr, parse_coefficient_sum
+from .cqp import TokenStream, parse_amp_expr, parse_coefficient_product, parse_coefficient_sum
 from .quantum import DEFAULT_TOL, GATES, DensityMatrix, SuperOperator, fresh_qubit_name as _fresh_register_name
 
 RESERVED_OPS = {"M", "E", "new", "tau", "nil", "ok", "if", "then", "true", "false", "tr"}
@@ -899,35 +899,6 @@ def _parse_matrix(ts: TokenStream) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_weight(ts: TokenStream) -> complex:
-    """Mixture weight: like a coefficient product, but a '*' directly before
-    'outer' is the weight separator, not a multiplication."""
-
-    def atom() -> complex:
-        tok = ts.peek()
-        if ts.accept("("):
-            value = parse_coefficient_sum(ts)
-            ts.expect(")")
-            return value
-        if tok.text == "sqrt":
-            ts.next()
-            ts.expect("(")
-            value = parse_coefficient_sum(ts)
-            ts.expect(")")
-            return complex(np.sqrt(value))
-        if tok.kind == "num":
-            ts.next()
-            return complex(float(tok.text))
-        ts.error(f"expected a mixture weight, found {tok.text!r}")
-
-    value = atom()
-    while ts.peek().text == "/" or (ts.peek().text == "*" and ts.peek(1).text != "outer"):
-        op = ts.next().text
-        rhs = atom()
-        value = value * rhs if op == "*" else value / rhs
-    return value
-
-
 def _parse_rho(ts: TokenStream, names: tuple[str, ...]) -> DensityMatrix:
     if ts.accept("matrix"):
         return DensityMatrix(names, _parse_matrix(ts))
@@ -936,7 +907,7 @@ def _parse_rho(ts: TokenStream, names: tuple[str, ...]) -> DensityMatrix:
     def outer_part():
         coef = 1.0
         if ts.peek().text != "outer":
-            value = _parse_weight(ts)
+            value = parse_coefficient_product(ts)
             ts.expect("*")
             if abs(value.imag) > 1e-12 or value.real < 0:
                 ts.error("mixture weights must be non-negative reals")

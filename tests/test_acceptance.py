@@ -183,7 +183,6 @@ def test_criterion_5_property_campaign():
                 "source_states",
                 "matched_edges",
                 "law_matches",
-                "fallback_games",
                 "target_states",
                 "may_success",
                 "diverging",
@@ -203,7 +202,6 @@ def test_criterion_5_property_campaign():
             totals["source_states"] += completeness["states"]
             totals["matched_edges"] += completeness.get("matched_edges", 0)
             totals["law_matches"] += completeness.get("law_matches", 0)
-            totals["fallback_games"] += completeness.get("corr_sim_fallbacks", 0)
             totals["target_states"] += verdicts["soundness"].stats["target_states"]
             totals["may_success"] += verdicts["success"].stats["source_may"] == "holds"
             totals["diverging"] += verdicts["divergence_reflection"].stats["source"] == "holds"
@@ -221,7 +219,6 @@ def test_criterion_5_property_campaign():
             "source_states": 3053,
             "matched_edges": 3109,
             "law_matches": 169,
-            "fallback_games": 0,
             "target_states": 2437,
             "may_success": 138,
             "diverging": 14,

@@ -173,6 +173,19 @@ def test_non_utf8_source_is_a_parse_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "UTF-8" in err
 
 
+@pytest.mark.parametrize("argv", [("typecheck",), ("check", "--which", "soundness")], ids=["typecheck", "check"])
+@pytest.mark.parametrize(
+    "process",
+    ["(qbit a){a *= X}.ok | (qbit b){b *= H}.0", "c?[x].(qbit b){b *= X}.{x *= H}.ok | (qbit a)c![a].0"],
+    ids=["unguarded", "guarded"],
+)
+def test_parallel_qubit_creations_are_a_type_error(tmp_path, capsys, argv, process):
+    path = tmp_path / "parallel.cqp"
+    path.write_text(f"qubits q0 ; state |0> ; channels c ; process {process}")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (1, "", "error: parallel components both create qubits\n")
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QPROC_SEED", "23")
     code, out, _ = run_cli(capsys, "check", MEASUREMENT, "--which", "success", "--format", "json")

@@ -100,6 +100,13 @@ def test_amp_expression_forms():
     assert np.allclose(got.sigma.amps, [SQ2, SQ2 * 1j])
 
 
+def test_a_star_before_a_ket_is_optional():
+    starred = cqp.parse_cqp("qubits a ; state 0.5 * |0> + sqrt(3)/2 * |1> ; channels ; process 0")
+    plain = cqp.parse_cqp("qubits a ; state 0.5|0> + sqrt(3)/2|1> ; channels ; process 0")
+    assert np.array_equal(starred.sigma.amps, plain.sigma.amps)
+    assert np.allclose(starred.sigma.amps, [0.5, np.sqrt(3) / 2])
+
+
 # -- substitution ---------------------------------------------------------------
 
 def test_substitute_on_channels():
@@ -247,6 +254,22 @@ def test_internal_rejects_shared_register_qubit():
     config = pure("q", [1, 0], Par(Out("c", "q", Nil()), Out("d", "q", Nil())), phi=("c", "d"))
     with pytest.raises(SharedQubit):
         cqp.typecheck_internal(config)
+
+
+PARALLEL_CREATIONS = [
+    "(qbit a){a *= X}.ok | (qbit b){b *= H}.0",
+    # guarded creations count too
+    "c?[x].(qbit b){b *= X}.{x *= H}.ok | (qbit a)c![a].0",
+]
+
+
+@pytest.mark.parametrize("process", PARALLEL_CREATIONS)
+def test_internal_rejects_parallel_qubit_creations(process):
+    # the translation names a created qubit by its register, so both
+    # components would create the same qubit
+    src = cqp.parse_cqp(f"qubits q0 ; state |0> ; channels c ; process {process}")
+    with pytest.raises(SharedQubit, match="parallel components both create qubits"):
+        cqp.typecheck_internal(src)
 
 
 def test_internal_rejects_unknown_qubit():

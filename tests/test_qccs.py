@@ -86,6 +86,24 @@ def test_parse_mixture_and_matrix_states():
         "state qubits q ; rho = matrix [[0.5, 0.5], [0.5, 0.5]] ; process nil"
     )
     assert np.allclose(config.rho.entries, 0.5 * np.ones((2, 2)))
+    _, config, _ = qccs.parse_qccs(
+        "state qubits q ; rho = 2*(1/4)*outer(|0>) + 1/2*outer(|1>) ; process nil"
+    )
+    assert np.allclose(config.rho.entries, [[0.5, 0], [0, 0.5]])
+
+
+def test_a_star_before_a_ket_is_optional_inside_outer():
+    def rho(ket):
+        return qccs.parse_qccs(f"state qubits q ; rho = outer({ket}) ; process nil")[1].rho.entries
+
+    assert np.array_equal(rho("0.6 * |0> + 0.8 * |1>"), rho("0.6|0> + 0.8|1>"))
+    assert np.allclose(rho("0.6 * |0> + 0.8 * |1>"), [[0.36, 0.48], [0.48, 0.64]])
+
+
+def test_mixture_weights_are_non_negative_reals():
+    for weight in ("i", "2*i"):
+        with pytest.raises(ParseError, match="mixture weights must be non-negative reals"):
+            qccs.parse_qccs(f"state qubits q ; rho = {weight} * outer(|0>) ; process nil")
 
 
 def test_parse_cond1_violation_is_located():
