@@ -22,8 +22,8 @@ or ``(tag, names, binders, children)``, where ``names`` are the node's own
 name occurrences and ``binders`` scope over every child.
 
 Names are resolved through an environment, never by substitution: a binder
-becomes its nesting depth (de Bruijn 1972), a register qubit its position,
-and a free name stays itself.  A group's channels are numbered by the least
+becomes its nesting depth (de Bruijn 1972), and a free name, a register
+qubit among them, stays itself.  A group's channels are numbered by the least
 signature of its components over the numberings that a refinement leaves
 open: classes of channels are split by the sorted signatures of the
 components each occurs in until stable, then once by each channel's colour,
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 UNIT = ("0",)
 PAR = "|"
@@ -168,11 +168,6 @@ def rebind(
                 avoid.add(scoped[b])
         binders = tuple(scoped.get(b, b) for b in binders)
     return binders, substitute(body, scoped)
-
-
-def register_env(names: Sequence[str]) -> dict[str, str]:
-    """Register qubits named by position (alpha conversion on the register)."""
-    return {n: f"r{i}" for i, n in enumerate(names)}
 
 
 def signature(term, node: Callable, env: Mapping[str, str] | None = None) -> str:

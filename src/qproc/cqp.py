@@ -35,7 +35,7 @@ from .quantum import DEFAULT_TOL, GATES, StateVector
 
 
 class UnknownQubitName(UnknownName):
-    """Qubit-position reference outside the register and binders."""
+    """Qubit reference outside the register and binders."""
 
 
 # -- terms --------------------------------------------------------------------
@@ -238,12 +238,11 @@ def _node(t: Term) -> tuple:
 
 
 def _signature(config: CqpConfig) -> str:
-    """Term signature, register qubits by position, the measured variable anonymous."""
+    """Term signature, the measured variable of a distribution anonymous.
+    Register qubits are free names, so they read literally."""
     cached = getattr(config, "_sig", None)
     if cached is None:
-        env = canon.register_env(config.sigma_names)
-        if isinstance(config, CqpDist):
-            env[config.var] = "x"
+        env = {config.var: "x"} if isinstance(config, CqpDist) else None
         cached = canon.signature(config.term, _node, env)
         object.__setattr__(config, "_sig", cached)
     return cached
@@ -252,15 +251,22 @@ def _signature(config: CqpConfig) -> str:
 def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
     """Structural congruence of configurations.
 
-    Parallel unit/commutativity/associativity, alpha conversion on binders
-    and on the register's qubit names; quantum states compared entrywise
-    within tol.  The channel lists are compared as multisets: no rule reads
-    their order (R-New tests membership, and the translation restricts by
-    the list as one group), so two orders of the same channel creations are
-    one state.  Channel names stay literal, so a channel named by a
-    measurement result keeps its meaning.
+    Parallel unit/commutativity/associativity and alpha conversion on
+    binders; quantum states compared entrywise within tol.  The registers
+    must name the same qubits in the same order: renaming a qubit is the
+    paper's qubit-name invariance, not congruence, and reordering the
+    register is the step R-Perm, which fronts a gate's operands.  The
+    channel lists are compared as multisets: no rule reads their order
+    (R-New tests membership, and the translation restricts by the list as
+    one group), so two orders of the same channel creations are one state.
+    Channel names stay literal, so a channel named by a measurement result
+    keeps its meaning.
     """
-    if isinstance(c1, CqpPure) != isinstance(c2, CqpPure) or sorted(c1.phi) != sorted(c2.phi):
+    if (
+        isinstance(c1, CqpPure) != isinstance(c2, CqpPure)
+        or c1.sigma_names != c2.sigma_names
+        or sorted(c1.phi) != sorted(c2.phi)
+    ):
         return False
     if isinstance(c1, CqpPure):
         if not quantum.within_tol(c1.sigma.amps, c2.sigma.amps, tol):
@@ -274,18 +280,19 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
 
 
 def canonical_key(config: CqpConfig) -> str:
-    """Hash key modulo congruence: register size, the channel list sorted,
-    the shape of a distribution and the term signature.  Congruent
-    configurations share it; ``congruent`` decides the amplitudes and
-    probabilities."""
+    """Hash key modulo congruence: the register names in order, the channel
+    list sorted, the shape of a distribution and the term signature.
+    Congruent configurations share it; ``congruent`` decides the amplitudes
+    and probabilities."""
     cached = getattr(config, "_key", None)
     if cached is not None:
         return cached
+    names = ",".join(config.sigma_names)
     phi = ";".join(sorted(config.phi))
     if isinstance(config, CqpPure):
-        cached = f"P{config.sigma.num_qubits}|{phi}|{_signature(config)}"
+        cached = f"P{names}|{phi}|{_signature(config)}"
     else:
-        cached = f"D{len(config.sigma_names)}|{config.r}|{len(config.cases)}|{phi}|{_signature(config)}"
+        cached = f"D{names}|{config.r}|{len(config.cases)}|{phi}|{_signature(config)}"
     object.__setattr__(config, "_key", cached)
     return cached
 

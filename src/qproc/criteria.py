@@ -41,7 +41,6 @@ against, and ``bisim_check`` is the diagnostic of criterion 6.
 from __future__ import annotations
 
 import random
-import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -584,36 +583,25 @@ class Instance:
     def completeness(self) -> Verdict:
         """Match every explored source step with one target step.
 
-        A permutation step is emulated by doing nothing.  Any other step is
-        matched by the first target reduction of its source's translation
-        that is congruent to the translation of its successor, or failing
-        that, by the first of equal register size that is congruent to it
-        once both are factored by the measurement-choice law (module
-        docstring).  A step that neither matches fails the check, so every
-        edge is decided on the translations' terms and states alike.  The
-        stats count the edges matched (``matched_edges``) and those the law
-        matched (``law_matches``)."""
+        A permutation step is emulated by doing nothing: it is matched by
+        its source's translation itself, which a qCCS register reorder
+        leaves congruent.  Any other step is matched by the first target
+        reduction of its source's translation that is congruent to the
+        translation of its successor, or failing that, by the first of
+        equal register size that is congruent to it once both are factored
+        by the measurement-choice law (module docstring).  A step that
+        neither matches fails the check, so every edge is decided on the
+        translations' terms and states alike.  The stats count the edges
+        matched (``matched_edges``) and those the law matched
+        (``law_matches``)."""
         lts, tol = self.source_lts, self.tol
         law_matches = 0
         for src, label, dst, _ in lts.edges:
             enc_src, enc_dst = self.encoded[src], self.encoded[dst]
             if label.startswith("R-Perm"):
-                # emulated by doing nothing.  The stored successor may be an
-                # alpha-rebound representative, so rebuild the permuted
-                # configuration itself: its translation must be a pure register
-                # reorder of the source translation, and the representative must
-                # be congruent to it.
-                perm = tuple(int(x) for x in re.findall(r"\d+", label))
-                stepped = cqp.apply_perm(lts.states[src], perm).next
-                enc_stepped = self.translate(stepped)
-                if (
-                    enc_src.term == enc_stepped.term
-                    and quantum.density_equal_mod_order(enc_src.rho, enc_stepped.rho, tol)
-                    and cqp.congruent(stepped, lts.states[dst], tol)
-                ):
-                    continue
-                return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats())
-            candidates = [cand.next for cand in self.reductions(enc_src)]
+                candidates = [enc_src]
+            else:
+                candidates = [cand.next for cand in self.reductions(enc_src)]
             if any(qccs.congruent(enc_dst, cand, tol) for cand in candidates):
                 continue
             # the measurement-choice law: congruent once the components
@@ -659,29 +647,21 @@ def check_qubit_invariance(inst: Instance, gamma: dict) -> Verdict:
     return _renaming_commutes(inst, gamma)
 
 
-def _canonical_register_order(names, initial_order):
-    base = [n for n in initial_order if n in names]
-    extras = sorted(set(names) - set(initial_order), key=lambda n: (len(n), n))
-    return tuple(base + extras)
-
-
 def check_completeness(inst: Instance) -> Verdict:
     return inst.completeness
 
 
 def check_soundness(inst: Instance) -> Verdict:
     """Every explored target derivative is a choice-resolution away from the
-    translation of a source derivative (with permutations and branch picks
-    inserted on the source side)."""
+    translation of a source derivative (with branch picks inserted on the
+    source side).  qCCS congruence reads a register as a set of named
+    qubits, so one lookup finds a translation under any register order, and
+    the verdict does not depend on which order of a state the source
+    exploration kept."""
     src_lts, tgt_lts = inst.source_lts, inst.target_lts
     translations = StateIndex(qccs_system(tol=inst.tol))
-    for idx, state in enumerate(src_lts.states):
-        translations.add(inst.encoded[idx])
-        if isinstance(state, cqp.CqpPure):
-            order = _canonical_register_order(state.sigma.qubit_names, inst.source.sigma_names)
-            if order != state.sigma.qubit_names:
-                restored = cqp.restore_perm(state, order).next
-                translations.add(inst.translate(restored))
+    for enc in inst.encoded:
+        translations.add(enc)
 
     succ = _succ_map(tgt_lts)
     translated = [translations.find(s) is not None for s in tgt_lts.states]

@@ -657,26 +657,29 @@ def _node(t: Term | BoolExpr) -> tuple:
 
 
 def _signature(config: QccsConfig) -> str:
-    """Term signature with register qubits named by position."""
+    """Term signature.  Register qubits are free names, so they read literally."""
     cached = getattr(config, "_sig", None)
     if cached is None:
-        cached = canon.signature(config.term, _node, canon.register_env(config.rho.qubit_names))
+        cached = canon.signature(config.term, _node)
         object.__setattr__(config, "_sig", cached)
     return cached
 
 
 def congruent(c1: QccsConfig, c2: QccsConfig, tol: float = DEFAULT_TOL) -> bool:
-    """Parallel laws, alpha conversion (binders and register names), nested
-    and parallel restrictions merged; states compared entrywise within tol."""
-    return quantum.within_tol(c1.rho.entries, c2.rho.entries, tol) and _signature(c1) == _signature(c2)
+    """Parallel laws, alpha conversion on binders, nested and parallel
+    restrictions merged.  A register is a set of named qubits: the states
+    are compared within tol after reordering one register to the other's
+    names, and renaming a qubit is not congruence."""
+    return _signature(c1) == _signature(c2) and quantum.density_equal_mod_order(c1.rho, c2.rho, tol)
 
 
 def canonical_key(config: QccsConfig) -> str:
-    """Hash key modulo congruence: register size and term signature only.
-    Congruent configurations share it; ``congruent`` decides the state."""
+    """Hash key modulo congruence: the register names sorted and the term
+    signature.  Congruent configurations share it; ``congruent`` decides
+    the state."""
     cached = getattr(config, "_key", None)
     if cached is None:
-        cached = f"Q{config.rho.num_qubits}|{_signature(config)}"
+        cached = f"Q{','.join(sorted(config.rho.qubit_names))}|{_signature(config)}"
         object.__setattr__(config, "_key", cached)
     return cached
 

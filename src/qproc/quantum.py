@@ -402,14 +402,17 @@ def permute_state(psi: StateVector, perm: Sequence[int]) -> StateVector:
 
 
 def permute_density(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
+    perm = _check_perm(perm, rho.num_qubits)
+    return DensityMatrix(tuple(rho.qubit_names[p] for p in perm), _permuted_entries(rho, perm))
+
+
+def _permuted_entries(rho: DensityMatrix, perm: Sequence[int]) -> np.ndarray:
+    """rho's entries with position i holding the old qubit at perm[i]."""
     n = rho.num_qubits
-    perm = _check_perm(perm, n)
-    names = tuple(rho.qubit_names[p] for p in perm)
     if n == 0:
-        return DensityMatrix(names, rho.entries)
+        return rho.entries
     axes = list(perm) + [n + p for p in perm]
-    entries = rho.entries.reshape([2] * (2 * n)).transpose(axes).reshape(2 ** n, 2 ** n)
-    return DensityMatrix(names, entries)
+    return rho.entries.reshape([2] * (2 * n)).transpose(axes).reshape(2 ** n, 2 ** n)
 
 
 def measure_prefix(psi: StateVector, r: int, tol: float = DEFAULT_TOL) -> list[MeasurementOutcome]:
@@ -558,7 +561,9 @@ def within_tol(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def density_equal_mod_order(a: DensityMatrix, b: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
     """Equality after reordering b's register to a's name order."""
+    if a.qubit_names == b.qubit_names:
+        return within_tol(a.entries, b.entries, tol)
     if set(a.qubit_names) != set(b.qubit_names):
         return False
-    perm = tuple(b.qubit_names.index(name) for name in a.qubit_names)
-    return approx_eq(a, permute_density(b, perm), tol)
+    perm = [b.qubit_names.index(name) for name in a.qubit_names]
+    return within_tol(a.entries, _permuted_entries(b, perm), tol)

@@ -216,9 +216,9 @@ def test_criterion_5_property_campaign():
         # stepping, dedup or translation that keeps every verdict but
         # explores a different state space shows here.
         assert totals == {
-            "source_states": 3053,
-            "matched_edges": 3109,
-            "law_matches": 169,
+            "source_states": 3078,
+            "matched_edges": 3133,
+            "law_matches": 170,
             "target_states": 2437,
             "may_success": 138,
             "diverging": 14,

@@ -186,6 +186,17 @@ def test_parallel_qubit_creations_are_a_type_error(tmp_path, capsys, argv, proce
     assert (code, out, err) == (1, "", "error: parallel components both create qubits\n")
 
 
+def test_mirror_interleavings_hold_on_soundness(tmp_path, capsys):
+    path = tmp_path / "mirror.cqp"
+    path.write_text(
+        "qubits q0, q1, q2 ; state |000> ; channels ; "
+        "process (x := measure q1).x![q1].0 | (z := measure q2).z![q2].0 | 0?[y].{y,q0 *= CNOT}.ok"
+    )
+    code, out, _ = run_cli(capsys, "check", str(path), "--which", "soundness")
+    assert code == 0
+    assert "soundness: holds" in out
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QPROC_SEED", "23")
     code, out, _ = run_cli(capsys, "check", MEASUREMENT, "--which", "success", "--format", "json")

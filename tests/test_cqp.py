@@ -145,10 +145,14 @@ def test_congruence_distinguishes_processes():
     )
 
 
-def test_congruence_alpha_on_binders_and_register():
+def test_congruence_alpha_on_binders_not_register_names():
     left = pure("q", [0, 1], In("c", "x", Out("x", "q", Nil())))
-    right = pure("p", [0, 1], In("c", "y", Out("y", "p", Nil())))
-    assert cqp.congruent(left, right)
+    assert cqp.congruent(left, pure("q", [0, 1], In("c", "y", Out("y", "q", Nil()))))
+    # renaming a register qubit is qubit-name invariance, a criterion of its
+    # own, not congruence
+    renamed = pure("p", [0, 1], In("c", "y", Out("y", "p", Nil())))
+    assert not cqp.congruent(left, renamed)
+    assert cqp.canonical_key(left) != cqp.canonical_key(renamed)
 
 
 def test_congruence_respects_register_order():

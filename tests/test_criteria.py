@@ -300,6 +300,15 @@ def test_measurement_example_passes_all_instance_checks():
         assert verdict.holds, f"{name}: {verdict.status} {verdict.reason or ''}"
 
 
+# two measurements race to signal on channel 0, and the two interleavings
+# differ only in which qubit is measured and sent: merging them by a qubit
+# renaming once gave soundness a false fails
+MIRROR_SIGNALS = (
+    "qubits q0, q1, q2 ; state |000> ; channels ; "
+    "process (x := measure q1).x![q1].0 | (z := measure q2).z![q2].0 | 0?[y].{y,q0 *= CNOT}.ok"
+)
+
+
 @pytest.mark.parametrize(
     "text, law_matches",
     [
@@ -310,14 +319,34 @@ def test_measurement_example_passes_all_instance_checks():
             1,
         ),
         ("qubits q0 ; state |0> ; channels ; process (qbit a)((qbit b){b *= X}.ok | {a *= H}.0)", 0),
+        (MIRROR_SIGNALS, 10),
     ],
-    ids=["restricted-pair", "signal", "nested-creations"],
+    ids=["restricted-pair", "signal", "nested-creations", "mirror-signals"],
 )
 def test_hand_written_sources_pass_all_instance_checks(text, law_matches):
     results = criteria.run_instance_checks(cqp.parse_cqp(text), BUDGET, seed=3)
     for name, verdict in results.items():
         assert verdict.holds, f"{name}: {verdict.status} {verdict.reason or ''}"
     assert results["completeness"].stats["law_matches"] == law_matches
+
+
+def test_soundness_does_not_depend_on_the_kept_representative(monkeypatch):
+    # reversing each state's successors makes the source exploration keep
+    # another representative of a state that two paths reach
+    sources = [(cqp.parse_cqp(MIRROR_SIGNALS), 0)]
+    sources += [(criteria.gen_config(seed, size=4, depth=6), seed) for seed in range(100)]
+
+    def verdicts():
+        return [criteria.check_soundness(criteria.Instance(src, Budget(48, 800), seed)).status for src, seed in sources]
+
+    forward = verdicts()
+
+    def reversed_system(tol):
+        system = cqp_system(tol)
+        return dataclasses.replace(system, steps=lambda config: system.steps(config)[::-1])
+
+    monkeypatch.setattr(criteria, "cqp_system", reversed_system)
+    assert verdicts() == forward
 
 
 def test_instance_translates_its_source_once(monkeypatch):

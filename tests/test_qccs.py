@@ -383,10 +383,27 @@ def test_nested_restrictions_merge():
     assert qccs.congruent(cfg(Restrict(a, ())), cfg(a))
 
 
-def test_alpha_on_register_names():
+def test_register_renaming_is_not_congruence():
+    # qubit-name invariance is a criterion of its own, not congruence
     left = QccsConfig(Out("c", "a", Nil()), dm(("a",), (0, 1)))
     right = QccsConfig(Out("c", "b", Nil()), dm(("b",), (0, 1)))
-    assert qccs.congruent(left, right)
+    assert not qccs.congruent(left, right)
+    assert qccs.canonical_key(left) != qccs.canonical_key(right)
+
+
+def test_register_is_a_set_of_named_qubits():
+    # qCCS has no permutation rule: the register reordered, with rho
+    # permuted to match, is the same configuration
+    term = Par(Out("c", "a", Nil()), SuperOp(GateOp("X"), ("b",), Nil()))
+    rho = dm(("a", "b", "q"), (0, 0.6, 0, 0, 0, 0, 0.8, 0))
+    reordered = quantum.permute_density(rho, (2, 0, 1))
+    assert reordered.qubit_names == ("q", "a", "b")
+    left, right = QccsConfig(term, rho), QccsConfig(term, reordered)
+    assert qccs.congruent(left, right) and qccs.congruent(right, left)
+    assert qccs.canonical_key(left) == qccs.canonical_key(right)
+    # the names reordered but rho left as it was is another state
+    stale = QccsConfig(term, quantum.DensityMatrix(reordered.qubit_names, rho.entries))
+    assert not qccs.congruent(left, stale)
 
 
 def test_extruded_restrictions_are_numbered_by_structure():
