@@ -730,6 +730,16 @@ class TokenStream:
             return self.next().text
         self.error(f"expected a name, found {tok.text or 'end of input'!r}")
 
+    def names(self, end: str | None = None) -> list[str]:
+        """A comma-separated list of names; empty where the token ``end``
+        comes first."""
+        if end is not None and self.peek().text == end:
+            return []
+        names = [self.name()]
+        while self.accept(","):
+            names.append(self.name())
+        return names
+
 
 def parse_coefficient_product(ts: TokenStream) -> complex:
     """One coefficient: rationals, decimals, sqrt(...), i, products and
@@ -830,9 +840,7 @@ def _parse_cqp_prefix(ts: TokenStream) -> Term:
         return Success()
     if tok.text == "{":
         ts.next()
-        qubits = [ts.name()]
-        while ts.accept(","):
-            qubits.append(ts.name())
+        qubits = ts.names()
         ts.expect("*=")
         gate = ts.name()
         ts.expect("}")
@@ -855,13 +863,9 @@ def _parse_cqp_prefix(ts: TokenStream) -> Term:
             var = ts.name()
             ts.expect(":=")
             ts.expect("measure")
-            qubits = [ts.name()]
-            while ts.accept(","):
-                qubits.append(ts.name())
+            qubits = ts.names()
             ts.expect(")")
             ts.expect(".")
-            if not qubits:
-                ts.error("measurement needs at least one qubit")
             return Measure(tuple(qubits), var, _parse_cqp_prefix(ts))
         ts.next()
         inner = parse_cqp_term(ts)
@@ -896,11 +900,7 @@ def parse_cqp(text: str) -> CqpPure:
     """Parse the .cqp format: qubit/state/channel header, then the process."""
     ts = TokenStream(text)
     ts.expect("qubits")
-    qubits: list[str] = []
-    if ts.peek().text != ";":
-        qubits.append(ts.name())
-        while ts.accept(","):
-            qubits.append(ts.name())
+    qubits = ts.names(";")
     ts.expect(";")
     ts.expect("state")
     amps = parse_amp_expr(ts, len(qubits))
@@ -910,11 +910,7 @@ def parse_cqp(text: str) -> CqpPure:
         ts.error(f"state amplitudes are not normalised (|psi|^2 = {norm2:.9f})")
     ts.expect(";")
     ts.expect("channels")
-    channels: list[str] = []
-    if ts.peek().text != ";":
-        channels.append(ts.name())
-        while ts.accept(","):
-            channels.append(ts.name())
+    channels = ts.names(";")
     ts.expect(";")
     ts.expect("process")
     term = parse_cqp_term(ts)

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import cqp, encode, qccs, quantum
+from . import cqp, encode, protocols, qccs, quantum
 from .errors import NoCloningViolation
 from .quantum import DEFAULT_TOL
 
@@ -191,6 +191,14 @@ class Lts:
     def complete(self) -> bool:
         return not self.truncated
 
+    @cached_property
+    def succ(self) -> list[list[tuple[str, int, bool]]]:
+        """Each state's outgoing edges as (label, dst, reduces-choice)."""
+        out: list[list[tuple[str, int, bool]]] = [[] for _ in self.states]
+        for src, label, dst, choice in self.edges:
+            out[src].append((label, dst, choice))
+        return out
+
     def path_to(self, i: int) -> list[str]:
         labels = []
         while self.parents[i] is not None:
@@ -239,28 +247,20 @@ def build_lts(initial, system: System, budget: Budget = Budget()) -> Lts:
 
 # -- reachability verdicts ------------------------------------------------------
 
-def _succ_map(lts: Lts) -> dict[int, list[tuple[str, int, bool]]]:
-    out: dict[int, list[tuple[str, int, bool]]] = {i: [] for i in range(len(lts.states))}
-    for src, label, dst, choice in lts.edges:
-        out[src].append((label, dst, choice))
-    return out
-
-
 def may_reach_success(lts: Lts) -> Verdict:
-    succ = _succ_map(lts)
     seen = {lts.initial}
     queue = deque([lts.initial])
     while queue:
         i = queue.popleft()
         if lts.barbs[i]:
             return _holds(**lts.stats())
-        for _, dst, _ in succ[i]:
+        for _, dst, _ in lts.succ[i]:
             if dst not in seen:
                 seen.add(dst)
                 queue.append(dst)
     if lts.truncated & seen:
         return _inconclusive("truncation", **lts.stats())
-    deadlocks = [i for i in seen if not succ[i]]
+    deadlocks = [i for i in seen if not lts.succ[i]]
     witness = lts.path_to(deadlocks[0]) if deadlocks else []
     return _fails(witness, **lts.stats())
 
@@ -269,7 +269,6 @@ def must_reach_success(lts: Lts) -> Verdict:
     """Every maximal finite path visits a success state.  Infinite paths are
     outside the quantifier, so barb-free cycles do not falsify the verdict;
     paths cut by the budget make it inconclusive."""
-    succ = _succ_map(lts)
     if lts.barbs[lts.initial]:
         return _holds(**lts.stats())
     seen = {lts.initial}
@@ -278,9 +277,9 @@ def must_reach_success(lts: Lts) -> Verdict:
         i = queue.popleft()
         if i in lts.truncated:
             return _inconclusive("truncation", **lts.stats())
-        if not succ[i]:
+        if not lts.succ[i]:
             return _fails(lts.path_to(i), **lts.stats())
-        for _, dst, _ in succ[i]:
+        for _, dst, _ in lts.succ[i]:
             if dst not in seen and not lts.barbs[dst]:
                 seen.add(dst)
                 queue.append(dst)
@@ -289,9 +288,8 @@ def must_reach_success(lts: Lts) -> Verdict:
 
 def detect_divergence(lts: Lts) -> Verdict:
     """Holds means: an infinite run exists (a reachable cycle)."""
-    succ = _succ_map(lts)
     color = {}  # 1 in progress, 2 done
-    stack = [(lts.initial, iter([d for _, d, _ in succ[lts.initial]]))]
+    stack = [(lts.initial, iter([d for _, d, _ in lts.succ[lts.initial]]))]
     color[lts.initial] = 1
     while stack:
         node, it = stack[-1]
@@ -301,7 +299,7 @@ def detect_divergence(lts: Lts) -> Verdict:
                 return _holds(cycle=True, **lts.stats())
             if nxt not in color:
                 color[nxt] = 1
-                stack.append((nxt, iter([d for _, d, _ in succ[nxt]])))
+                stack.append((nxt, iter([d for _, d, _ in lts.succ[nxt]])))
                 advanced = True
                 break
         if not advanced:
@@ -663,7 +661,6 @@ def check_soundness(inst: Instance) -> Verdict:
     for enc in inst.encoded:
         translations.add(enc)
 
-    succ = _succ_map(tgt_lts)
     translated = [translations.find(s) is not None for s in tgt_lts.states]
     unmatched = []
     for t_idx in range(len(tgt_lts.states)):
@@ -673,7 +670,7 @@ def check_soundness(inst: Instance) -> Verdict:
         found = translated[t_idx]
         while queue and not found:
             cur = queue.popleft()
-            for _, dst, choice in succ[cur]:
+            for _, dst, choice in tgt_lts.succ[cur]:
                 if choice and dst not in closure:
                     closure.add(dst)
                     if translated[dst]:
@@ -782,20 +779,13 @@ def run_instance_checks(
 # -- the separation suite ----------------------------------------------------------------
 
 def counterexample_suite(tol: float = DEFAULT_TOL) -> dict:
-    """Build the probe configuration on the four separating inputs, check
-    the probe matrices against their known values, and run the may/must
-    verdicts whose disagreement pattern the impossibility argument uses."""
+    """Run the bundled probe process (``counterexample.qccs``) from the
+    four separating inputs, check the probe matrices against their known
+    values, and run the may/must verdicts whose disagreement pattern the
+    impossibility argument uses."""
     sq2 = 1.0 / np.sqrt(2.0)
-    probe = quantum.amplitude_damping_probe(1.0)
-    table = {"Q": probe}
-    term = qccs.SuperOp(
-        qccs.CustomOp("Q"),
-        ("q",),
-        qccs.Choice(
-            qccs.IfThen(qccs.TraceNonzero(qccs.ProjectOp(0), ("q",)), qccs.Tau(qccs.Success())),
-            qccs.IfThen(qccs.TraceNonzero(qccs.ProjectOp(1), ("q",)), qccs.Tau(qccs.Nil())),
-        ),
-    )
+    _, config, table = qccs.parse_qccs(protocols.read("counterexample.qccs"))
+    probe, names = table["Q"], config.rho.qubit_names
     inputs = {
         "|0><0|": ([1, 0], [[1, 0], [0, 0]], ("holds", "holds")),
         "|1><1|": ([0, 1], [[-1, 0], [0, 2]], ("holds", "fails")),
@@ -805,10 +795,10 @@ def counterexample_suite(tol: float = DEFAULT_TOL) -> dict:
     rows = []
     all_ok = True
     for name, (amps, probe_matrix, (want_may, want_must)) in inputs.items():
-        rho = quantum.outer(quantum.StateVector(("q",), np.array(amps, dtype=complex)))
-        after = quantum.superop_apply(probe, ("q",), rho, tol)
+        rho = quantum.outer(quantum.StateVector(names, np.array(amps, dtype=complex)))
+        after = quantum.superop_apply(probe, names, rho, tol)
         matrix_ok = quantum.within_tol(after.entries, np.array(probe_matrix), tol)
-        lts = build_lts(qccs.QccsConfig(term, rho), qccs_system(table=table, tol=tol))
+        lts = build_lts(qccs.QccsConfig(config.term, rho), qccs_system(table=table, tol=tol))
         may = may_reach_success(lts)
         must = must_reach_success(lts)
         ok = matrix_ok and may.status == want_may and must.status == want_must

@@ -1,5 +1,7 @@
 """The qCCS calculus: terms over density-matrix states, well-formedness,
-and the labelled + reduction semantics.
+and the labelled + reduction semantics.  One stepper gives both: an input
+is late, so a reduction substitutes a qubit only where an output sends it,
+and only the labelled semantics lists an input once per receivable qubit.
 
 Terms apply super-operators to named qubit sets, so no permutation rule is
 needed; states are partial density operators.  The no-cloning conditions
@@ -474,14 +476,13 @@ class LOut:
 Label = LTau | LIn | LOut
 
 
-def cn(label: Label) -> frozenset[str]:
-    """The (possibly empty) set of channels in a label."""
-    match label:
-        case LTau():
-            return frozenset()
-        case LIn(c, _) | LOut(c, _):
-            return frozenset({c})
-    raise TypeError(f"not a label: {label!r}")
+@dataclass(frozen=True)
+class _LateIn:
+    """The label of an input whose qubit is not yet chosen: it may receive
+    any register qubit but those free in it or in a parallel sibling."""
+
+    chan: str
+    blocked: frozenset[str]
 
 
 def format_label(label: Label) -> str:
@@ -502,8 +503,24 @@ class QccsStep:
     reduces_choice: bool = False
 
 
+def _lift(step, wrap, blocked=frozenset()):
+    """A step of a subterm as a step of the term ``wrap`` puts it in; an
+    input also may not receive the ``blocked`` qubits."""
+    lab, t2, r2, ch = step
+    if isinstance(lab, _LateIn):
+        return _LateIn(lab.chan, lab.blocked | blocked), lambda q: wrap(t2(q)), r2, ch
+    return lab, wrap(t2), r2, ch
+
+
+def _meets(inp, out) -> bool:
+    """The late input ``inp`` may receive what the output ``out`` sends."""
+    return isinstance(inp, _LateIn) and isinstance(out, LOut) and inp.chan == out.chan and out.qubit not in inp.blocked
+
+
 def _term_steps(t, rho, defs, table, tol, unfolding):
-    """All labelled transitions of <t, rho> as (label, term', rho', choice-flag)."""
+    """All transitions of <t, rho> as (label, term', rho', choice-flag).  An
+    input is late: its label is a ``_LateIn`` and its term' a function of
+    the received qubit, so a qubit is substituted only where it is sent."""
     match t:
         case Nil() | Success():
             return []
@@ -517,13 +534,8 @@ def _term_steps(t, rho, defs, table, tol, unfolding):
                 return []  # an unguarded zero-probability branch cannot fire
             return [(LTau(), p, rho2, False)]
         case In(c, x, p):
-            blocked = free_qubits(t)
-            out = []
-            for q in rho.qubit_names:
-                if q not in blocked:
-                    # x is a qubit variable: a channel named x stays free
-                    out.append((LIn(c, q), _substitute(p, {}, {x: q}), rho, False))
-            return out
+            # x is a qubit variable: a channel named x stays free
+            return [(_LateIn(c, free_qubits(t)), lambda q: _substitute(p, {}, {x: q}), rho, False)]
         case Out(c, q, p):
             return [(LOut(c, q), p, rho, False)]
         case Choice(l, r):
@@ -533,32 +545,19 @@ def _term_steps(t, rho, defs, table, tol, unfolding):
         case Par(l, r):
             lefts = _term_steps(l, rho, defs, table, tol, unfolding)
             rights = _term_steps(r, rho, defs, table, tol, unfolding)
-            out = []
-            for lab, t2, r2, ch in lefts:
-                if isinstance(lab, LIn) and lab.qubit in free_qubits(r):
-                    continue
-                out.append((lab, Par(t2, r), r2, ch))
-            for lab, t2, r2, ch in rights:
-                if isinstance(lab, LIn) and lab.qubit in free_qubits(l):
-                    continue
-                out.append((lab, Par(l, t2), r2, ch))
-            for lab1, t1, _, ch1 in lefts:
-                for lab2, t2, _, ch2 in rights:
-                    if isinstance(lab1, LIn) and isinstance(lab2, LOut):
-                        if (lab1.chan, lab1.qubit) == (lab2.chan, lab2.qubit):
-                            out.append((LTau(), Par(t1, t2), rho, ch1 or ch2))
-                    if isinstance(lab1, LOut) and isinstance(lab2, LIn):
-                        if (lab1.chan, lab1.qubit) == (lab2.chan, lab2.qubit):
-                            out.append((LTau(), Par(t1, t2), rho, ch1 or ch2))
+            out = [_lift(s, lambda u: Par(u, r), free_qubits(r)) for s in lefts]
+            out += [_lift(s, lambda u: Par(l, u), free_qubits(l)) for s in rights]
+            for lab, t1, _, ch1 in lefts:
+                met = [(lab2, t2, ch2) for lab2, t2, _, ch2 in rights if _meets(lab, lab2) or _meets(lab2, lab)]
+                if isinstance(lab, _LateIn):  # the early order: by the sent qubit's place in the register
+                    met.sort(key=lambda m: rho.qubit_names.index(m[0].qubit))
+                for lab2, t2, ch2 in met:
+                    pair = Par(t1, t2(lab.qubit)) if isinstance(lab, LOut) else Par(t1(lab2.qubit), t2)
+                    out.append((LTau(), pair, rho, ch1 or ch2))
             return out
         case Restrict(p, chans):
-            scope = set(chans)
-            out = []
-            for lab, t2, r2, ch in _term_steps(p, rho, defs, table, tol, unfolding):
-                if cn(lab) & scope:
-                    continue
-                out.append((lab, Restrict(t2, chans), r2, ch))
-            return out
+            inner = _term_steps(p, rho, defs, table, tol, unfolding)
+            return [_lift(s, lambda u: Restrict(u, chans)) for s in inner if getattr(s[0], "chan", None) not in chans]
         case IfThen(b, p):
             if not eval_bool(b, rho, table, tol):
                 return []
@@ -582,8 +581,15 @@ def lts_steps(
     table: Mapping[str, SuperOperator] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> list[QccsStep]:
-    raw = _term_steps(config.term, config.rho, defs or {}, table or {}, tol, frozenset())
-    return [QccsStep(lab, QccsConfig(t2, r2), ch) for lab, t2, r2, ch in raw]
+    """The early labelled semantics: an input once per qubit it may receive."""
+    out = []
+    for lab, t2, r2, ch in _term_steps(config.term, config.rho, defs or {}, table or {}, tol, frozenset()):
+        if isinstance(lab, _LateIn):
+            received = [q for q in r2.qubit_names if q not in lab.blocked]
+            out += [QccsStep(LIn(lab.chan, q), QccsConfig(t2(q), r2), ch) for q in received]
+        else:
+            out.append(QccsStep(lab, QccsConfig(t2, r2), ch))
+    return out
 
 
 def reduce_steps(
@@ -592,8 +598,9 @@ def reduce_steps(
     table: Mapping[str, SuperOperator] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> list[QccsStep]:
-    """The tau-labelled subset: the reduction semantics."""
-    return [s for s in lts_steps(config, defs, table, tol) if isinstance(s.label, LTau)]
+    """The reduction semantics: the tau steps, with no input expanded."""
+    raw = _term_steps(config.term, config.rho, defs or {}, table or {}, tol, frozenset())
+    return [QccsStep(lab, QccsConfig(t2, r2), ch) for lab, t2, r2, ch in raw if isinstance(lab, LTau)]
 
 
 def has_success_barb(config: QccsConfig, defs: ProcessDefs | None = None) -> bool:
@@ -623,14 +630,17 @@ def has_success_barb(config: QccsConfig, defs: ProcessDefs | None = None) -> boo
 # -- structural congruence ----------------------------------------------------------
 
 def _node(t: Term | BoolExpr) -> tuple:
-    """The term, or guard, as a node of the shared congruence signature pass."""
+    """The term, or guard, as a node of the shared congruence signature
+    pass.  A channel name reads with a leading "@", so channels and qubits
+    are two namespaces there too: an input binds no channel, a restriction
+    no qubit."""
     match t:
         case Nil():
             return canon.UNIT
         case Par(l, r):
             return (canon.PAR, l, r)
         case Restrict(p, chans):
-            return (canon.RES, tuple(sorted(set(chans) & free_channels(p))), p)
+            return (canon.RES, tuple(sorted("@" + c for c in set(chans) & free_channels(p))), p)
         case Success():
             return ("ok", (), (), ())
         case Tau(p):
@@ -638,9 +648,9 @@ def _node(t: Term | BoolExpr) -> tuple:
         case SuperOp(op, qs, p):
             return ("so:" + format_op(op, ()), qs, (), (p,))
         case In(c, x, p):
-            return ("in", (c,), (x,), (p,))
+            return ("in", ("@" + c,), (x,), (p,))
         case Out(c, q, p):
-            return ("out", (c, q), (), (p,))
+            return ("out", ("@" + c, q), (), (p,))
         case Choice(l, r):
             return ("+", (), (), (l, r))
         case IfThen(b, p):
@@ -755,13 +765,6 @@ def factor_measurement_choices(t: Term) -> Term:
 
 # -- concrete syntax ------------------------------------------------------------------
 
-def _parse_names(ts: TokenStream) -> list[str]:
-    names = [ts.name()]
-    while ts.accept(","):
-        names.append(ts.name())
-    return names
-
-
 def _parse_opref(ts: TokenStream) -> tuple[OpRef, tuple[str, ...]]:
     tok = ts.peek()
     if tok.text == "E" and ts.peek(1).text == "{":
@@ -784,9 +787,7 @@ def _parse_opref(ts: TokenStream) -> tuple[OpRef, tuple[str, ...]]:
 
 def _parse_bracket_args(ts: TokenStream) -> tuple[str, ...]:
     ts.expect("[")
-    args: list[str] = []
-    if ts.peek().text != "]":
-        args = _parse_names(ts)
+    args = ts.names("]")
     ts.expect("]")
     return tuple(args)
 
@@ -845,9 +846,7 @@ def _parse_atom(ts: TokenStream) -> Term:
         if nxt == "(":
             name = ts.name()
             ts.expect("(")
-            args: list[str] = []
-            if ts.peek().text != ")":
-                args = _parse_names(ts)
+            args = ts.names(")")
             ts.expect(")")
             return ConstCall(name, tuple(args))
         if nxt == "[" or (tok.text == "E" and nxt == "{"):
@@ -861,9 +860,7 @@ def _parse_item(ts: TokenStream) -> Term:
     term = _parse_atom(ts)
     while ts.accept("\\"):
         ts.expect("{")
-        chans: list[str] = []
-        if ts.peek().text != "}":
-            chans = _parse_names(ts)
+        chans = ts.names("}")
         ts.expect("}")
         term = Restrict(term, tuple(chans))
     return term
@@ -973,17 +970,13 @@ def parse_qccs(text: str):
             ts.expect("def")
             name = ts.name()
             ts.expect("(")
-            params: list[str] = []
-            if ts.peek().text != ")":
-                params = _parse_names(ts)
+            params = ts.names(")")
             ts.expect(")")
             ts.expect("=")
             defs[name] = (tuple(params), parse_term(ts))
     ts.expect("state")
     ts.expect("qubits")
-    names: list[str] = []
-    if ts.peek().text != ";":
-        names = _parse_names(ts)
+    names = ts.names(";")
     ts.expect(";")
     ts.expect("rho")
     ts.expect("=")

@@ -123,6 +123,19 @@ def test_check_reports_match_run_instance_checks(capsys, name, seed):
         assert (payload["verdict"], payload["stats"]) == (expected[key].status, expected[key].stats), which
 
 
+def test_success_verdicts_do_not_depend_on_the_order_of_congruent_looking_branches(capsys, tmp_path):
+    # the two branches differ only in whether the received name is also
+    # the channel sent on; the input binds a qubit, so they are not
+    # congruent, and whichever is explored first may not stand for the other
+    branches = ["tau.(c?x.x!r.nil | x?z.ok | c!q.nil)", "tau.(c?y.y!r.nil | x?z.ok | c!q.nil)"]
+    for order in (branches, branches[::-1]):
+        src = tmp_path / "order.qccs"
+        src.write_text(f"state qubits q, r ; rho = outer(|00>) ; process {order[0]} + {order[1]}\n")
+        code, out, _ = run_cli(capsys, "check", str(src), "--which", "success", "--format", "json")
+        stats = json.loads(out)["stats"]
+        assert (code, stats["may"], stats["must"]) == (0, "holds", "fails")
+
+
 def test_counterexample_table(capsys):
     code, out, _ = run_cli(capsys, "counterexample")
     assert code == 0

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc import cqp, protocols, quantum
+from qproc import cqp, protocols, qccs, quantum
 from qproc.cqp import (
     CqpDist,
     CqpPure,
@@ -84,6 +86,30 @@ def test_parse_errors_carry_position():
         cqp.parse_cqp("qubits q ; state |0> + |1> ; channels ; process 0")  # not normalised
     with pytest.raises(ParseError):
         cqp.parse_cqp("qubits q ; state |00> ; channels ; process 0")  # wrong ket width
+
+
+def test_name_lists_share_one_grammar_and_its_errors():
+    head = "qubits q ; state |0> ; channels c ; process "
+    assert cqp.parse_cqp("qubits ; state |> ; channels ; process 0").phi == ()
+    assert cqp.parse_cqp(head + "{q *= H}.0").term == Trans(("q",), "H", Nil())
+    cases = {
+        head + "{ *= H}.0": "1:47: expected a name, found '*='",
+        head + "(m := measure ).0": "1:59: expected a name, found ')'",
+        head + "(m := measure q,).0": "1:61: expected a name, found ')'",
+        "qubits q, ; state |0> ; channels ; process 0": "1:11: expected a name, found ';'",
+        "qubits q ; state |0> ; channels c, ; process 0": "1:36: expected a name, found ';'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            cqp.parse_cqp(text)
+    qccs_cases = {
+        "state qubits q, ; rho = outer(|0>) ; process nil": "1:17: expected a name, found ';'",
+        "state qubits q ; rho = outer(|0>) ; process X[q,].nil": "1:49: expected a name, found ']'",
+        "state qubits q ; rho = outer(|0>) ; process nil \\ {c,}": "1:54: expected a name, found '}'",
+    }
+    for text, message in qccs_cases.items():
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            qccs.parse_qccs(text)
 
 
 def test_parse_rejects_undeclared_names():

@@ -21,16 +21,9 @@ def teleport():
 
 
 def probe_config(amps):
-    rho = quantum.outer(quantum.StateVector(("q",), np.array(amps, dtype=complex)))
-    term = qccs.SuperOp(
-        qccs.CustomOp("Q"),
-        ("q",),
-        qccs.Choice(
-            qccs.IfThen(qccs.TraceNonzero(qccs.ProjectOp(0), ("q",)), qccs.Tau(qccs.Success())),
-            qccs.IfThen(qccs.TraceNonzero(qccs.ProjectOp(1), ("q",)), qccs.Tau(qccs.Nil())),
-        ),
-    )
-    return qccs.QccsConfig(term, rho)
+    """The bundled probe process, started from the state ``amps`` of q."""
+    _, config, _ = qccs.parse_qccs(protocols.read("counterexample.qccs"))
+    return qccs.QccsConfig(config.term, quantum.outer(quantum.StateVector(("q",), np.array(amps, dtype=complex))))
 
 
 PROBE_TABLE = {"Q": quantum.amplitude_damping_probe(1.0)}
@@ -130,6 +123,13 @@ def test_must_ignores_barb_free_cycles():
     assert criteria.detect_divergence(lts).holds
 
 
+def test_successor_table_is_built_once_from_the_edges():
+    lts = build_lts(teleport(), cqp_system(), BUDGET)
+    assert lts.succ is lts.succ
+    assert len(lts.succ) == len(lts.states)
+    assert [(src, *edge) for src, row in enumerate(lts.succ) for edge in row] == sorted(lts.edges, key=lambda e: e[0])
+
+
 def test_divergence_detection():
     defs = {"A": (("x",), qccs.Tau(qccs.ConstCall("A", ("x",))))}
     config = qccs.QccsConfig(
@@ -166,8 +166,11 @@ def test_counterexample_suite_report():
 
 def test_counterexample_suite_checks_probe_matrices_to_tolerance(monkeypatch):
     # A probe off by ~1e-6 must fail at tol 1e-9; np.allclose's default rtol would pass it.
-    probe = quantum.amplitude_damping_probe
-    monkeypatch.setattr(quantum, "amplitude_damping_probe", lambda p=1.0: probe(1.0 + 1e-6))
+    # Both Kraus terms are scaled as by damping 1 + 1e-6, so the trace stays 1.
+    text = protocols.read("counterexample.qccs")
+    perturbed = text.replace("sqrt(2)", "sqrt(2.000001)").replace("[[0, 1]", "[[0, sqrt(1.000001)]")
+    assert perturbed.count("000001") == 2
+    monkeypatch.setattr(protocols, "read", lambda name: perturbed)
     rows = {row["input"]: row for row in criteria.counterexample_suite(1e-9)["rows"]}
     assert rows["|0><0|"]["probe_matrix_ok"]
     assert not rows["|1><1|"]["probe_matrix_ok"]

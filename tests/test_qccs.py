@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qproc import protocols, qccs, quantum
+from qproc import cqp, protocols, qccs, quantum
 from qproc.criteria import Budget, build_lts, gen_config, qccs_system
 from qproc.encode import encode_config
 from qproc.errors import (
@@ -323,6 +323,130 @@ def test_reduce_steps_are_tau_only():
     assert all(s.label == LTau() for s in reduced)
 
 
+# -- the late-input stepper against the early one -----------------------------------
+
+def _early_steps(t, rho, defs, table, tol, unfolding):
+    """The early labelled semantics, written directly: every input is
+    substituted once per register qubit it may receive at every level."""
+
+    def steps(p, unfolding=unfolding):
+        return _early_steps(p, rho, defs, table, tol, unfolding)
+
+    match t:
+        case Nil() | Success():
+            return []
+        case Tau(p):
+            return [(LTau(), p, rho, False)]
+        case SuperOp(op, qs, p):
+            try:
+                rho2 = quantum.superop_apply(qccs.resolve_op(op, len(qs), table), qs, rho, tol)
+            except qccs.ZeroBranch:
+                return []
+            return [(LTau(), p, rho2, False)]
+        case In(c, x, p):
+            blocked = qccs.free_qubits(t)
+            received = [q for q in rho.qubit_names if q not in blocked]
+            return [(LIn(c, q), qccs._substitute(p, {}, {x: q}), rho, False) for q in received]
+        case Out(c, q, p):
+            return [(LOut(c, q), p, rho, False)]
+        case Choice(l, r):
+            return [(lab, t2, r2, True) for lab, t2, r2, _ in steps(l) + steps(r)]
+        case Par(l, r):
+            lefts, rights = steps(l), steps(r)
+            out = [(lab, Par(t2, r), r2, ch) for lab, t2, r2, ch in lefts
+                   if not (isinstance(lab, LIn) and lab.qubit in qccs.free_qubits(r))]
+            out += [(lab, Par(l, t2), r2, ch) for lab, t2, r2, ch in rights
+                    if not (isinstance(lab, LIn) and lab.qubit in qccs.free_qubits(l))]
+            for lab1, t1, _, ch1 in lefts:
+                for lab2, t2, _, ch2 in rights:
+                    if {type(lab1), type(lab2)} == {LIn, LOut} and (lab1.chan, lab1.qubit) == (lab2.chan, lab2.qubit):
+                        out.append((LTau(), Par(t1, t2), rho, ch1 or ch2))
+            return out
+        case Restrict(p, chans):
+            return [(lab, Restrict(t2, chans), r2, ch) for lab, t2, r2, ch in steps(p)
+                    if getattr(lab, "chan", None) not in chans]
+        case IfThen(b, p):
+            return steps(p) if qccs.eval_bool(b, rho, table, tol) else []
+        case ConstCall(name, args):
+            if name in unfolding:
+                return []
+            params, body = defs[name]
+            return steps(qccs.substitute(body, dict(zip(params, args))), unfolding | {name})
+    raise TypeError(t)
+
+
+def _same_steps(config, defs=None, table=None):
+    """``lts_steps`` and ``reduce_steps`` list exactly the early steps:
+    labels, order, terms, rho bytes and choice flags."""
+    early = _early_steps(config.term, config.rho, defs or {}, table or {}, quantum.DEFAULT_TOL, frozenset())
+    want = [(lab, t2, r2.qubit_names, r2.entries.tobytes(), ch) for lab, t2, r2, ch in early]
+
+    def got(steps):
+        return [
+            (s.label, s.next.term, s.next.rho.qubit_names, s.next.rho.entries.tobytes(), s.reduces_choice)
+            for s in steps
+        ]
+
+    assert got(qccs.lts_steps(config, defs, table)) == want
+    assert got(qccs.reduce_steps(config, defs, table)) == [w for w in want if w[0] == LTau()]
+    return want
+
+
+def _explored(config, defs=None, table=None, budget=Budget(16, 200)):
+    return build_lts(config, qccs_system(defs, table, labelled=True), budget).states
+
+
+def test_steps_match_the_early_semantics_on_generated_configurations():
+    for seed in range(100):
+        for state in _explored(encode_config(gen_config(seed))):
+            _same_steps(state)
+
+
+def test_steps_match_the_early_semantics_on_the_bundled_protocols():
+    for name in ("teleport-encoded.qccs", "counterexample.qccs"):
+        defs, config, table = qccs.parse_qccs(protocols.read(name))
+        for state in _explored(config, defs, table):
+            _same_steps(state, defs, table)
+    for name in ("teleport.cqp", "measurement.cqp"):
+        for state in _explored(encode_config(cqp.parse_cqp(protocols.read(name)))):
+            _same_steps(state)
+
+
+def test_input_is_blocked_by_a_sibling_using_the_qubit_under_a_guard():
+    guarded = IfThen(BTrue(), In("d", "y", SuperOp(GateOp("X"), ("q",), Nil())))
+    term = Par(Par(In("c", "x", Success()), guarded), Out("c", "q", Nil()))
+    steps = _same_steps(cfg(term, names=("q", "p"), amps=(1, 0, 0, 0)))
+    assert [lab for lab, *_ in steps] == [LIn("c", "p"), LIn("d", "p"), LOut("c", "q")]
+
+
+def test_choice_sibling_does_not_block_an_input():
+    term = Par(Choice(In("c", "x", Success()), Tau(SuperOp(GateOp("X"), ("q",), Nil()))), Out("c", "q", Nil()))
+    steps = _same_steps(cfg(term, names=("q", "p"), amps=(1, 0, 0, 0)))
+    assert [(lab, ch) for lab, _, _, _, ch in steps if lab == LTau()] == [(LTau(), True), (LTau(), True)]
+
+
+def test_restricted_channel_keeps_its_communication_and_hides_its_input():
+    inner = Par(Par(In("c", "x", Success()), Out("c", "q", Nil())), In("d", "y", Nil()))
+    steps = _same_steps(cfg(Restrict(inner, ("c",)), names=("q", "p"), amps=(1, 0, 0, 0)))
+    assert [lab for lab, *_ in steps] == [LTau(), LIn("d", "p")]
+
+
+def test_constant_unfolding_to_an_input_receives_like_the_input():
+    defs = {"A": (("y",), In("c", "x", SuperOp(GateOp("CNOT"), ("x", "y"), Nil())))}
+    term = Par(ConstCall("A", ("q",)), Out("c", "p", Nil()))
+    steps = _same_steps(cfg(term, names=("q", "p"), amps=(1, 0, 0, 0)), defs)
+    assert [lab for lab, *_ in steps] == [LOut("c", "p"), LTau()]
+
+
+def test_one_input_meets_its_outputs_in_register_order():
+    # the outputs are listed q1 first, but the early semantics offers the
+    # input q0 first, so its communication with q0 comes first
+    term = Par(In("c", "x", SuperOp(GateOp("X"), ("x",), Nil())), Par(Out("c", "q1", Nil()), Out("c", "q0", Nil())))
+    steps = _same_steps(cfg(term, names=("q0", "q1"), amps=(1, 0, 0, 0)))
+    taus = [t2 for lab, t2, *_ in steps if lab == LTau()]
+    assert [t.left.qubits for t in taus] == [("q0",), ("q1",)]
+
+
 # -- barbs ---------------------------------------------------------------------
 
 def test_barbs():
@@ -404,6 +528,18 @@ def test_register_is_a_set_of_named_qubits():
     # the names reordered but rho left as it was is another state
     stale = QccsConfig(term, quantum.DensityMatrix(reordered.qubit_names, rho.entries))
     assert not qccs.congruent(left, stale)
+
+
+def test_binders_bind_one_sort_of_name_in_congruence():
+    # an input binds a qubit and a restriction binds channels, as in
+    # substitution and in the free names
+    def same(t1, t2):
+        return qccs.congruent(cfg(t1), cfg(t2))
+
+    assert not same(In("c", "x", Out("x", "q", Nil())), In("c", "y", Out("y", "q", Nil())))
+    assert same(In("c", "x", Out("x", "q", Nil())), In("c", "y", Out("x", "q", Nil())))
+    assert not same(Restrict(Out("c", "c", Nil()), ("c",)), Restrict(Out("d", "d", Nil()), ("d",)))
+    assert same(Restrict(Out("c", "c", Nil()), ("c",)), Restrict(Out("d", "c", Nil()), ("d",)))
 
 
 def test_extruded_restrictions_are_numbered_by_structure():
