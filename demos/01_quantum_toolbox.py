@@ -1,7 +1,7 @@
 """Tour of the named-register linear algebra toolbox.
 
 State vectors and density matrices carry qubit *names*; operators are
-applied to named targets and the library permutes behind the scenes.
+applied to named targets, and the register keeps its order.
 """
 
 import numpy as np
@@ -15,15 +15,17 @@ SQ2 = 1 / np.sqrt(2)
 psi = quantum.StateVector(("alice", "bob"), [SQ2, 0, 0, SQ2])
 print("an entangled pair:", psi)
 
-# Gates apply to the leading qubits; addressing by name goes through the
-# super-operator layer below.
-plus = quantum.apply_unitary_prefix(quantum.GATES["H"], quantum.StateVector(("q",), [1, 0]))
+plus = quantum.apply_unitary(quantum.GATES["H"], quantum.StateVector(("q",), [1, 0]), ("q",))
 print("H|0> =", np.round(plus.amps, 6))
+
+# A gate names its operands in order: CNOT with bob as control.
+flipped_pair = quantum.apply_unitary(quantum.GATES["CNOT"], psi, ("bob", "alice"))
+print("CNOT[bob, alice] on the pair:", np.round(flipped_pair.amps, 6))
 
 # -- measurement --------------------------------------------------------------
 
-print("\nmeasuring the first qubit of the pair:")
-for outcome in quantum.measure_prefix(psi, 1):
+print("\nmeasuring bob:")
+for outcome in quantum.measure(psi, ("bob",)):
     print(f"  result {outcome.result}: p = {outcome.probability:.3f}, post = {np.round(outcome.post_state.amps, 3)}")
 
 # -- density matrices and super-operators -------------------------------------

@@ -6,11 +6,13 @@ distribution that stores the shared continuation once, with the measured
 variable unsubstituted; the branch rule materialises the instantiated
 term on demand.
 
-Gate and measurement rules act on the leading register qubits, so the
-step enumerator synthesises register permutations on demand: exactly the
-reorderings that front the operands of an enabled gate or measurement.
-Permutations never rename the term; qubit references are by name and a
-reorder leaves them attached to the same qubits.
+Gates and measurements act on their operands by name, so the register
+order never changes: only the qubit rule changes the register, and it
+appends.  A gate step is the paper's R-Perm[pi]; R-Trans[g]; R-Perm[pi^-1]
+taken as one step, the permutations fronting the operands and putting
+them back, and a measurement step is the same with R-Measure.  Their
+labels stay R-Trans[g] and R-Measure; no bare R-Perm is offered, as the
+translation emulates R-Perm by no qCCS step.
 """
 
 from __future__ import annotations
@@ -117,26 +119,28 @@ class CqpPure:
 
 @dataclass(frozen=True, eq=False)
 class CqpDist:
-    """Probability distribution after measuring the leading r qubits.
+    """Probability distribution after measuring the named qubits ``measured``.
 
-    ``cases[i]`` is (p_i, sigma_i); the shared term keeps ``var`` free and
-    case i reads term{i/var}.  All 2**r cases are stored, including the
-    zero-probability ones, which the branch rule skips.
+    ``cases[i]`` is (p_i, sigma_i), outcome i reading the bits of
+    ``measured`` in order; the shared term keeps ``var`` free and case i
+    reads term{i/var}.  All 2**r cases are stored, r = len(measured),
+    including the zero-probability ones, which the branch rule skips.
     """
 
     cases: tuple[tuple[float, StateVector], ...]
     var: str
-    r: int
+    measured: tuple[str, ...]
     phi: tuple[str, ...]
     term: Term
 
     def __post_init__(self):
         object.__setattr__(self, "phi", tuple(self.phi))
+        object.__setattr__(self, "measured", tuple(self.measured))
         object.__setattr__(self, "cases", tuple((float(p), s) for p, s in self.cases))
-        if self.r <= 0:
-            raise InvalidOutcome("distributions need r > 0; r = 0 is the pure configuration")
-        if len(self.cases) != 2 ** self.r:
-            raise InvalidOutcome(f"expected {2 ** self.r} cases, got {len(self.cases)}")
+        if not self.measured:
+            raise InvalidOutcome("distributions measure a qubit; measuring none is the pure configuration")
+        if len(self.cases) != 2 ** len(self.measured):
+            raise InvalidOutcome(f"expected {2 ** len(self.measured)} cases, got {len(self.cases)}")
         total = sum(p for p, _ in self.cases)
         if abs(total - 1.0) > 1e-6:
             raise InvalidOutcome(f"branch probabilities sum to {total}")
@@ -254,8 +258,8 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
     Parallel unit/commutativity/associativity and alpha conversion on
     binders; quantum states compared entrywise within tol.  The registers
     must name the same qubits in the same order: renaming a qubit is the
-    paper's qubit-name invariance, not congruence, and reordering the
-    register is the step R-Perm, which fronts a gate's operands.  The
+    paper's qubit-name invariance, not congruence, and no step reorders
+    the register, so the states of one exploration share its order.  The
     channel lists are compared as multisets: no rule reads their order
     (R-New tests membership, and the translation restricts by the list as
     one group), so two orders of the same channel creations are one state.
@@ -271,7 +275,7 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(c1, CqpPure):
         if not quantum.within_tol(c1.sigma.amps, c2.sigma.amps, tol):
             return False
-    elif c1.r != c2.r or len(c1.cases) != len(c2.cases) or not all(
+    elif c1.measured != c2.measured or not all(
         abs(p1 - p2) <= tol and quantum.within_tol(s1.amps, s2.amps, tol)
         for (p1, s1), (p2, s2) in zip(c1.cases, c2.cases)
     ):
@@ -281,7 +285,7 @@ def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
 
 def canonical_key(config: CqpConfig) -> str:
     """Hash key modulo congruence: the register names in order, the channel
-    list sorted, the shape of a distribution and the term signature.
+    list sorted, a distribution's measured qubits and the term signature.
     Congruent configurations share it; ``congruent`` decides the amplitudes
     and probabilities."""
     cached = getattr(config, "_key", None)
@@ -292,7 +296,7 @@ def canonical_key(config: CqpConfig) -> str:
     if isinstance(config, CqpPure):
         cached = f"P{names}|{phi}|{_signature(config)}"
     else:
-        cached = f"D{names}|{config.r}|{len(config.cases)}|{phi}|{_signature(config)}"
+        cached = f"D{names}|{','.join(config.measured)}|{phi}|{_signature(config)}"
     object.__setattr__(config, "_key", cached)
     return cached
 
@@ -447,13 +451,10 @@ class CqpStep:
     rule: str
     next: CqpConfig
     gate: str | None = None
-    perm: tuple[int, ...] | None = None
     branch: int | None = None
     channel: str | None = None
 
     def label(self) -> str:
-        if self.rule == "R-Perm":
-            return f"R-Perm{list(self.perm)}"
         if self.rule == "R-Prob":
             return f"R-Prob({self.branch})"
         if self.rule == "R-Trans":
@@ -489,31 +490,10 @@ def fresh_channel(taken: Iterable[str]) -> str:
     return f"#ch{k}"
 
 
-def fronting_perm(names: Sequence[str], operands: Sequence[str]) -> tuple[int, ...]:
-    """Register order that moves ``operands`` (in order) to the front and
-    keeps the remaining qubits in their current relative order."""
-    front = [names.index(q) for q in operands]
-    return tuple(front + [i for i in range(len(names)) if i not in front])
-
-
-def apply_perm(config: CqpPure, perm: Sequence[int]) -> CqpStep:
-    """An explicit permutation step; always a legal rule application."""
-    sigma = quantum.permute_state(config.sigma, perm)
-    return CqpStep("R-Perm", CqpPure(sigma, config.phi, config.term), perm=tuple(perm))
-
-
-def restore_perm(config: CqpPure, target_names: Sequence[str]) -> CqpStep:
-    perm = tuple(config.sigma.qubit_names.index(n) for n in target_names)
-    return apply_perm(config, perm)
-
-
 def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep]:
     """All derivable steps, modulo structural congruence on the term.
-
-    The enumeration offers exactly the permutation steps that front the
-    operands of an enabled gate or measurement whose operands do not
-    already lead the register.
-    """
+    Gates and measurements act on their named operands (module docstring),
+    so no step reorders the register."""
     if isinstance(config, CqpDist):
         steps = []
         for j, (p, sigma_j) in enumerate(config.cases):
@@ -525,7 +505,6 @@ def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep
     sigma, phi, term = config.sigma, config.phi, config.term
     names = sigma.qubit_names
     steps: list[CqpStep] = []
-    needed_orders: dict[tuple[str, ...], tuple[int, ...]] = {}
     outs: list[tuple[tuple[int, ...], Out]] = []
     ins: list[tuple[tuple[int, ...], In]] = []
 
@@ -551,15 +530,13 @@ def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep
                 steps.append(CqpStep("R-Qbit", nxt))
             case Trans(_, g, _) if g not in GATES:
                 raise UnknownName(f"unknown gate {g!r}")
-            case Trans(qs, _, _) | Measure(qs, _, _) if qs != names[: len(qs)]:
-                if set(qs) <= set(names):
-                    order = tuple(qs) + tuple(n for n in names if n not in qs)
-                    needed_orders.setdefault(order, fronting_perm(names, qs))
+            case Trans(qs, _, _) | Measure(qs, _, _) if not set(qs) <= set(names):
+                pass  # an operand outside the register: an ill-typed source
             case Trans(qs, g, p):
-                sigma2 = quantum.apply_unitary_prefix(GATES[g], sigma)
+                sigma2 = quantum.apply_unitary(GATES[g], sigma, qs)
                 steps.append(CqpStep("R-Trans", CqpPure(sigma2, phi, _replace(term, path, p)), gate=g))
             case Measure(qs, x, p):
-                outcomes = quantum.measure_prefix(sigma, len(qs), tol)
+                outcomes = quantum.measure(sigma, qs, tol)
                 rest = free_names(_replace(term, path, Nil()))
                 var = x
                 cont = p
@@ -570,7 +547,7 @@ def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep
                 dist = CqpDist(
                     tuple((o.probability, o.post_state) for o in outcomes),
                     var,
-                    len(qs),
+                    qs,
                     phi,
                     shared,
                 )
@@ -583,9 +560,6 @@ def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep
             new = _replace(term, opath, onode.cont)
             new = _replace(new, ipath, substitute(inode.cont, {inode.var: onode.qubit}))
             steps.append(CqpStep("R-Comm", CqpPure(sigma, phi, new), channel=onode.chan))
-
-    for order in sorted(needed_orders):
-        steps.append(apply_perm(config, needed_orders[order]))
     return steps
 
 
@@ -604,50 +578,22 @@ def run(
     tol: float = DEFAULT_TOL,
 ) -> RunResult:
     """Seeded execution.  ``script`` resolves distribution branches by
-    outcome value; other nondeterminism is uniform in the seed.  After an
-    on-demand fronting permutation the enabled operation fires next and the
-    inverse permutation is replayed afterwards, so traces end in the
-    original register order."""
+    outcome value; other nondeterminism is uniform in the seed."""
     rng = random.Random(seed)
     pending = list(script or ())
     trace: list[CqpStep] = []
     cur = config
-    restore_to: tuple[str, ...] | None = None
-    after_perm = False
     while len(trace) < max_steps:
-        if restore_to is not None and isinstance(cur, CqpPure) and not after_perm:
-            if cur.sigma.qubit_names == restore_to:
-                restore_to = None
-            elif set(cur.sigma.qubit_names) == set(restore_to):
-                step = restore_perm(cur, restore_to)
-                trace.append(step)
-                cur = step.next
-                restore_to = None
-                continue
-            else:
-                restore_to = None
         steps = enumerate_steps(cur, tol)
         if not steps:
             return RunResult(trace, cur, False)
-        chosen = None
         if isinstance(cur, CqpDist) and pending:
             j = pending.pop(0)
-            for s in steps:
-                if s.branch == j:
-                    chosen = s
-                    break
+            chosen = next((s for s in steps if s.branch == j), None)
             if chosen is None:
                 raise InvalidOutcome(f"scripted branch {j} has zero probability")
-        elif after_perm:
-            for s in steps:
-                if s.rule in ("R-Trans", "R-Measure"):
-                    chosen = s
-                    break
-        if chosen is None:
+        else:
             chosen = steps[rng.randrange(len(steps))]
-        if chosen.rule == "R-Perm" and restore_to is None:
-            restore_to = cur.sigma.qubit_names
-        after_perm = chosen.rule == "R-Perm"
         trace.append(chosen)
         cur = chosen.next
     return RunResult(trace, cur, bool(enumerate_steps(cur, tol)))
@@ -774,7 +720,10 @@ def parse_coefficient_product(ts: TokenStream) -> complex:
     value = atom()
     while multiplies():
         op = ts.next().text
+        tok = ts.peek()
         rhs = atom()
+        if op == "/" and rhs == 0:
+            raise ParseError("division by zero in a coefficient", tok.line, tok.column)
         value = value * rhs if op == "*" else value / rhs
     return value
 

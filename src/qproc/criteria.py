@@ -464,7 +464,8 @@ def rename_source(config: cqp.CqpConfig, gamma: dict) -> cqp.CqpConfig:
     if isinstance(config, cqp.CqpPure):
         return cqp.CqpPure(rename(config.sigma), phi, term)
     cases = tuple((p, rename(s)) for p, s in config.cases)
-    return cqp.CqpDist(cases, config.var, config.r, phi, term)
+    measured = tuple(gamma.get(q, q) for q in config.measured)
+    return cqp.CqpDist(cases, config.var, measured, phi, term)
 
 
 def rename_target(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfig:
@@ -581,25 +582,22 @@ class Instance:
     def completeness(self) -> Verdict:
         """Match every explored source step with one target step.
 
-        A permutation step is emulated by doing nothing: it is matched by
-        its source's translation itself, which a qCCS register reorder
-        leaves congruent.  Any other step is matched by the first target
-        reduction of its source's translation that is congruent to the
-        translation of its successor, or failing that, by the first of
-        equal register size that is congruent to it once both are factored
-        by the measurement-choice law (module docstring).  A step that
-        neither matches fails the check, so every edge is decided on the
-        translations' terms and states alike.  The stats count the edges
-        matched (``matched_edges``) and those the law matched
-        (``law_matches``)."""
+        The source offers no step that the translation emulates by doing
+        nothing: gates and measurements act on their named operands, so no
+        bare register permutation is a step (``cqp``).  Each step is
+        matched by the first target reduction of its source's translation
+        that is congruent to the translation of its successor, or failing
+        that, by the first of equal register size that is congruent to it
+        once both are factored by the measurement-choice law (module
+        docstring).  A step that neither matches fails the check, so every
+        edge is decided on the translations' terms and states alike.  The
+        stats count the edges matched (``matched_edges``) and those the law
+        matched (``law_matches``)."""
         lts, tol = self.source_lts, self.tol
         law_matches = 0
         for src, label, dst, _ in lts.edges:
-            enc_src, enc_dst = self.encoded[src], self.encoded[dst]
-            if label.startswith("R-Perm"):
-                candidates = [enc_src]
-            else:
-                candidates = [cand.next for cand in self.reductions(enc_src)]
+            candidates = [cand.next for cand in self.reductions(self.encoded[src])]
+            enc_dst = self.encoded[dst]
             if any(qccs.congruent(enc_dst, cand, tol) for cand in candidates):
                 continue
             # the measurement-choice law: congruent once the components

@@ -125,7 +125,7 @@ def encode_config(config: cqp.CqpConfig, check: bool = True) -> qccs.QccsConfig:
     if isinstance(config, cqp.CqpPure):
         rho = config.sigma.density
     else:
-        term = enc_dist(names[: config.r], config.var, term)
+        term = enc_dist(config.measured, config.var, term)
         rho = quantum.mix(config.cases)
     return qccs.QccsConfig(qccs.Restrict(term, config.phi), rho)
 

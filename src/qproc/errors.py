@@ -15,10 +15,6 @@ class InvalidArity(QprocError):
     """Operator arity does not fit the register or operand list."""
 
 
-class InvalidPermutation(QprocError):
-    """Permutation argument is not a bijection on register positions."""
-
-
 class InvalidOutcome(QprocError):
     """Measurement outcome index outside [0, 2**r)."""
 

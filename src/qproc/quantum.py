@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     InvalidArity,
     InvalidOutcome,
-    InvalidPermutation,
     InvalidRegister,
     ShapeMismatch,
     UnknownQubit,
@@ -233,7 +232,7 @@ GATES: dict[str, Unitary] = {
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
-    """One branch of measuring the leading r qubits.
+    """One outcome of measuring named qubits.
 
     ``post_state`` is the zero vector whenever probability is zero;
     downstream rules filter those branches out.
@@ -367,20 +366,26 @@ def basis_state(names: Sequence[str], index: int) -> StateVector:
     return StateVector(tuple(names), amps)
 
 
-def apply_unitary_prefix(u: Unitary, psi: StateVector) -> StateVector:
-    """(U (x) I) |psi> for U on the first ``u.arity`` qubits."""
-    r, n = u.arity, psi.num_qubits
-    if r > n:
-        raise InvalidArity(f"gate arity {r} exceeds register size {n}")
-    block = psi.amps.reshape(2 ** r, -1)
-    return StateVector(psi.qubit_names, (u.matrix @ block).reshape(-1))
+def _fronted(psi: StateVector, name: str | None, arity: int, qs: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
+    """psi's amplitudes as a 2**r x 2**(n-r) grid whose row index reads the
+    bits of the named qubits ``qs`` in order, and the axis order that fronts
+    them."""
+    front = _target_positions(name, arity, qs, psi.qubit_names)
+    n = psi.num_qubits
+    axes = front + [i for i in range(n) if i not in front]
+    return psi.amps.reshape([2] * n).transpose(axes).reshape(2 ** len(qs), -1), axes
 
 
-def _check_perm(perm, n):
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise InvalidPermutation(f"{perm} is not a permutation of 0..{n - 1}")
-    return perm
+def _unfronted(grid: np.ndarray, axes: list[int]) -> np.ndarray:
+    """The inverse of ``_fronted``: amplitudes in the register's own order."""
+    return grid.reshape([2] * len(axes)).transpose(inverse_perm(axes)).reshape(-1)
+
+
+def apply_unitary(u: Unitary, psi: StateVector, qs: Sequence[str]) -> StateVector:
+    """U on the named qubits ``qs``, in order, and the identity on the rest;
+    the register keeps its order."""
+    grid, axes = _fronted(psi, u.name, u.arity, tuple(qs))
+    return StateVector(psi.qubit_names, _unfronted(u.matrix @ grid, axes))
 
 
 def inverse_perm(perm: Sequence[int]) -> tuple[int, ...]:
@@ -388,22 +393,6 @@ def inverse_perm(perm: Sequence[int]) -> tuple[int, ...]:
     for i, p in enumerate(perm):
         inv[p] = i
     return tuple(inv)
-
-
-def permute_state(psi: StateVector, perm: Sequence[int]) -> StateVector:
-    """Reorder the register: new position i holds the old qubit at perm[i]."""
-    n = psi.num_qubits
-    perm = _check_perm(perm, n)
-    names = tuple(psi.qubit_names[p] for p in perm)
-    if n == 0:
-        return StateVector(names, psi.amps)
-    amps = psi.amps.reshape([2] * n).transpose(perm).reshape(-1)
-    return StateVector(names, amps)
-
-
-def permute_density(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
-    perm = _check_perm(perm, rho.num_qubits)
-    return DensityMatrix(tuple(rho.qubit_names[p] for p in perm), _permuted_entries(rho, perm))
 
 
 def _permuted_entries(rho: DensityMatrix, perm: Sequence[int]) -> np.ndarray:
@@ -415,23 +404,21 @@ def _permuted_entries(rho: DensityMatrix, perm: Sequence[int]) -> np.ndarray:
     return rho.entries.reshape([2] * (2 * n)).transpose(axes).reshape(2 ** n, 2 ** n)
 
 
-def measure_prefix(psi: StateVector, r: int, tol: float = DEFAULT_TOL) -> list[MeasurementOutcome]:
-    """Measure the first r qubits: outcome m keeps the amplitude block
-    [2^{n-r} m, 2^{n-r} (m+1)) rescaled by 1/sqrt(p_m)."""
-    n = psi.num_qubits
-    if r < 0 or r > n:
-        raise InvalidArity(f"cannot measure {r} of {n} qubits")
-    width = 2 ** (n - r)
+def measure(psi: StateVector, qs: Sequence[str], tol: float = DEFAULT_TOL) -> list[MeasurementOutcome]:
+    """Measure the named qubits ``qs``: outcome m reads their bits in order,
+    the first operand most significant, and keeps the amplitudes that agree
+    with it, rescaled by 1/sqrt(p_m).  The register keeps its order."""
+    qs = tuple(qs)
+    grid, axes = _fronted(psi, "measurement", len(qs), qs)
     outcomes = []
-    for m in range(2 ** r):
-        block = psi.amps[m * width : (m + 1) * width]
+    for m, block in enumerate(grid):
         p = float(np.sum(np.abs(block) ** 2))
-        amps = np.zeros_like(psi.amps)
+        kept = np.zeros_like(grid)
         if p > tol:
-            amps[m * width : (m + 1) * width] = block / np.sqrt(p)
+            kept[m] = block / np.sqrt(p)
         else:
             p = 0.0
-        outcomes.append(MeasurementOutcome(m, p, StateVector(psi.qubit_names, amps)))
+        outcomes.append(MeasurementOutcome(m, p, StateVector(psi.qubit_names, _unfronted(kept, axes))))
     return outcomes
 
 
@@ -453,16 +440,16 @@ def mix(parts: Sequence[tuple[float, StateVector]]) -> DensityMatrix:
 
 # -- super-operator application ---------------------------------------------
 
-def _target_positions(e: SuperOperator, targets: tuple[str, ...], rho: DensityMatrix) -> list[int]:
+def _target_positions(name: str | None, arity: int, targets: tuple[str, ...], names: tuple[str, ...]) -> list[int]:
     """Register positions of the named targets, in target order."""
     if len(set(targets)) != len(targets):
         raise InvalidArity(f"duplicate targets {targets}")
-    if len(targets) != e.arity:
-        raise InvalidArity(f"{e.name} has arity {e.arity}, got targets {targets}")
+    if len(targets) != arity:
+        raise InvalidArity(f"{name} has arity {arity}, got targets {targets}")
     for t in targets:
-        if t not in rho.qubit_names:
-            raise UnknownQubit(f"unknown qubit {t!r} in {rho.qubit_names}")
-    return [rho.qubit_names.index(t) for t in targets]
+        if t not in names:
+            raise UnknownQubit(f"unknown qubit {t!r} in {names}")
+    return [names.index(t) for t in targets]
 
 
 def _signed_kraus_sum(e: SuperOperator, front: list[int], rho: DensityMatrix) -> np.ndarray:
@@ -508,7 +495,7 @@ def superop_apply(
         zero = np.array([[1.0, 0.0], [0.0, 0.0]])
         return DensityMatrix(rho.qubit_names + (fresh,), np.kron(rho.entries, zero))
 
-    acc = _signed_kraus_sum(e, _target_positions(e, targets, rho), rho)
+    acc = _signed_kraus_sum(e, _target_positions(e.name, e.arity, targets, rho.qubit_names), rho)
     if e.normalize_after:
         tr = float(np.trace(acc).real)
         if tr <= tol:
@@ -528,7 +515,7 @@ def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix
     infinite or NaN trace without a floating-point warning.
     """
     targets = tuple(targets)
-    front = _target_positions(e, targets, rho)
+    front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
     n = rho.num_qubits
     # Label each spectator's column axis like its row axis, so einsum traces it out.
     labels = list(range(n)) + [n + i if i in front else i for i in range(n)]
@@ -539,19 +526,6 @@ def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix
 
 
 # -- comparison --------------------------------------------------------------
-
-def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise comparison; literal, not modulo global phase."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        left, right = a.amps, b.amps
-    elif isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        left, right = a.entries, b.entries
-    else:
-        raise ShapeMismatch(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    if a.qubit_names != b.qubit_names:
-        raise ShapeMismatch(f"registers differ: {a.qubit_names} vs {b.qubit_names}")
-    return within_tol(left, right, tol)
-
 
 def within_tol(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Same shape and max|a - b| <= tol: ``np.allclose(a, b, rtol=0, atol=tol)``

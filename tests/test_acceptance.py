@@ -18,6 +18,11 @@ TOL = 1e-9
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
+def same(a, b, tol):
+    """Equal registers, and entries equal within tol."""
+    return a.qubit_names == b.qubit_names and quantum.within_tol(a.entries, b.entries, tol)
+
+
 @contextmanager
 def criterion(number, title):
     try:
@@ -98,17 +103,17 @@ def test_criterion_2_teleportation_translation():
         for _ in range(4):  # the four channel-creation taus
             (step,) = qccs.reduce_steps(state, defs, table)
             state = step.next
-        assert quantum.approx_eq(state.rho, quantum.outer(vectors[0]), TOL)
+        assert same(state.rho, quantum.outer(vectors[0]), TOL)
         (step,) = qccs.reduce_steps(state, defs, table)  # CNOT
-        assert quantum.approx_eq(step.next.rho, quantum.outer(vectors[1]), TOL)
+        assert same(step.next.rho, quantum.outer(vectors[1]), TOL)
         (step,) = qccs.reduce_steps(step.next, defs, table)  # H
-        assert quantum.approx_eq(step.next.rho, quantum.outer(vectors[2]), TOL)
+        assert same(step.next.rho, quantum.outer(vectors[2]), TOL)
         (step,) = qccs.reduce_steps(step.next, defs, table)  # measurement
-        assert quantum.approx_eq(step.next.rho, rho3_oracle, TOL)
+        assert same(step.next.rho, rho3_oracle, TOL)
         branches = qccs.reduce_steps(step.next, defs, table)
         assert len(branches) == 4 and all(b.reduces_choice for b in branches)
         state = branches[0].next  # expected result 0, normalised
-        assert quantum.approx_eq(
+        assert same(
             state.rho, quantum.outer(quantum.StateVector(("q0", "q1", "q2"), _basis(3, 0b001))), TOL
         )
         state = qccs.reduce_steps(state, defs, table)[0].next  # communication on 0
@@ -147,13 +152,14 @@ def test_criterion_4_measurement_linkage():
             names = tuple(f"q{i}" for i in range(n))
             amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
             psi = quantum.StateVector(names, amps / np.linalg.norm(amps))
+            measured = tuple(rng.permutation(names)[:r])
             mixed = quantum.mix(
-                [(o.probability, o.post_state) for o in quantum.measure_prefix(psi, r) if o.probability > 0]
+                [(o.probability, o.post_state) for o in quantum.measure(psi, measured) if o.probability > 0]
             )
             via_superop = quantum.superop_apply(
-                quantum.SuperOperator.measure_unknown(r), names[:r], quantum.outer(psi)
+                quantum.SuperOperator.measure_unknown(r), measured, quantum.outer(psi)
             )
-            assert quantum.approx_eq(mixed, via_superop, TOL)
+            assert same(mixed, via_superop, TOL)
         # the single-qubit example: measuring |+> dissolves it into an even mixture
         plus = quantum.StateVector(("q",), [SQ2, SQ2])
         rho_prime = quantum.superop_apply(
@@ -216,12 +222,12 @@ def test_criterion_5_property_campaign():
         # stepping, dedup or translation that keeps every verdict but
         # explores a different state space shows here.
         assert totals == {
-            "source_states": 3078,
-            "matched_edges": 3133,
-            "law_matches": 170,
+            "source_states": 2446,
+            "matched_edges": 2325,
+            "law_matches": 151,
             "target_states": 2437,
             "may_success": 138,
-            "diverging": 14,
+            "diverging": 0,
         }
 
 
@@ -242,15 +248,18 @@ def test_criterion_6_corr_sim_vs_bisimulation():
         assert criteria.corr_sim_check(l1, l2).holds
         # while the bisimulation diagnostic separates the two
         assert criteria.bisim_check(l1, l2).fails
-        # and a permutation step's translations simulate each other
+        # and the translations of a register and of its reorder by the
+        # paper's R-Perm (fronting b, no step here) simulate each other
         perm_src = cqp.CqpPure(
             quantum.StateVector(("a", "b"), np.array([0, 1, 0, 0], dtype=complex)),
             (),
             cqp.Trans(("b",), "X", cqp.Success()),
         )
-        (perm,) = [s for s in cqp.enumerate_steps(perm_src) if s.rule == "R-Perm"]
+        permed = cqp.CqpPure(
+            quantum.StateVector(("b", "a"), np.array([0, 0, 1, 0], dtype=complex)), (), perm_src.term
+        )
         t1 = encode.encode_config(perm_src)
-        t2 = encode.encode_config(perm.next)
+        t2 = encode.encode_config(permed)
         p1 = criteria.build_lts(t1, criteria.qccs_system(labelled=True), budget)
         p2 = criteria.build_lts(t2, criteria.qccs_system(labelled=True), budget)
         assert criteria.corr_sim_check(p1, p2).holds

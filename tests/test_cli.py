@@ -218,6 +218,22 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "name, source",
+    [
+        ("zero.cqp", "qubits a ; state 1/0 * |0> ; channels ; process 0"),
+        ("zero.qccs", "state qubits q ; rho = matrix [[1/0]] ; process nil"),
+    ],
+    ids=["cqp", "qccs"],
+)
+def test_a_zero_divisor_is_one_error_line(tmp_path, capsys, name, source):
+    path = tmp_path / name
+    path.write_text(source)
+    code, out, err = run_cli(capsys, "parse", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error:") and "division by zero" in err
+
+
+@pytest.mark.parametrize(
     "name, source, message",
     [
         (

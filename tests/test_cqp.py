@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc import cqp, protocols, qccs, quantum
+from qproc import canon, cqp, criteria, protocols, qccs, quantum
 from qproc.cqp import (
     CqpDist,
     CqpPure,
@@ -22,6 +22,7 @@ from qproc.cqp import (
 from qproc.errors import (
     ArityMismatch,
     DuplicateQubitArg,
+    InvalidArity,
     InvalidOutcome,
     ParseError,
     SharedQubit,
@@ -112,6 +113,12 @@ def test_name_lists_share_one_grammar_and_its_errors():
             qccs.parse_qccs(text)
 
 
+def test_a_zero_divisor_is_a_parse_error_at_the_divisor():
+    for state, column in (("1/0 * |0>", 20), ("1/(1 - 1)|0>", 20), ("sqrt(2)/0.0|0>", 26)):
+        with pytest.raises(ParseError, match=f"^1:{column}: division by zero in a coefficient$"):
+            cqp.parse_cqp(f"qubits a ; state {state} ; channels ; process 0")
+
+
 def test_parse_rejects_undeclared_names():
     with pytest.raises(ParseError):
         cqp.parse_cqp("qubits q ; state |0> ; channels ; process d![q].0")
@@ -182,7 +189,8 @@ def test_congruence_alpha_on_binders_not_register_names():
 
 
 def test_congruence_respects_register_order():
-    # same physical state, permuted register: related by a step, not congruent
+    # same physical state, permuted register: not congruent, and no step
+    # relates the two, since no step reorders the register
     left = pure("ab", [0, 1, 0, 0], Nil())
     right = pure("ba", [0, 0, 1, 0], Nil())
     assert not cqp.congruent(left, right)
@@ -198,7 +206,7 @@ def test_channel_list_is_compared_as_a_multiset(data, phi, other, dist):
         term = Par(Out("a", "q", Nil()), In("0", "x", Success()))
         if dist:
             cases = ((0.5, sv("q", [1, 0])), (0.5, sv("q", [0, 1])))
-            return CqpDist(cases, "m", 1, channels, Par(term, Out("m", "q", Nil())))
+            return CqpDist(cases, "m", ("q",), channels, Par(term, Out("m", "q", Nil())))
         return pure("q", [SQ2, SQ2], term, phi=channels)
 
     reordered = config(phi), config(data.draw(st.permutations(phi)))
@@ -228,7 +236,7 @@ def test_amplitudes_astride_a_rounding_boundary_share_key_and_congruence():
 def test_probabilities_astride_a_rounding_boundary_share_key_and_congruence():
     def at(p):
         cases = ((p, sv("q", [1, 0])), (1 - p, sv("q", [0, 1])))
-        return CqpDist(cases, "m", 1, ("c",), Out("c", "m", Nil()))
+        return CqpDist(cases, "m", ("q",), ("c",), Out("c", "m", Nil()))
 
     low, high, far = at(BOUNDARY - 1e-12), at(BOUNDARY + 1e-12), at(BOUNDARY + 1e-6)
     assert cqp.canonical_key(low) == cqp.canonical_key(high)
@@ -356,16 +364,34 @@ def test_qbit_appends_zero_qubit():
     assert step.next.term == Trans(("q1",), "H", Nil())
 
 
-def test_trans_requires_fronted_operands_and_perm_is_offered():
+def test_trans_fires_on_named_operands():
     config = pure("ab", [0, 1, 0, 0], Trans(("b",), "X", Nil()))
-    steps = cqp.enumerate_steps(config)
-    assert [s.rule for s in steps] == ["R-Perm"]
-    permed = steps[0].next
-    assert permed.sigma.qubit_names == ("b", "a")
-    assert np.allclose(permed.sigma.amps, [0, 0, 1, 0])
-    (op,) = cqp.enumerate_steps(permed)
-    assert op.rule == "R-Trans"
+    (op,) = cqp.enumerate_steps(config)
+    assert op.label() == "R-Trans[X]"
+    assert op.next.sigma.qubit_names == ("a", "b")
     assert np.allclose(op.next.sigma.amps, [1, 0, 0, 0])  # b flipped back to 0
+    # a two-qubit gate reads its operands in order: b controls, a flips
+    config = pure("ab", [0, 1, 0, 0], Trans(("b", "a"), "CNOT", Nil()))
+    (op,) = cqp.enumerate_steps(config)
+    assert op.next.sigma.qubit_names == ("a", "b")
+    assert np.allclose(op.next.sigma.amps, [0, 0, 0, 1])
+
+
+def test_a_gate_of_the_wrong_arity_is_an_error_not_a_step():
+    # the operands name one qubit, so CNOT must not reach past them
+    config = pure("ab", [1, 0, 0, 0], Trans(("a",), "CNOT", Success()))
+    with pytest.raises(InvalidArity, match="CNOT has arity 2"):
+        cqp.enumerate_steps(config)
+
+
+def test_measure_keeps_the_register_order_and_names_its_qubits():
+    # |01> over (a, b), measuring (b, a): outcome 0b10 reads b = 1, a = 0
+    config = pure("ab", [0, 1, 0, 0], Measure(("b", "a"), "x", Nil()))
+    (step,) = cqp.enumerate_steps(config)
+    dist = step.next
+    assert dist.measured == ("b", "a") and dist.sigma_names == ("a", "b")
+    assert [p for p, _ in dist.cases] == [0.0, 0.0, pytest.approx(1.0), 0.0]
+    assert np.allclose(dist.cases[2][1].amps, [0, 1, 0, 0])
 
 
 def test_measure_produces_distribution_with_zero_cases():
@@ -434,7 +460,7 @@ def test_teleport_step_listing():
     (meas,) = cqp.enumerate_steps(had.next)
     assert meas.rule == "R-Measure"
     dist = meas.next
-    assert isinstance(dist, CqpDist) and dist.r == 2
+    assert isinstance(dist, CqpDist) and dist.measured == ("q0", "q1")
     posts = [(0b001, 1.0), (0b010, 1.0), (0b101, -1.0), (0b110, -1.0)]
     for (p, s), (idx, val) in zip(dist.cases, posts):
         assert p == pytest.approx(0.25, abs=1e-9)
@@ -482,3 +508,142 @@ def test_scripted_zero_probability_branch_rejected():
 def test_run_empty_process_is_empty_trace():
     result = cqp.run(pure("q", [1, 0], Nil()))
     assert result.steps == [] and not result.truncated
+
+
+# -- the derived gate and measurement rules against the paper's two rules ------------
+
+def _reorder(sigma, perm):
+    """The register reordered: new position i holds the old qubit at perm[i]."""
+    names = tuple(sigma.qubit_names[p] for p in perm)
+    if not perm:
+        return sigma
+    return quantum.StateVector(names, sigma.amps.reshape([2] * len(perm)).transpose(perm).reshape(-1))
+
+
+def _paper_steps(config, tol=quantum.DEFAULT_TOL):
+    """The paper's rules as written, the reference for the derived ones: a
+    gate or a measurement fires only on the leading register qubits, and
+    ``R-Perm`` fronts the operands of one whose operands do not lead."""
+    if isinstance(config, CqpDist):
+        return [
+            cqp.CqpStep("R-Prob", CqpPure(sigma_j, config.phi, config.case_term(j)), branch=j)
+            for j, (p, sigma_j) in enumerate(config.cases)
+            if p > tol
+        ]
+    sigma, phi, term = config.sigma, config.phi, config.term
+    names = sigma.qubit_names
+    steps, orders, outs, ins = [], {}, [], []
+    for path, node in cqp._redexes(term):
+        match node:
+            case Out():
+                outs.append((path, node))
+            case In():
+                ins.append((path, node))
+            case NewChan(x, p):
+                taken = set(phi) | set(names) | cqp.free_names(term)
+                c = x if x not in taken else cqp.fresh_channel(taken)
+                nxt = CqpPure(sigma, phi + (c,), cqp._replace(term, path, cqp.substitute(p, {x: c})))
+                steps.append(cqp.CqpStep("R-New", nxt, channel=c))
+            case NewQbit(x, p):
+                qn = quantum.fresh_qubit_name(names)
+                sigma2 = quantum.tensor(sigma, quantum.basis_state((qn,), 0))
+                nxt = CqpPure(sigma2, phi, cqp._replace(term, path, cqp.substitute(p, {x: qn})))
+                steps.append(cqp.CqpStep("R-Qbit", nxt))
+            case Trans(qs, _, _) | Measure(qs, _, _) if qs != names[: len(qs)]:
+                if set(qs) <= set(names):
+                    order = tuple(qs) + tuple(n for n in names if n not in qs)
+                    orders[order] = tuple(names.index(n) for n in order)
+            case Trans(qs, g, p):
+                block = sigma.amps.reshape(2 ** len(qs), -1)
+                sigma2 = quantum.StateVector(names, (quantum.GATES[g].matrix @ block).reshape(-1))
+                steps.append(cqp.CqpStep("R-Trans", CqpPure(sigma2, phi, cqp._replace(term, path, p)), gate=g))
+            case Measure(qs, x, p):
+                width = 2 ** (len(names) - len(qs))
+                cases = []
+                for m in range(2 ** len(qs)):
+                    amps = np.zeros_like(sigma.amps)
+                    block = sigma.amps[m * width : (m + 1) * width]
+                    prob = float(np.sum(np.abs(block) ** 2))
+                    if prob > tol:
+                        amps[m * width : (m + 1) * width] = block / np.sqrt(prob)
+                    else:
+                        prob = 0.0
+                    cases.append((prob, quantum.StateVector(names, amps)))
+                rest = cqp.free_names(cqp._replace(term, path, Nil()))
+                var, cont = x, p
+                if var in rest:
+                    var = canon.fresh_name(x, rest | cqp.free_names(p))
+                    cont = cqp.substitute(p, {x: var})
+                dist = CqpDist(tuple(cases), var, qs, phi, cqp._replace(term, path, cont))
+                steps.append(cqp.CqpStep("R-Measure", dist))
+    for opath, onode in outs:
+        for ipath, inode in ins:
+            if onode.chan != inode.chan or opath == ipath:
+                continue
+            new = cqp._replace(term, opath, onode.cont)
+            new = cqp._replace(new, ipath, cqp.substitute(inode.cont, {inode.var: onode.qubit}))
+            steps.append(cqp.CqpStep("R-Comm", CqpPure(sigma, phi, new), channel=onode.chan))
+    for order in sorted(orders):
+        steps.append(cqp.CqpStep("R-Perm", CqpPure(_reorder(sigma, orders[order]), phi, term)))
+    return steps
+
+
+def _same_up_to_register_order(a, b, tol=1e-9):
+    """The same term and channels, and each state (each case's, for a
+    distribution) equal once b's register is reordered to a's names."""
+    if type(a) is not type(b) or a.term is not b.term or a.phi != b.phi:
+        return False
+    if isinstance(a, CqpDist):
+        if (a.var, a.measured) != (b.var, b.measured):
+            return False
+        cases = list(zip(a.cases, b.cases))
+    else:
+        cases = [((1.0, a.sigma), (1.0, b.sigma))]
+    for (pa, sa), (pb, sb) in cases:
+        if abs(pa - pb) > tol or set(sa.qubit_names) != set(sb.qubit_names):
+            return False
+        back = _reorder(sb, tuple(sb.qubit_names.index(n) for n in sa.qubit_names))
+        if not quantum.within_tol(sa.amps, back.amps, tol):
+            return False
+    return True
+
+
+def _paper_moves(config):
+    """The steps the paper's rules give from ``config``, each permutation
+    followed by the gate or measurement it enables."""
+    moves = []
+    for step in _paper_steps(config):
+        if step.rule != "R-Perm":
+            moves.append(step)
+            continue
+        moves += [s for s in _paper_steps(step.next) if s.rule in ("R-Trans", "R-Measure")]
+    return moves
+
+
+def _explored_sources():
+    sources = [cqp.parse_cqp(protocols.read(name)) for name in ("teleport.cqp", "measurement.cqp")]
+    sources += [criteria.gen_config(seed, size=4, depth=6) for seed in range(100)]
+    for src in sources:
+        yield from criteria.build_lts(src, criteria.cqp_system(), criteria.Budget(48, 800)).states
+
+
+def test_derived_steps_are_the_papers_permutation_then_gate_or_measurement():
+    states = perms = 0
+    for config in _explored_sources():
+        states += 1
+        derived = cqp.enumerate_steps(config)
+        assert all(step.rule != "R-Perm" for step in derived)
+        moves = _paper_moves(config)
+        perms += sum(step.rule == "R-Perm" for step in _paper_steps(config))
+        # each derived step is one of the paper's moves, and no paper gate
+        # or measurement is missed
+        for mine in derived:
+            assert any(
+                mine.label() == ref.label() and _same_up_to_register_order(mine.next, ref.next) for ref in moves
+            ), (cqp.format_config(config), mine.label())
+        for ref in moves:
+            assert any(
+                mine.label() == ref.label() and _same_up_to_register_order(mine.next, ref.next) for mine in derived
+            ), (cqp.format_config(config), ref.label())
+    # 521 states explored, with 95 of the paper's permutation steps among their steps
+    assert (states, perms) == (521, 95)

@@ -9,6 +9,11 @@ from qproc.errors import InvalidArity, SharedQubit
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
+def same(a, b, tol):
+    """Equal registers, and entries equal within tol."""
+    return a.qubit_names == b.qubit_names and quantum.within_tol(a.entries, b.entries, tol)
+
+
 def sv(names, amps):
     return quantum.StateVector(tuple(names), np.array(amps, dtype=complex))
 
@@ -99,7 +104,7 @@ def test_pure_config_restricts_by_phi_and_takes_outer():
     out = encode.encode_config(config)
     assert isinstance(out, qccs.QccsConfig)
     assert out.term == qccs.Restrict(qccs.Nil(), ())
-    assert quantum.approx_eq(out.rho, quantum.outer(config.sigma), 1e-9)
+    assert same(out.rho, quantum.outer(config.sigma), 1e-9)
 
 
 def test_dist_config_builds_mixture():
@@ -190,7 +195,7 @@ def test_name_invariance_on_teleport_initial():
     left = encode.encode_config(criteria.rename_source(src, gamma))
     right = criteria.rename_target(encode.encode_config(src), gamma)
     assert left.term == right.term
-    assert quantum.approx_eq(left.rho, right.rho, 1e-9)
+    assert same(left.rho, right.rho, 1e-9)
 
 
 def test_name_invariance_on_free_channels():
@@ -206,7 +211,7 @@ def test_name_invariance_on_free_channels():
     left = encode.encode_config(criteria.rename_source(src, gamma))
     right = criteria.rename_target(encode.encode_config(src), gamma)
     assert left.term == right.term
-    assert quantum.approx_eq(left.rho, right.rho, 1e-9)
+    assert same(left.rho, right.rho, 1e-9)
 
 
 def test_qubit_invariance_on_two_qubit_source():

@@ -100,6 +100,12 @@ def test_a_star_before_a_ket_is_optional_inside_outer():
     assert np.allclose(rho("0.6 * |0> + 0.8 * |1>"), [[0.36, 0.48], [0.48, 0.64]])
 
 
+def test_a_zero_divisor_is_a_parse_error_at_the_divisor():
+    for rho, column in (("matrix [[1/0]]", 35), ("outer(1/0|0>)", 32), ("1/0 * outer(|0>)", 26)):
+        with pytest.raises(ParseError, match=f"^1:{column}: division by zero in a coefficient$"):
+            qccs.parse_qccs(f"state qubits q ; rho = {rho} ; process nil")
+
+
 def test_mixture_weights_are_non_negative_reals():
     for weight in ("i", "2*i"):
         with pytest.raises(ParseError, match="mixture weights must be non-negative reals"):
@@ -520,7 +526,7 @@ def test_register_is_a_set_of_named_qubits():
     # permuted to match, is the same configuration
     term = Par(Out("c", "a", Nil()), SuperOp(GateOp("X"), ("b",), Nil()))
     rho = dm(("a", "b", "q"), (0, 0.6, 0, 0, 0, 0, 0.8, 0))
-    reordered = quantum.permute_density(rho, (2, 0, 1))
+    reordered = quantum.DensityMatrix(("q", "a", "b"), quantum._permuted_entries(rho, (2, 0, 1)))
     assert reordered.qubit_names == ("q", "a", "b")
     left, right = QccsConfig(term, rho), QccsConfig(term, reordered)
     assert qccs.congruent(left, right) and qccs.congruent(right, left)

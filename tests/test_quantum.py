@@ -7,7 +7,6 @@ from qproc import quantum as q
 from qproc.errors import (
     InvalidArity,
     InvalidOutcome,
-    InvalidPermutation,
     InvalidRegister,
     ShapeMismatch,
     UnknownQubit,
@@ -19,6 +18,11 @@ SQ2 = 1.0 / np.sqrt(2.0)
 
 def sv(names, amps):
     return q.StateVector(tuple(names), np.array(amps, dtype=complex))
+
+
+def same(a, b, tol):
+    """Equal registers, and entries equal within tol."""
+    return a.qubit_names == b.qubit_names and q.within_tol(a.entries, b.entries, tol)
 
 
 def random_state(rng, names):
@@ -240,7 +244,7 @@ def test_tensor_associative_up_to_name_ordering():
 # -- unitary application -----------------------------------------------------
 
 def test_hadamard_creates_plus():
-    got = q.apply_unitary_prefix(q.GATES["H"], sv("a", [1, 0]))
+    got = q.apply_unitary(q.GATES["H"], sv("a", [1, 0]), ("a",))
     assert np.allclose(got.amps, [SQ2, SQ2])
 
 
@@ -248,13 +252,15 @@ def test_tensor_gates_on_two_qubits():
     xx = q.Unitary(np.kron(q.GATES["X"].matrix, q.GATES["X"].matrix), "XX")
     ix = q.Unitary(np.kron(np.eye(2), q.GATES["X"].matrix), "IX")
     zero2 = sv("ab", [1, 0, 0, 0])
-    assert np.allclose(q.apply_unitary_prefix(xx, zero2).amps, [0, 0, 0, 1])
-    assert np.allclose(q.apply_unitary_prefix(ix, zero2).amps, [0, 1, 0, 0])
+    assert np.allclose(q.apply_unitary(xx, zero2, ("a", "b")).amps, [0, 0, 0, 1])
+    assert np.allclose(q.apply_unitary(ix, zero2, ("a", "b")).amps, [0, 1, 0, 0])
+    # the operands in the other order: the identity factor lands on b
+    assert np.allclose(q.apply_unitary(ix, zero2, ("b", "a")).amps, [0, 0, 1, 0])
 
 
 def test_cnot_prefix_on_three_qubits():
     psi0 = sv("abc", [0, 0, 0, 0, SQ2, 0, 0, SQ2])  # (|100> + |111>)/sqrt2
-    got = q.apply_unitary_prefix(q.GATES["CNOT"], psi0)
+    got = q.apply_unitary(q.GATES["CNOT"], psi0, ("a", "b"))
     want = np.zeros(8)
     want[0b110] = SQ2
     want[0b101] = SQ2
@@ -262,8 +268,12 @@ def test_cnot_prefix_on_three_qubits():
 
 
 def test_arity_overflow_rejected():
-    with pytest.raises(InvalidArity):
-        q.apply_unitary_prefix(q.GATES["CNOT"], sv("a", [1, 0]))
+    with pytest.raises(InvalidArity, match="CNOT has arity 2"):
+        q.apply_unitary(q.GATES["CNOT"], sv("a", [1, 0]), ("a",))
+    with pytest.raises(UnknownQubit):
+        q.apply_unitary(q.GATES["CNOT"], sv("a", [1, 0]), ("a", "b"))
+    with pytest.raises(InvalidArity, match="duplicate targets"):
+        q.apply_unitary(q.GATES["CNOT"], sv("ab", [1, 0, 0, 0]), ("a", "a"))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -271,7 +281,7 @@ def test_arity_overflow_rejected():
 def test_unitary_prefix_preserves_norm(seed, gate, n):
     rng = np.random.default_rng(seed)
     psi = random_state(rng, [f"q{i}" for i in range(n)])
-    got = q.apply_unitary_prefix(q.GATES[gate], psi)
+    got = q.apply_unitary(q.GATES[gate], psi, psi.qubit_names[: q.GATES[gate].arity])
     assert abs(np.sum(np.abs(got.amps) ** 2) - 1.0) <= 1e-9
 
 
@@ -310,39 +320,76 @@ def test_permutation_times_inverse_is_identity():
         assert np.allclose(prod, np.eye(2 ** n))
 
 
+def reorder(psi, perm):
+    """Reference reorder of a register: new position i holds the old qubit
+    at perm[i], through the permutation unitary."""
+    names = tuple(psi.qubit_names[p] for p in perm)
+    return q.StateVector(names, permutation_unitary(q.inverse_perm(perm)).matrix @ psi.amps)
+
+
 def test_permute_state_matches_permutation_unitary():
     rng = np.random.default_rng(11)
     psi = random_state(rng, ("a", "b", "c"))
-    perm = (2, 0, 1)
-    moved = q.permute_state(psi, perm)
-    assert moved.qubit_names == ("c", "a", "b")
-    via_matrix = permutation_unitary(q.inverse_perm(perm)).matrix @ psi.amps
-    assert np.allclose(moved.amps, via_matrix)
+    for perm in ((2, 0, 1), (1, 2, 0), (0, 1, 2)):
+        moved = reorder(psi, perm)
+        assert np.allclose(q._permuted_entries(q.outer(psi), perm), q.outer(moved).entries)
 
 
 def test_permute_density_consistent_with_state():
+    # reordering a mixture reorders each of its pure states, and the result
+    # is the same state read under the new name order
     rng = np.random.default_rng(13)
-    psi = random_state(rng, ("a", "b", "c"))
+    names = ("a", "b", "c")
+    psis = [random_state(rng, names) for _ in range(2)]
+    weights = (0.3, 0.7)
+    mix = q.DensityMatrix(names, sum(w * q.outer(psi).entries for w, psi in zip(weights, psis)))
     perm = (1, 2, 0)
-    lhs = q.permute_density(q.outer(psi), perm)
-    rhs = q.outer(q.permute_state(psi, perm))
-    assert lhs.qubit_names == rhs.qubit_names
-    assert q.approx_eq(lhs, rhs)
+    moved = sum(w * q.outer(reorder(psi, perm)).entries for w, psi in zip(weights, psis))
+    assert np.allclose(q._permuted_entries(mix, perm), moved)
+    assert q.density_equal_mod_order(mix, q.DensityMatrix(tuple(names[p] for p in perm), moved))
 
 
-def test_bad_permutation_rejected():
-    psi = sv("ab", [1, 0, 0, 0])
-    with pytest.raises(InvalidPermutation):
-        q.permute_state(psi, (0, 0))
-    with pytest.raises(InvalidPermutation):
-        q.permute_density(q.outer(psi), (0, 2))
+@pytest.mark.parametrize("gate, operands", [("CNOT", ("q2", "q0")), ("CNOT", ("q1", "q0")), ("H", ("q1",)), ("Y", ("q2",))])
+def test_apply_unitary_on_named_operands_matches_permutation_reference(gate, operands):
+    # front the operands, apply the gate to the leading qubits, put them back
+    rng = np.random.default_rng(12)
+    psi = random_state(rng, ("q0", "q1", "q2"))
+    names = psi.qubit_names
+    perm = tuple(names.index(o) for o in operands) + tuple(i for i, n in enumerate(names) if n not in operands)
+    fronted = reorder(psi, perm)
+    u = np.kron(q.GATES[gate].matrix, np.eye(2 ** (3 - len(operands))))
+    want = reorder(q.StateVector(fronted.qubit_names, u @ fronted.amps), q.inverse_perm(perm))
+    got = q.apply_unitary(q.GATES[gate], psi, operands)
+    assert got.qubit_names == names == want.qubit_names
+    assert q.within_tol(got.amps, want.amps, 1e-12)
+
+
+@pytest.mark.parametrize("operands", [("q1", "q0"), ("q2",), ("q2", "q0", "q1")])
+def test_measure_on_named_operands_matches_permutation_reference(operands):
+    # outcome m of measuring the fronted register's leading qubits, put back
+    rng = np.random.default_rng(14)
+    psi = random_state(rng, ("q0", "q1", "q2"))
+    names = psi.qubit_names
+    perm = tuple(names.index(o) for o in operands) + tuple(i for i, n in enumerate(names) if n not in operands)
+    fronted = reorder(psi, perm).amps
+    width = 2 ** (3 - len(operands))
+    outcomes = q.measure(psi, operands)
+    assert [o.result for o in outcomes] == list(range(2 ** len(operands)))
+    for m, outcome in enumerate(outcomes):
+        block = np.zeros(8, dtype=complex)
+        block[m * width : (m + 1) * width] = fronted[m * width : (m + 1) * width]
+        p = float(np.sum(np.abs(block) ** 2))
+        assert outcome.probability == pytest.approx(p, abs=1e-12)
+        want = reorder(q.StateVector(reorder(psi, perm).qubit_names, block / np.sqrt(p)), q.inverse_perm(perm))
+        assert outcome.post_state.qubit_names == names
+        assert q.within_tol(outcome.post_state.amps, want.amps, 1e-12)
 
 
 # -- measurement -------------------------------------------------------------
 
 def test_measure_bell_first_qubit():
     bell = sv("ab", [SQ2, 0, 0, SQ2])
-    outcomes = q.measure_prefix(bell, 1)
+    outcomes = q.measure(bell, ("a",))
     assert [o.result for o in outcomes] == [0, 1]
     assert outcomes[0].probability == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(outcomes[0].post_state.amps, [1, 0, 0, 0])
@@ -353,7 +400,7 @@ def test_measure_teleport_intermediate_state():
     # 1/2 (|001> + |010> - |101> - |110>), measuring the first two qubits
     amps = np.zeros(8)
     amps[0b001], amps[0b010], amps[0b101], amps[0b110] = 0.5, 0.5, -0.5, -0.5
-    outcomes = q.measure_prefix(sv("abc", amps), 2)
+    outcomes = q.measure(sv("abc", amps), ("a", "b"))
     posts = []
     for o in outcomes:
         assert o.probability == pytest.approx(0.25, abs=1e-9)
@@ -367,13 +414,13 @@ def test_measure_teleport_intermediate_state():
 
 def test_measure_zero_qubits_is_trivial():
     psi = sv("a", [0, 1])
-    (only,) = q.measure_prefix(psi, 0)
+    (only,) = q.measure(psi, ())
     assert only.result == 0 and only.probability == pytest.approx(1.0)
     assert np.allclose(only.post_state.amps, psi.amps)
 
 
 def test_zero_probability_branch_is_flagged():
-    outcomes = q.measure_prefix(sv("a", [1, 0]), 1)
+    outcomes = q.measure(sv("a", [1, 0]), ("a",))
     assert outcomes[1].probability == 0.0
     assert not outcomes[1].post_state.amps.any()
 
@@ -384,7 +431,7 @@ def test_measurement_probabilities_sum_to_one(seed, n, r):
     r = min(r, n)
     rng = np.random.default_rng(seed)
     psi = random_state(rng, [f"q{i}" for i in range(n)])
-    outcomes = q.measure_prefix(psi, r)
+    outcomes = q.measure(psi, tuple(rng.permutation(psi.qubit_names)[:r]))
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -396,9 +443,10 @@ def test_measurement_links_to_unknown_result_superop(seed, n, r):
     rng = np.random.default_rng(seed)
     names = [f"q{i}" for i in range(n)]
     psi = random_state(rng, names)
-    mixed = q.mix([(o.probability, o.post_state) for o in q.measure_prefix(psi, r) if o.probability > 0])
-    via_superop = q.superop_apply(q.SuperOperator.measure_unknown(r), names[:r], q.outer(psi))
-    assert q.approx_eq(mixed, via_superop, 1e-9)
+    measured = tuple(rng.permutation(names)[:r])
+    mixed = q.mix([(o.probability, o.post_state) for o in q.measure(psi, measured) if o.probability > 0])
+    via_superop = q.superop_apply(q.SuperOperator.measure_unknown(r), measured, q.outer(psi))
+    assert same(mixed, via_superop, 1e-9)
 
 
 # -- outer products ----------------------------------------------------------
@@ -426,15 +474,15 @@ def test_expected_result_on_empty_target_set_is_identity():
     op = q.SuperOperator.measure_expected(0, 0)
     rng = np.random.default_rng(2)
     rho = q.outer(random_state(rng, ("a", "b")))
-    assert q.approx_eq(q.superop_apply(op, (), rho), rho, 1e-9)
+    assert same(q.superop_apply(op, (), rho), rho, 1e-9)
 
 
 def test_unitary_superop_matches_vector_path():
     rho = q.superop_apply(
         q.SuperOperator.from_unitary(q.GATES["H"]), ("a",), q.outer(sv("a", [1, 0]))
     )
-    oracle = q.outer(q.apply_unitary_prefix(q.GATES["H"], sv("a", [1, 0])))
-    assert q.approx_eq(rho, oracle, 1e-9)
+    oracle = q.outer(q.apply_unitary(q.GATES["H"], sv("a", [1, 0]), ("a",)))
+    assert same(rho, oracle, 1e-9)
 
 
 def test_probe_kraus_terms_have_paper_values():
@@ -481,8 +529,8 @@ def test_superop_targets_by_name_with_permutation():
     rng = np.random.default_rng(4)
     psi = random_state(rng, ("a", "b"))
     got = q.superop_apply(q.SuperOperator.from_unitary(q.GATES["X"]), ("b",), q.outer(psi))
-    oracle = q.outer(q.apply_unitary_prefix(q.Unitary(np.kron(np.eye(2), q.GATES["X"].matrix)), psi))
-    assert q.approx_eq(got, oracle, 1e-9)
+    oracle = q.outer(q.apply_unitary(q.Unitary(np.kron(np.eye(2), q.GATES["X"].matrix)), psi, ("a", "b")))
+    assert same(got, oracle, 1e-9)
 
 
 def test_unitary_superop_preserves_trace_expected_reduces_then_normalises():
@@ -492,7 +540,7 @@ def test_unitary_superop_preserves_trace_expected_reduces_then_normalises():
     after = q.superop_apply(q.SuperOperator.from_unitary(q.GATES["CNOT"]), ("a", "b"), rho)
     assert after.trace == pytest.approx(1.0, abs=1e-9)
     raw = q.raw_trace_after(q.SuperOperator.measure_expected(0, 1), ("a",), rho)
-    p0 = q.measure_prefix(psi, 1)[0].probability
+    p0 = q.measure(psi, ("a",))[0].probability
     assert raw == pytest.approx(p0, abs=1e-9)
 
 
@@ -502,7 +550,7 @@ def test_new_qubit_operator_appends_zero():
     got = q.superop_apply(q.SuperOperator.new_qubit(), (), q.outer(psi))
     assert got.qubit_names == ("q0", "q1")
     oracle = q.outer(q.tensor(psi, sv(("q1",), [1, 0])))
-    assert q.approx_eq(got, oracle, 1e-9)
+    assert same(got, oracle, 1e-9)
 
 
 def test_zero_branch_raises():
@@ -528,14 +576,14 @@ def _kron_oracle(e, targets, rho):
     names = rho.qubit_names
     front = [names.index(t) for t in targets]
     perm = tuple(front + [i for i in range(len(names)) if i not in front])
-    work = q.permute_density(rho, perm).entries
+    work = q._permuted_entries(rho, perm)
     rest = np.eye(2 ** (len(names) - e.arity))
     acc = sum(s * (np.kron(k, rest) @ work @ np.kron(k, rest).conj().T) for s, k in e.terms)
     raw = float(np.trace(acc).real)
     if e.normalize_after:
         acc = acc / raw
     fronted = q.DensityMatrix(tuple(names[p] for p in perm), acc)
-    return q.permute_density(fronted, q.inverse_perm(perm)), raw
+    return q.DensityMatrix(names, q._permuted_entries(fronted, q.inverse_perm(perm))), raw
 
 
 KERNEL_OPS = (
@@ -562,7 +610,7 @@ def test_kernel_matches_kron_construction(n):
             want, raw = _kron_oracle(e, targets, rho)
             if e.extends_register:
                 want = q.DensityMatrix(got.qubit_names, np.kron(rho.entries, np.diag([1.0, 0.0])))
-            assert q.approx_eq(got, want, 1e-12)
+            assert same(got, want, 1e-12)
             assert q.raw_trace_after(e, targets, rho) == pytest.approx(raw, abs=1e-12)
 
 
@@ -589,31 +637,36 @@ def test_permutation_superop_matches_permute_state():
     pi = permutation_unitary(q.inverse_perm(perm))
     via_superop = q.superop_apply(q.SuperOperator.from_unitary(pi), psi.qubit_names, q.outer(psi))
     direct = q.outer(q.StateVector(psi.qubit_names, pi.matrix @ psi.amps))
-    assert q.approx_eq(via_superop, direct, 1e-9)
+    assert same(via_superop, direct, 1e-9)
 
 
 # -- comparison --------------------------------------------------------------
 
-def test_approx_eq_basics():
+def test_within_tol_basics():
     a = q.outer(sv("a", [1, 0]))
-    assert q.approx_eq(a, a, 1e-9)
-    assert not q.approx_eq(sv("a", [1, 0]), sv("a", [0, 1]), 1e-9)
+    assert q.within_tol(a.entries, a.entries, 1e-9)
+    assert not q.within_tol(sv("a", [1, 0]).amps, sv("a", [0, 1]).amps, 1e-9)
     plus = q.DensityMatrix(("a",), 0.5 * np.ones((2, 2)))
-    assert q.approx_eq(plus, q.outer(sv("a", [SQ2, SQ2])), 1e-9)
+    assert same(plus, q.outer(sv("a", [SQ2, SQ2])), 1e-9)
+    assert q.within_tol(np.zeros(0), np.zeros(0))
 
 
-def test_approx_eq_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        q.approx_eq(sv("a", [1, 0]), sv("b", [1, 0]), 1e-9)
-    with pytest.raises(ShapeMismatch):
-        q.approx_eq(sv("a", [1, 0]), q.outer(sv("a", [1, 0])), 1e-9)
+def test_within_tol_shape_mismatch():
+    # different shapes are unequal, not an error; names are the caller's check
+    assert not q.within_tol(sv("a", [1, 0]).amps, q.outer(sv("a", [1, 0])).entries, 1e-9)
+    assert not same(q.outer(sv("a", [1, 0])), q.outer(sv("b", [1, 0])), 1e-9)
 
 
 def test_density_equal_mod_order():
     rng = np.random.default_rng(10)
     psi = random_state(rng, ("a", "b"))
     rho = q.outer(psi)
-    assert q.density_equal_mod_order(rho, q.permute_density(rho, (1, 0)))
+    swapped = q.outer(reorder(psi, (1, 0)))
+    assert swapped.qubit_names == ("b", "a")
+    assert q.density_equal_mod_order(rho, swapped)
+    # the names swapped but the entries left as they were is another state
+    assert not q.density_equal_mod_order(rho, q.DensityMatrix(("b", "a"), rho.entries))
+    assert not q.density_equal_mod_order(rho, q.outer(random_state(rng, ("a", "c"))))
 
 
 def test_fresh_qubit_name_skips_collisions():
