@@ -17,9 +17,14 @@ congruent: parallel composition is commutative, associative and has the
 inactive process as unit, binders are compared up to alpha conversion, and
 restrictions reachable through parallel composition are extruded into one
 group per composition.  Each calculus supplies a ``node`` function mapping
-a term to ``UNIT``, ``(PAR, left, right)``, ``(RES, live channels, body)``
-or ``(tag, names, binders, children)``, where ``names`` are the node's own
+a term to ``UNIT``, ``(PAR, left, right)``, ``(RES, channels, body)`` or
+``(tag, names, binders, children)``, where ``names`` are the node's own
 name occurrences and ``binders`` scope over every child.
+
+The node tuples are also the one source of free names: a node's own names
+and its children's free names less its binders (``free_names``), computed
+once per node with its tuple.  A restriction keeps only its live channels,
+those free in its body, so neither calculus walks its terms for names.
 
 Names are resolved through an environment, never by substitution: a binder
 becomes its nesting depth (de Bruijn 1972), and a free name, a register
@@ -32,15 +37,13 @@ Channels still tied are tried in turn, skipping choices that a symmetry of
 the group already covers.
 
 Each node's signatures are memoised on it, keyed by the binder depth and
-the tokens that the environment gives its signature-free names, a group
-channel reading as its current number.  The signature-free names come from
-the node tuples: a node's names and its children's, less its binders, and
-less a restriction's live channels.  The pass reads the environment only
+the tokens that the environment gives its free names, a group channel
+reading as its current number.  The pass reads the environment only
 through these names, and the signature text is a function of the depth and
 the tokens it reads, so an entry is valid wherever its key recurs, in any
 pass.  The only other effect of signing a node is to record which group
 channels it read, so a hit replays that: it records the group channels
-among its signature-free names, and refinement sees the same occurrences.
+among its free names, and refinement sees the same occurrences.
 
 Cost: a group of two or more channels walks its components at least twice.
 The colouring leaves no group of the bundled protocols or of the campaign
@@ -178,6 +181,32 @@ def signature(term, node: Callable, env: Mapping[str, str] | None = None) -> str
     return _Pass(node).sig(term, {} if env is None else env, 0)
 
 
+def free_names(t, node: Callable) -> frozenset[str]:
+    """The free names of ``t``, read from its node tuples: a node's own
+    names and its children's free names less its binders."""
+    return _entry(t, node)[1]
+
+
+def _entry(t, node: Callable) -> tuple[tuple, frozenset[str], dict]:
+    """The node tuple of ``t``, its free names and its signature memo;
+    computed on first use, then read from ``t._canon``.  A restriction
+    keeps only the channels free in its body: a dead channel binds no
+    occurrence, so it is dropped from the stored tuple."""
+    entry = getattr(t, "_canon", None)
+    if entry is None:
+        n = node(t)
+        names, bound, kids = _parts(n)
+        free: set[str] = set()
+        for c in kids:
+            free.update(_entry(c, node)[1])
+        if n[0] == RES:
+            n = (RES, tuple([c for c in bound if c in free]), n[2])
+        free.difference_update(bound)
+        free.update(names)
+        entry = t.__dict__["_canon"] = (n, frozenset(free), {})
+    return entry
+
+
 def _parts(n: tuple) -> tuple[tuple[str, ...], tuple[str, ...], tuple]:
     """A node tuple's own names, its binders and its children."""
     if n is UNIT:
@@ -214,22 +243,9 @@ class _Pass:
         # groups being numbered: while none is, no name reads as a channel
         self.open = 0
 
-    def entry(self, t) -> tuple[tuple, tuple[str, ...], dict]:
-        """The node tuple of ``t``, its signature-free names and its memo;
-        computed on first use, then read from ``t._canon``."""
-        n = self.node(t)
-        names, bound, kids = _parts(n)
-        free: set[str] = set()
-        for c in kids:
-            free.update((getattr(c, "_canon", None) or self.entry(c))[1])
-        free.difference_update(bound)
-        free.update(names)
-        entry = t.__dict__["_canon"] = (n, tuple(free), {})
-        return entry
-
     def sig(self, t, env: dict, depth: int) -> str:
         """The signature of ``t`` under ``env`` below ``depth`` binders."""
-        n, free, memo = getattr(t, "_canon", None) or self.entry(t)
+        n, free, memo = _entry(t, self.node)
         key = (depth, *map(env.get, free))  # None: a free name, read as itself
         if self.open:
             chans = [tok for tok in key if type(tok) is _Channel]
@@ -262,7 +278,7 @@ class _Pass:
         return s
 
     def flatten(self, t, env: dict, comps: list, chans: list[_Channel]) -> None:
-        n = (getattr(t, "_canon", None) or self.entry(t))[0]
+        n = _entry(t, self.node)[0]
         if n is UNIT:
             return
         if n[0] == PAR:
@@ -347,7 +363,7 @@ class _Pass:
         found = getattr(t, "_uses", None)
         if found is not None:
             return found
-        names, bound, kids = _parts((getattr(t, "_canon", None) or self.entry(t))[0])
+        names, bound, kids = _parts(_entry(t, self.node)[0])
         occ: dict[str, list] = {}
         for i, x in enumerate(names):
             occ.setdefault(x, []).append((i, None))
@@ -378,7 +394,7 @@ class _Pass:
 
     def masked(self, t) -> str:
         """The signature of ``t`` at depth 0 with every free name masked."""
-        return self.sig(t, dict.fromkeys((getattr(t, "_canon", None) or self.entry(t))[1], "?"), 0)
+        return self.sig(t, dict.fromkeys(_entry(t, self.node)[1], "?"), 0)
 
     def label(self, comps: list, chans: list[_Channel], depth: int) -> str:
         """The least signature of the components over the numberings of the

@@ -80,13 +80,16 @@ def _options(args) -> RunOptions:
 
 
 def _load(path: str):
-    """Returns ("cqp", config) or ("qccs", (defs, config, table))."""
+    """Returns ("cqp", config) or ("qccs", (defs, config, table)); a source
+    that does not typecheck, or is not well formed, is rejected."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path} is not UTF-8 text (byte {err.start})")
     if path.endswith(".cqp"):
-        return "cqp", cqp.parse_cqp(text)
+        config = cqp.parse_cqp(text)
+        cqp.typecheck_internal(config)
+        return "cqp", config
     if path.endswith(".qccs"):
         return "qccs", qccs.parse_qccs(text)
     raise UsageError(f"cannot tell the calculus of {path!r}; use a .cqp or .qccs extension")
@@ -158,14 +161,9 @@ def cmd_parse(args) -> int:
 
 def cmd_typecheck(args) -> int:
     opts = _options(args)
-    kind, parsed = _load(args.file)
-    if kind == "cqp":
-        cqp.typecheck_internal(parsed)
-        payload = {"schema": SCHEMA_VERSION, "check": "typecheck", "verdict": "holds", "calculus": "cqp"}
-    else:
-        defs, config, table = parsed
-        qccs.check_wellformed(defs, config, table)
-        payload = {"schema": SCHEMA_VERSION, "check": "wellformed", "verdict": "holds", "calculus": "qccs"}
+    kind, _ = _load(args.file)
+    check = "typecheck" if kind == "cqp" else "wellformed"
+    payload = {"schema": SCHEMA_VERSION, "check": check, "verdict": "holds", "calculus": kind}
     print(_emit_json(payload) if opts.format == "json" else "ok")
     return EXIT_OK
 

@@ -161,24 +161,8 @@ CqpConfig = CqpPure | CqpDist
 
 # -- free names and substitution ----------------------------------------------
 
-@canon.per_node
 def free_names(t: Term) -> frozenset[str]:
-    match t:
-        case Nil() | Success():
-            return frozenset()
-        case Par(l, r):
-            return free_names(l) | free_names(r)
-        case In(c, x, p):
-            return frozenset({c}) | (free_names(p) - {x})
-        case Out(c, q, p):
-            return frozenset({c, q}) | free_names(p)
-        case Trans(qs, _, p):
-            return frozenset(qs) | free_names(p)
-        case Measure(qs, x, p):
-            return frozenset(qs) | (free_names(p) - {x})
-        case NewChan(x, p) | NewQbit(x, p):
-            return free_names(p) - {x}
-    raise TypeError(f"not a CQP- term: {t!r}")
+    return canon.free_names(t, _node)
 
 
 def substitute(t: Term, mapping: Mapping[str, str]) -> Term:
@@ -241,62 +225,45 @@ def _node(t: Term) -> tuple:
     raise TypeError(f"not a CQP- term: {t!r}")
 
 
-def _signature(config: CqpConfig) -> str:
-    """Term signature, the measured variable of a distribution anonymous.
-    Register qubits are free names, so they read literally."""
-    cached = getattr(config, "_sig", None)
-    if cached is None:
-        env = {config.var: "x"} if isinstance(config, CqpDist) else None
-        cached = canon.signature(config.term, _node, env)
-        object.__setattr__(config, "_sig", cached)
-    return cached
-
-
 def congruent(c1: CqpConfig, c2: CqpConfig, tol: float = DEFAULT_TOL) -> bool:
-    """Structural congruence of configurations.
+    """Structural congruence of configurations: equal ``canonical_key``s
+    and quantum states equal entrywise within tol.
 
-    Parallel unit/commutativity/associativity and alpha conversion on
-    binders; quantum states compared entrywise within tol.  The registers
-    must name the same qubits in the same order: renaming a qubit is the
-    paper's qubit-name invariance, not congruence, and no step reorders
-    the register, so the states of one exploration share its order.  The
-    channel lists are compared as multisets: no rule reads their order
-    (R-New tests membership, and the translation restricts by the list as
-    one group), so two orders of the same channel creations are one state.
-    Channel names stay literal, so a channel named by a measurement result
-    keeps its meaning.
+    The key takes parallel unit/commutativity/associativity and alpha
+    conversion on binders.  The registers must name the same qubits in the
+    same order: renaming a qubit is the paper's qubit-name invariance, not
+    congruence, and no step reorders the register, so the states of one
+    exploration share its order.  The channel lists are compared as
+    multisets: no rule reads their order (R-New tests membership, and the
+    translation restricts by the list as one group), so two orders of the
+    same channel creations are one state.  Channel names stay literal, so a
+    channel named by a measurement result keeps its meaning.
     """
-    if (
-        isinstance(c1, CqpPure) != isinstance(c2, CqpPure)
-        or c1.sigma_names != c2.sigma_names
-        or sorted(c1.phi) != sorted(c2.phi)
-    ):
+    if canonical_key(c1) != canonical_key(c2):
         return False
     if isinstance(c1, CqpPure):
-        if not quantum.within_tol(c1.sigma.amps, c2.sigma.amps, tol):
-            return False
-    elif c1.measured != c2.measured or not all(
+        return quantum.within_tol(c1.sigma.amps, c2.sigma.amps, tol)
+    return all(
         abs(p1 - p2) <= tol and quantum.within_tol(s1.amps, s2.amps, tol)
         for (p1, s1), (p2, s2) in zip(c1.cases, c2.cases)
-    ):
-        return False
-    return _signature(c1) == _signature(c2)
+    )
 
 
 def canonical_key(config: CqpConfig) -> str:
     """Hash key modulo congruence: the register names in order, the channel
-    list sorted, a distribution's measured qubits and the term signature.
-    Congruent configurations share it; ``congruent`` decides the amplitudes
-    and probabilities."""
+    list sorted, a distribution's measured qubits and the term signature,
+    in which register qubits read literally and the measured variable
+    anonymously.  ``congruent`` is key equality plus the amplitudes."""
     cached = getattr(config, "_key", None)
     if cached is not None:
         return cached
     names = ",".join(config.sigma_names)
     phi = ";".join(sorted(config.phi))
     if isinstance(config, CqpPure):
-        cached = f"P{names}|{phi}|{_signature(config)}"
+        cached = f"P{names}|{phi}|{canon.signature(config.term, _node)}"
     else:
-        cached = f"D{names}|{','.join(config.measured)}|{phi}|{_signature(config)}"
+        sig = canon.signature(config.term, _node, {config.var: "x"})
+        cached = f"D{names}|{','.join(config.measured)}|{phi}|{sig}"
     object.__setattr__(config, "_key", cached)
     return cached
 
@@ -589,6 +556,11 @@ def run(
             return RunResult(trace, cur, False)
         if isinstance(cur, CqpDist) and pending:
             j = pending.pop(0)
+            if j not in range(len(cur.cases)):
+                raise InvalidOutcome(
+                    f"scripted branch {j} is not an outcome: measuring "
+                    f"{','.join(cur.measured)} has outcomes 0 to {len(cur.cases) - 1}"
+                )
             chosen = next((s for s in steps if s.branch == j), None)
             if chosen is None:
                 raise InvalidOutcome(f"scripted branch {j} has zero probability")

@@ -241,34 +241,9 @@ ProcessDefs = dict[str, tuple[tuple[str, ...], Term]]
 
 # -- free names -------------------------------------------------------------------
 
-def _bool_qubits(b: BoolExpr) -> frozenset[str]:
-    match b:
-        case TraceNonzero(_, qubits):
-            return frozenset(qubits)
-        case _:
-            return frozenset()
-
-
 @canon.per_node
-def free_qubits(t: Term) -> frozenset[str]:
-    match t:
-        case Nil() | Success():
-            return frozenset()
-        case Tau(p) | Restrict(p, _):
-            return free_qubits(p)
-        case SuperOp(_, qs, p):
-            return frozenset(qs) | free_qubits(p)
-        case In(_, x, p):
-            return free_qubits(p) - {x}
-        case Out(_, q, p):
-            return frozenset({q}) | free_qubits(p)
-        case Choice(l, r) | Par(l, r):
-            return free_qubits(l) | free_qubits(r)
-        case IfThen(b, p):
-            return _bool_qubits(b) | free_qubits(p)
-        case ConstCall(_, args):
-            return frozenset(args)
-    raise TypeError(f"not a qCCS term: {t!r}")
+def free_qubits(t: Term | BoolExpr) -> frozenset[str]:
+    return frozenset([x for x in canon.free_names(t, _node) if x[0] != "@"])
 
 
 @canon.per_node
@@ -289,24 +264,13 @@ def _demanded_qubits(t: Term) -> frozenset[str]:
         case Choice(l, r) | Par(l, r):
             return _demanded_qubits(l) | _demanded_qubits(r)
         case IfThen(b, p):
-            return _bool_qubits(b) | _demanded_qubits(p)
+            return free_qubits(b) | _demanded_qubits(p)
     raise TypeError(f"not a qCCS term: {t!r}")
 
 
 @canon.per_node
 def free_channels(t: Term) -> frozenset[str]:
-    match t:
-        case Nil() | Success() | ConstCall():
-            return frozenset()
-        case Tau(p) | SuperOp(_, _, p) | IfThen(_, p):
-            return free_channels(p)
-        case In(c, _, p) | Out(c, _, p):
-            return frozenset({c}) | free_channels(p)
-        case Choice(l, r) | Par(l, r):
-            return free_channels(l) | free_channels(r)
-        case Restrict(p, chans):
-            return free_channels(p) - set(chans)
-    raise TypeError(f"not a qCCS term: {t!r}")
+    return frozenset([x[1:] for x in canon.free_names(t, _node) if x[0] == "@"])
 
 
 # -- substitution -----------------------------------------------------------------
@@ -426,7 +390,7 @@ def check_wellformed(
             case Restrict(p, _):
                 visit(p, path + ".res", bound, register)
             case IfThen(b, p):
-                for q in sorted(_bool_qubits(b)):
+                for q in sorted(free_qubits(b)):
                     _check_qubit(q, bound, path)
                 match b:
                     case TraceNonzero(op, qs):
@@ -631,16 +595,18 @@ def has_success_barb(config: QccsConfig, defs: ProcessDefs | None = None) -> boo
 
 def _node(t: Term | BoolExpr) -> tuple:
     """The term, or guard, as a node of the shared congruence signature
-    pass.  A channel name reads with a leading "@", so channels and qubits
-    are two namespaces there too: an input binds no channel, a restriction
-    no qubit."""
+    pass, whose node tuples also give the free names.  A channel name
+    reads with a leading "@", so channels and qubits are two namespaces
+    there too: an input binds no channel, a restriction no qubit.  A
+    restriction lists every channel it binds; the pass drops those not
+    free in its body."""
     match t:
         case Nil():
             return canon.UNIT
         case Par(l, r):
             return (canon.PAR, l, r)
         case Restrict(p, chans):
-            return (canon.RES, tuple(sorted("@" + c for c in set(chans) & free_channels(p))), p)
+            return (canon.RES, tuple(sorted({"@" + c for c in chans})), p)
         case Success():
             return ("ok", (), (), ())
         case Tau(p):
@@ -666,30 +632,22 @@ def _node(t: Term | BoolExpr) -> tuple:
     raise TypeError(f"not a qCCS term: {t!r}")
 
 
-def _signature(config: QccsConfig) -> str:
-    """Term signature.  Register qubits are free names, so they read literally."""
-    cached = getattr(config, "_sig", None)
-    if cached is None:
-        cached = canon.signature(config.term, _node)
-        object.__setattr__(config, "_sig", cached)
-    return cached
-
-
 def congruent(c1: QccsConfig, c2: QccsConfig, tol: float = DEFAULT_TOL) -> bool:
     """Parallel laws, alpha conversion on binders, nested and parallel
-    restrictions merged.  A register is a set of named qubits: the states
-    are compared within tol after reordering one register to the other's
-    names, and renaming a qubit is not congruence."""
-    return _signature(c1) == _signature(c2) and quantum.density_equal_mod_order(c1.rho, c2.rho, tol)
+    restrictions merged: equal ``canonical_key``s.  A register is a set of
+    named qubits: the states are compared within tol after reordering one
+    register to the other's names, and renaming a qubit is not
+    congruence."""
+    return canonical_key(c1) == canonical_key(c2) and quantum.density_equal_mod_order(c1.rho, c2.rho, tol)
 
 
 def canonical_key(config: QccsConfig) -> str:
     """Hash key modulo congruence: the register names sorted and the term
-    signature.  Congruent configurations share it; ``congruent`` decides
-    the state."""
+    signature, in which register qubits read literally.  ``congruent`` is
+    key equality plus the state."""
     cached = getattr(config, "_key", None)
     if cached is None:
-        cached = f"Q{','.join(sorted(config.rho.qubit_names))}|{_signature(config)}"
+        cached = f"Q{','.join(sorted(config.rho.qubit_names))}|{canon.signature(config.term, _node)}"
         object.__setattr__(config, "_key", cached)
     return cached
 

@@ -304,3 +304,127 @@ def test_teleport_completeness_refines_each_group_once(monkeypatch, capsys):
     assert "completeness: holds" in capsys.readouterr().out
     assert calls["label"] > 0
     assert calls["refine"] == calls["label"]
+
+
+# -- free names ------------------------------------------------------------------
+# The hand-written walks that the node tuples replaced, kept as references.
+
+
+def _cqp_free_names(t) -> frozenset[str]:
+    match t:
+        case cqp.Nil() | cqp.Success():
+            return frozenset()
+        case cqp.Par(l, r):
+            return _cqp_free_names(l) | _cqp_free_names(r)
+        case cqp.In(c, x, p):
+            return frozenset({c}) | (_cqp_free_names(p) - {x})
+        case cqp.Out(c, q, p):
+            return frozenset({c, q}) | _cqp_free_names(p)
+        case cqp.Trans(qs, _, p):
+            return frozenset(qs) | _cqp_free_names(p)
+        case cqp.Measure(qs, x, p):
+            return frozenset(qs) | (_cqp_free_names(p) - {x})
+        case cqp.NewChan(x, p) | cqp.NewQbit(x, p):
+            return _cqp_free_names(p) - {x}
+    raise TypeError(t)
+
+
+def _qccs_free_qubits(t) -> frozenset[str]:
+    match t:
+        case qccs.Nil() | qccs.Success() | qccs.BTrue() | qccs.BFalse():
+            return frozenset()
+        case qccs.TraceNonzero(_, qs):
+            return frozenset(qs)
+        case qccs.Tau(p) | qccs.Restrict(p, _):
+            return _qccs_free_qubits(p)
+        case qccs.SuperOp(_, qs, p):
+            return frozenset(qs) | _qccs_free_qubits(p)
+        case qccs.In(_, x, p):
+            return _qccs_free_qubits(p) - {x}
+        case qccs.Out(_, q, p):
+            return frozenset({q}) | _qccs_free_qubits(p)
+        case qccs.Choice(l, r) | qccs.Par(l, r):
+            return _qccs_free_qubits(l) | _qccs_free_qubits(r)
+        case qccs.IfThen(b, p):
+            return _qccs_free_qubits(b) | _qccs_free_qubits(p)
+        case qccs.ConstCall(_, args):
+            return frozenset(args)
+    raise TypeError(t)
+
+
+def _qccs_free_channels(t) -> frozenset[str]:
+    match t:
+        case qccs.Nil() | qccs.Success() | qccs.ConstCall():
+            return frozenset()
+        case qccs.Tau(p) | qccs.SuperOp(_, _, p) | qccs.IfThen(_, p):
+            return _qccs_free_channels(p)
+        case qccs.In(c, _, p) | qccs.Out(c, _, p):
+            return frozenset({c}) | _qccs_free_channels(p)
+        case qccs.Choice(l, r) | qccs.Par(l, r):
+            return _qccs_free_channels(l) | _qccs_free_channels(r)
+        case qccs.Restrict(p, chans):
+            return _qccs_free_channels(p) - set(chans)
+    raise TypeError(t)
+
+
+def _subterms(t):
+    """``t`` and every term and guard below it."""
+    yield t
+    for field in dataclasses.fields(t):
+        child = getattr(t, field.name)
+        if isinstance(child, canon.Interned) and not isinstance(child, qccs.OpRef):
+            yield from _subterms(child)
+
+
+def _assert_free_names_match(cqp_terms, qccs_terms) -> int:
+    checked = 0
+    for sub in {s for t in cqp_terms for s in _subterms(t)}:
+        assert cqp.free_names(sub) == _cqp_free_names(sub), cqp.format_term(sub)
+        checked += 1
+    for sub in {s for t in qccs_terms for s in _subterms(t)}:
+        assert qccs.free_qubits(sub) == _qccs_free_qubits(sub), sub
+        if not isinstance(sub, qccs.BoolExpr):
+            assert qccs.free_channels(sub) == _qccs_free_channels(sub), sub
+        checked += 1
+    return checked
+
+
+def test_derived_free_names_match_the_term_walks_over_the_campaign():
+    cqp_terms, qccs_terms = [], []
+    for seed in range(100):
+        inst = criteria.Instance(criteria.gen_config(seed), criteria.Budget(48, 800), seed=seed)
+        cqp_terms += [s.term for s in inst.source_lts.states]
+        qccs_terms += [c.term for c in inst.encoded] + [c.term for c in inst.target_lts.states]
+    assert _assert_free_names_match(cqp_terms, qccs_terms) > 1000
+
+
+def test_derived_free_names_match_the_term_walks_on_the_protocols():
+    cqp_terms, qccs_terms = [], []
+    for name in ("teleport.cqp", "measurement.cqp"):
+        source = cqp.parse_cqp(protocols.path(name).read_text())
+        cqp_terms.append(source.term)
+        qccs_terms.append(encode.encode_config(source).term)
+    called = (
+        "def A(x) = H[x].c!x.nil\n"
+        "def B(x, y) = if tr(E{1}[x, y]) != 0 then A(y) + d?z.B(z, x)\n"
+        "state qubits q, r ; rho = outer(|00>) ; process (B(q, r) | e?w.nil) \\ {c, f}"
+    )
+    for text in (protocols.path("counterexample.qccs").read_text(),
+                 protocols.path("teleport-encoded.qccs").read_text(), called):
+        defs, config, _ = qccs.parse_qccs(text)
+        qccs_terms += [config.term] + [body for _, body in defs.values()]
+    subterms = {s for t in qccs_terms for s in _subterms(t)}
+    assert any(isinstance(s, qccs.ConstCall) for s in subterms)
+    assert any(isinstance(s, qccs.TraceNonzero) for s in subterms)
+    _assert_free_names_match(cqp_terms, qccs_terms)
+
+
+def test_a_restriction_keeps_only_the_channels_free_in_its_body():
+    body = qccs.Par(qccs.Out("c", "q", qccs.Nil()), qccs.In("e", "c", qccs.Out("d", "c", qccs.Nil())))
+    term = qccs.Restrict(body, ("f", "d", "c", "q"))
+    _assert_free_names_match([], [term])
+    assert (qccs.free_channels(term), qccs.free_qubits(term)) == ({"e"}, {"q"})
+    assert canon._entry(term, qccs._node)[0] == (canon.RES, ("@c", "@d"), body)
+    # a restriction of dead channels only is congruent to its body
+    dead = qccs.Restrict(qccs.Out("c", "q", qccs.Nil()), ("f", "q"))
+    assert qccs.congruent(_qccs(dead), _qccs(qccs.Out("c", "q", qccs.Nil())))

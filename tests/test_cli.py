@@ -54,6 +54,24 @@ def test_typecheck_rejects_illformed(tmp_path, capsys):
     assert "Cond2" in err
 
 
+@pytest.mark.parametrize("command", ["parse", "run", "steps", "translate", "typecheck"])
+def test_an_ill_typed_cqp_is_rejected_on_load(tmp_path, capsys, command):
+    bad = tmp_path / "bad.cqp"
+    bad.write_text("qubits q ; state |0> ; channels c ; process {c *= X}.ok")
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: 'c' is not an available qubit"]
+
+
+@pytest.mark.parametrize("script", ["7", "-1"])
+def test_run_script_outside_the_outcomes_names_their_range(capsys, script):
+    code, out, err = run_cli(capsys, "run", TELEPORT, "--script", script)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: scripted branch {script} is not an outcome: measuring q0,q1 has outcomes 0 to 3"
+    ]
+
+
 def test_steps_listing(capsys):
     code, out, _ = run_cli(capsys, "steps", TELEPORT)
     assert code == 0

@@ -501,8 +501,11 @@ def test_teleport_every_branch_reaches_success():
 def test_scripted_zero_probability_branch_rejected():
     config = pure("q", [1, 0], Measure(("q",), "x", Nil()))
     (step,) = cqp.enumerate_steps(config)
-    with pytest.raises(InvalidOutcome):
+    with pytest.raises(InvalidOutcome, match="branch 1 has zero probability"):
         cqp.run(step.next, script=[1])
+    for j in (2, -1):
+        with pytest.raises(InvalidOutcome, match=f"branch {j} is not an outcome: measuring q has outcomes 0 to 1"):
+            cqp.run(step.next, script=[j])
 
 
 def test_run_empty_process_is_empty_trace():
