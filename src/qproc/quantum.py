@@ -8,7 +8,9 @@ register's name order.  Super-operators are signed Kraus sums, which is
 deliberately more permissive than completely positive maps so that
 non-physical probe operators stay executable;
 ``SuperOperator.advisories`` reports CP and trace violations without
-blocking anything.
+blocking anything.  One whose Kraus terms are all diagonal (I, Z,
+measurements, projectors) applies as an entry-by-entry mask, with the
+dense sum's bytes; the rest go through the dense signed Kraus sum.
 
 Everything is immutable and pure.  Registers beyond a dozen qubits are out
 of scope and dense numpy is used throughout.
@@ -71,18 +73,16 @@ def _check_state_vector(names: tuple[str, ...], amps: np.ndarray) -> None:
         raise InvalidRegister(f"state vector not normalised: |psi|^2 = {norm2}")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _clearly_density(entries: np.ndarray) -> bool:
     """``_check_density``'s Hermiticity and trace checks on a square grid,
     with the same arithmetic.  A NaN defect fails the first comparison, and
-    an overflow fails a check instead of warning."""
+    an overflow fails a check (the caller ignores overflows and NaNs)."""
     if not abs(entries - entries.conj().T).max() <= 1e-7:
         return False
     tr = entries.trace()
     return abs(tr.imag) <= 1e-7 and tr.real <= 1.0 + 1e-7
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _check_density(entries: np.ndarray, dim: int) -> None:
     """The density-matrix checks one by one, in their order of precedence."""
     if not np.all(np.isfinite(entries)):
@@ -164,15 +164,19 @@ class DensityMatrix:
     entry is finite, and the trace is checked next.  Anything else runs the
     full check sequence (``_check_density``), so a rejected grid raises the
     same typed error, in the same order of precedence, as the checks run
-    one by one.
+    one by one, all under one ``np.errstate`` that ignores overflows.
     """
 
     qubit_names: tuple[str, ...]
     entries: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        names = _check_names(self.qubit_names)
-        entries = np.array(self.entries, dtype=np.complex128)
+        self._accept(self.qubit_names, self.entries)
+
+    def _accept(self, names, entries) -> None:
+        names = _check_names(names)
+        entries = np.array(entries, dtype=np.complex128)
         dim = 2 ** len(names)
         if not (entries.shape == (dim, dim) and _clearly_density(entries)):
             _check_density(entries, dim)
@@ -190,6 +194,14 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix({','.join(self.qubit_names)}; tr={self.trace:.6f})"
+
+
+def _density_under_errstate(names: tuple[str, ...], entries: np.ndarray) -> DensityMatrix:
+    """``DensityMatrix(names, entries)`` for a caller that already holds its
+    ``np.errstate``: the same checks, without entering that state again."""
+    rho = object.__new__(DensityMatrix)
+    rho._accept(names, entries)
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +308,7 @@ class SuperOperator:
 
         With r = 0 this is the identity operator on the whole register.
         """
-        if i >= 2 ** r:
+        if not 0 <= i < 2 ** r:
             raise InvalidOutcome(f"outcome {i} out of range for {r} qubits")
         proj = np.zeros((2 ** r, 2 ** r))
         proj[i, i] = 1.0
@@ -309,8 +321,23 @@ class SuperOperator:
     @classmethod
     def signed_kraus(cls, name: str, terms) -> "SuperOperator":
         terms = tuple((int(s), m) for s, m in terms)
-        arity = int(np.asarray(terms[0][1]).shape[0]).bit_length() - 1
+        arity = int(np.asarray(terms[0][1]).shape[0]).bit_length() - 1 if terms else 0
         return cls(name, arity, terms)
+
+    @cached_property
+    def _mask(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(W, w) when every Kraus term is diagonal, K_j = diag(d_j), and
+        W = sum_j sign_j d_j d_j+ is finite; w = sum_j sign_j |d_j|^2 is its
+        real diagonal.  Otherwise None: where W overflows, its 0 * inf would
+        be NaN where the terms give 0.  Built on the first application,
+        under that kernel's ``np.errstate``, so an overflow does not warn."""
+        if any(np.count_nonzero(k) != np.count_nonzero(k.diagonal()) for _, k in self.terms):
+            return None
+        zero = np.zeros((2 ** self.arity,) * 2)
+        grid = sum((s * np.outer(k.diagonal(), k.diagonal().conj()) for s, k in self.terms), zero)
+        if not np.isfinite(grid).all():
+            return None
+        return grid, grid.diagonal().real.copy()
 
     def advisories(self) -> list[str]:
         """Report CP / trace-nonincreasing violations without blocking."""
@@ -472,6 +499,15 @@ def _signed_kraus_sum(e: SuperOperator, front: list[int], rho: DensityMatrix) ->
     return acc.reshape([2] * (2 * n)).transpose(inverse_perm(axes)).reshape(2 ** n, 2 ** n)
 
 
+def _spread(block: np.ndarray, front: list[int], n: int) -> np.ndarray:
+    """``block``, a vector or grid over the targets at positions ``front``,
+    reshaped to broadcast against rho's n-axis diagonal or 2n-axis tensor."""
+    order = sorted(range(len(front)), key=front.__getitem__)
+    axes = [g * len(front) + j for g in range(block.ndim) for j in order]
+    shape = [2 if i % n in front else 1 for i in range(block.ndim * n)]
+    return block.reshape([2] * len(axes)).transpose(axes).reshape(shape)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def superop_apply(
     e: SuperOperator,
@@ -483,9 +519,14 @@ def superop_apply(
 
     The signed Kraus sum acts on the target axes of rho's tensor only; the
     result keeps rho's name order.  With ``normalize_after`` the result is
-    divided by its trace (ZeroBranch when the trace vanishes).  An
-    overflow in the arithmetic raises no floating-point warning: the
-    result's check rejects it with a typed error.
+    divided by its trace (ZeroBranch when the trace vanishes).
+
+    An operator with a mask W (``SuperOperator._mask``: I, Z, measurements
+    and projectors) multiplies rho's tensor entry by entry by W spread over
+    the target axes; any other takes the dense ``_signed_kraus_sum``.  The
+    + 0.0 turns a masked -0.0 into the dense sum's +0.0, so for W in
+    {0, 1, -1} the bytes, which the reduction table keys on, are the same.
+    An overflow raises no warning; the result's check rejects it.
     """
     targets = tuple(targets)
     if e.extends_register:
@@ -493,15 +534,21 @@ def superop_apply(
             raise InvalidArity("register extension takes no targets")
         fresh = fresh_qubit_name(rho.qubit_names)
         zero = np.array([[1.0, 0.0], [0.0, 0.0]])
-        return DensityMatrix(rho.qubit_names + (fresh,), np.kron(rho.entries, zero))
+        return _density_under_errstate(rho.qubit_names + (fresh,), np.kron(rho.entries, zero))
 
-    acc = _signed_kraus_sum(e, _target_positions(e.name, e.arity, targets, rho.qubit_names), rho)
+    front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
+    if e._mask is None:
+        acc = _signed_kraus_sum(e, front, rho)
+    else:
+        n = rho.num_qubits
+        masked = rho.entries.reshape([2] * (2 * n)) * _spread(e._mask[0], front, n)
+        acc = masked.reshape(2 ** n, 2 ** n) + 0.0
     if e.normalize_after:
         tr = float(np.trace(acc).real)
         if tr <= tol:
             raise ZeroBranch(f"{e.name} applied to a branch of trace {tr}")
         acc = acc / tr
-    return DensityMatrix(rho.qubit_names, acc)
+    return _density_under_errstate(rho.qubit_names, acc)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -509,14 +556,18 @@ def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix
     """Trace of the raw, never normalised application; guard evaluation.
 
     Equal to sum_j sign_j tr(K_j+ K_j rho_T), with rho_T the reduced state
-    of rho on the targets, so no register-sized grid is built.  Probe
-    operators give traces outside the partial-density invariants (above
-    one), and the guard only needs the number.  An overflow gives an
-    infinite or NaN trace without a floating-point warning.
+    of rho on the targets, so no register-sized grid is built: with a mask
+    (``superop_apply``) w spread over the target axes dotted with rho's
+    diagonal, else an ``einsum`` that traces the spectators out.  Probe
+    operators give traces above one; the guard only needs the number.  An
+    overflow gives an infinite or NaN trace without a warning.
     """
     targets = tuple(targets)
     front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
     n = rho.num_qubits
+    if e._mask is not None:
+        weights = _spread(e._mask[1], front, n)
+        return float((rho.entries.diagonal().real.reshape([2] * n) * weights).sum())
     # Label each spectator's column axis like its row axis, so einsum traces it out.
     labels = list(range(n)) + [n + i if i in front else i for i in range(n)]
     dim = 2 ** e.arity

@@ -396,6 +396,19 @@ def test_reduction_table_returns_the_stored_steps_for_an_equal_key():
     assert inst.reductions(copy) is steps
 
 
+def test_reduction_table_size_over_the_campaign_seeds():
+    # The table keys on rho's bytes, so a kernel that changed them (a -0.0
+    # for a +0.0, a rounding) would show here as more entries, not only as
+    # a slower benchmark.
+    total = 0
+    for seed in range(100):
+        inst = criteria.Instance(criteria.gen_config(seed, size=4, depth=6), Budget(48, 800), seed)
+        for check in criteria.CHECKS.values():
+            check(inst)
+        total += len(inst._reductions)
+    assert total == 740
+
+
 def test_reduction_table_keys_rho_bitwise(monkeypatch):
     calls = []
     real = qccs.reduce_steps

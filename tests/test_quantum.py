@@ -569,6 +569,17 @@ def test_invalid_outcome_rejected():
         q.SuperOperator.measure_expected(4, 2)
 
 
+def test_negative_outcome_rejected():
+    # a negative index would wrap round to the last projector
+    with pytest.raises(InvalidOutcome, match="outcome -1 out of range for 1 qubits"):
+        q.SuperOperator.measure_expected(-1, 1)
+
+
+def test_signed_kraus_without_terms_rejected():
+    with pytest.raises(InvalidArity, match="super-operator Q needs at least one Kraus term"):
+        q.SuperOperator.signed_kraus("Q", [])
+
+
 def _kron_oracle(e, targets, rho):
     """Reference construction: permute the targets to the front, apply
     sum_j s_j (K_j (x) I) rho (K_j (x) I)+ to the whole register, permute
@@ -591,6 +602,19 @@ KERNEL_OPS = (
     + [q.SuperOperator.measure_unknown(1), q.SuperOperator.measure_unknown(2)]
     + [q.SuperOperator.measure_expected(i, r) for r in range(3) for i in range(2 ** r)]
     + [q.amplitude_damping_probe(), q.SuperOperator.new_qubit()]
+    # diagonal operators that no builtin covers
+    + [
+        q.SuperOperator.signed_kraus("S", [(1, np.diag([1, 1j]))]),
+        q.SuperOperator.signed_kraus("D", [(1, np.diag([1, 0.5])), (-1, np.diag([0, 0.5]))]),
+        q.SuperOperator.signed_kraus("D2", [(1, np.diag([1, -1j, 0.5, 0]))]),
+    ]
+)
+
+# The builtin operators that the mask applies, all of whose entries are 0, 1 or -1.
+MASKED_OPS = (
+    [q.SuperOperator.from_unitary(q.GATES[g]) for g in ("I", "Z")]
+    + [q.SuperOperator.measure_unknown(r) for r in (1, 2, 3)]
+    + [q.SuperOperator.measure_expected(i, r) for r in range(3) for i in range(2 ** r)]
 )
 
 
@@ -612,6 +636,48 @@ def test_kernel_matches_kron_construction(n):
                 want = q.DensityMatrix(got.qubit_names, np.kron(rho.entries, np.diag([1.0, 0.0])))
             assert same(got, want, 1e-12)
             assert q.raw_trace_after(e, targets, rho) == pytest.approx(raw, abs=1e-12)
+
+
+def test_the_terms_choose_the_path():
+    rho = q.outer(sv("abc", [SQ2, 0, 0, 0, 0, 0, 0, SQ2]))
+    ops = [e for e in KERNEL_OPS + MASKED_OPS if not e.extends_register]
+    for e in ops:
+        q.raw_trace_after(e, ("a", "b", "c")[: e.arity], rho)
+    diagonal = {e.name for e in ops if e._mask is not None}
+    assert diagonal == {"I", "Z", "M", "E0", "E1", "E2", "E3", "S", "D", "D2"}
+    assert not diagonal & {"H", "X", "Y", "CNOT", "Q"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_masked_operators_give_the_dense_sum_byte_for_byte(n):
+    # The reduction table keys on rho's bytes, so a -0.0 where the dense
+    # sum gives +0.0 would make a second entry for an equal state.
+    rng = np.random.default_rng(200 + n)
+    names = tuple(f"r{i}" for i in range(n))
+    minus = sv(names, [(-1) ** bin(i).count("1") / 2 ** (n / 2) for i in range(2 ** n)])
+    for _ in range(4):
+        rho = q.mix([(0.8, minus), (0.2, random_state(rng, names))])
+        assert (rho.entries.real < 0).any() and (rho.entries.imag < 0).any()
+        for e in MASKED_OPS:
+            if e.arity > n:
+                continue
+            targets = tuple(rng.permutation(names)[: e.arity])
+            want = q._signed_kraus_sum(e, [names.index(t) for t in targets], rho)
+            if e.normalize_after:
+                want = want / float(np.trace(want).real)
+            got = q.superop_apply(e, targets, rho)
+            assert e._mask is not None
+            assert got.entries.tobytes() == want.tobytes()
+
+
+def test_an_overflowing_mask_keeps_the_dense_sum():
+    # W[0, 0] = 1e400 overflows, and 0 * inf would be NaN where the Kraus
+    # term gives 0
+    e = q.SuperOperator.signed_kraus("B", [(1, np.diag([1e200, 1.0]))])
+    rho = q.outer(sv("a", [0, 1]))
+    got = q.superop_apply(e, ("a",), rho)
+    assert got.entries.tolist() == [[0, 0], [0, 1]]
+    assert e._mask is None
 
 
 @pytest.mark.parametrize(
