@@ -9,8 +9,8 @@ deliberately more permissive than completely positive maps so that
 non-physical probe operators stay executable;
 ``SuperOperator.advisories`` reports CP and trace violations without
 blocking anything.  One whose Kraus terms are all diagonal (I, Z,
-measurements, projectors) applies as an entry-by-entry mask, with the
-dense sum's bytes; the rest go through the dense signed Kraus sum.
+measurements, projectors) applies as an entry-by-entry mask, for these
+builtins with the dense sum's bytes; the rest take the dense Kraus sum.
 
 Everything is immutable and pure.  Registers beyond a dozen qubits are out
 of scope and dense numpy is used throughout.
