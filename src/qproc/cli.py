@@ -316,7 +316,37 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_FAILS
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILE = (("file",), {})
+
+# name -> (help, arguments after the shared options, handler); a table, so
+# that a call can build the one subparser it parses
+_COMMANDS = {
+    "parse": ("dump the parsed configuration", [_FILE], cmd_parse),
+    "typecheck": ("type/well-formedness check a file", [_FILE], cmd_typecheck),
+    "run": (
+        "execute a .cqp source",
+        [_FILE, (("--script",), {"default": "", "help": "comma-separated branch choices for measurements"})],
+        cmd_run,
+    ),
+    "steps": ("list the one-step successors", [_FILE], cmd_steps),
+    "translate": (
+        "translate a .cqp source to .qccs",
+        [_FILE, (("-o", "--output"), {"default": None})],
+        cmd_translate,
+    ),
+    "check": (
+        "run an encodability criterion",
+        [_FILE, (("--which",), {"choices": _CHECKS, "required": True})],
+        cmd_check,
+    ),
+    "counterexample": ("the separation suite table", [], cmd_counterexample),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qproc parser.  Where ``command`` names a subcommand, only its
+    subparser is added; otherwise (help, no or an unknown subcommand) all
+    are, so the listing and the usage errors stay whole."""
     shared = _Parser(add_help=False)
     shared.add_argument("--tolerance", type=float, default=quantum.DEFAULT_TOL)
     shared.add_argument("--max-depth", type=int, default=64)
@@ -326,42 +356,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="qproc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", parents=[shared], help="dump the parsed configuration")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("typecheck", parents=[shared], help="type/well-formedness check a file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_typecheck)
-
-    p = sub.add_parser("run", parents=[shared], help="execute a .cqp source")
-    p.add_argument("file")
-    p.add_argument("--script", default="", help="comma-separated branch choices for measurements")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("steps", parents=[shared], help="list the one-step successors")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_steps)
-
-    p = sub.add_parser("translate", parents=[shared], help="translate a .cqp source to .qccs")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("check", parents=[shared], help="run an encodability criterion")
-    p.add_argument("file")
-    p.add_argument("--which", choices=_CHECKS, required=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("counterexample", parents=[shared], help="the separation suite table")
-    p.set_defaults(func=cmd_counterexample)
-
+    names = [command] if command in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[shared], help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -578,13 +578,13 @@ _TOKEN = re.compile(
       | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<id>[A-Za-z_#][A-Za-z0-9_#']*)
       | (?P<op>:=|\*=|!=|[;,.|!?(){}\[\]<>*/+\-=\\])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -592,23 +592,23 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """One pass of ``_TOKEN``; only whitespace spans a line break, and a
+    column counts from the start of its line."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            start, end = m.span()
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, m.start() - line_start + 1)
         else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            tokens.append(Token(kind, m[0], line, m.start() - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -618,7 +618,8 @@ class TokenStream:
         self.pos = 0
 
     def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        i = self.pos + ahead
+        return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -555,12 +555,14 @@ def superop_apply(
 def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix) -> float:
     """Trace of the raw, never normalised application; guard evaluation.
 
-    Equal to sum_j sign_j tr(K_j+ K_j rho_T), with rho_T the reduced state
+    Equal to sum_j sign_j tr(K_j rho_T K_j+), with rho_T the reduced state
     of rho on the targets, so no register-sized grid is built: with a mask
     (``superop_apply``) w spread over the target axes dotted with rho's
     diagonal, else an ``einsum`` that traces the spectators out.  Probe
     operators give traces above one; the guard only needs the number.  An
-    overflow gives an infinite or NaN trace without a warning.
+    overflow gives an infinite or NaN trace without a warning.  K rho_T K+,
+    not K+K, is formed, so the trace overflows only where the applied
+    operator does: K+K of +diag(1e200, 1) overflows even on |1><1|.
     """
     targets = tuple(targets)
     front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
@@ -573,7 +575,7 @@ def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix
     dim = 2 ** e.arity
     grid = rho.entries.reshape([2] * (2 * n))
     reduced = np.einsum(grid, labels, front + [n + i for i in front]).reshape(dim, dim)
-    return float(sum(sign * np.trace(k.conj().T @ k @ reduced) for sign, k in e.terms).real)
+    return float(sum(sign * np.trace(k @ reduced @ k.conj().T) for sign, k in e.terms).real)
 
 
 # -- comparison --------------------------------------------------------------

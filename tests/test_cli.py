@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 import warnings
 
 import pytest
@@ -170,6 +172,72 @@ def test_usage_errors_exit_3(capsys):
     assert run_cli(capsys, "run", TELEPORT, "--tolerance", "0.5")[0] == 3
     assert run_cli(capsys, "run", "nope.txt")[0] == 3
     assert run_cli(capsys, "run", "missing.cqp")[0] == 3
+
+
+COMMANDS = ("parse", "typecheck", "run", "steps", "translate", "check", "counterexample")
+
+
+def subparsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def parse_outcome(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except cli.UsageError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subparser_parses_like_the_full_parser(command):
+    alone, full = cli.build_parser(command), cli.build_parser()
+    assert list(subparsers(alone)) == [command]
+    assert subparsers(alone)[command].format_help() == subparsers(full)[command].format_help()
+    # the shared options precede the subcommand's own in its usage and help
+    options = [a.option_strings[-1] for a in subparsers(alone)[command]._actions if a.option_strings]
+    assert options[:6] == ["--help", "--tolerance", "--max-depth", "--max-states", "--seed", "--format"]
+    tails = [
+        [],
+        [TELEPORT],
+        [TELEPORT, "--which", "nope"],
+        [TELEPORT, "--which", "size", "--seed", "4"],
+        [TELEPORT, "--format", "xml"],
+        [TELEPORT, "--format", "json", "--tolerance", "1e-9", "--max-depth", "5"],
+        [TELEPORT, "--script", "0,1"],
+        [TELEPORT, "-o", "out.qccs"],
+        [TELEPORT, "-o"],
+        [TELEPORT, "--bogus"],
+        [TELEPORT, "check"],
+        ["check", TELEPORT, "--which", "size"],
+        ["--seed", "x"],
+    ]
+    for tail in tails:
+        argv = [command, *tail]
+        assert parse_outcome(alone, argv) == parse_outcome(full, argv), argv
+
+
+@pytest.mark.parametrize("command", [None, "bogus", "-h", "--seed"])
+def test_a_call_that_names_no_subcommand_builds_them_all(command):
+    assert list(subparsers(cli.build_parser(command))) == list(COMMANDS)
+
+
+def test_no_or_an_unknown_subcommand_lists_them_all(capsys):
+    assert run_cli(capsys) == (3, "", "usage error: the following arguments are required: command\n")
+    # argparse quotes the listed choices on some Python versions only
+    for argv, value in ((["bogus"], "bogus"), (["--seed", "1", "check"], "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"usage error: argument command: invalid choice: '{value}' (choose from ")
+        assert all(command in err for command in COMMANDS)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qproc", "typecheck", TELEPORT, "--format", "json"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "holds"
+    monkeypatch.setattr(sys, "argv", ["qproc"])
+    assert cli.main(None) == 3
 
 
 def test_parse_error_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -138,6 +139,72 @@ def test_a_star_before_a_ket_is_optional():
     plain = cqp.parse_cqp("qubits a ; state 0.5|0> + sqrt(3)/2|1> ; channels ; process 0")
     assert np.array_equal(starred.sigma.amps, plain.sigma.amps)
     assert np.allclose(starred.sigma.amps, [0.5, np.sqrt(3) / 2])
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+      | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<id>[A-Za-z_#][A-Za-z0-9_#']*)
+      | (?P<op>:=|\*=|!=|[;,.|!?(){}\[\]<>*/+\-=\\])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    """The earlier tokenizer: one ``match`` per lexeme, columns tracked by
+    hand, and no catch-all group."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+def test_tokenize_matches_the_reference_on_bundled_and_mutated_sources():
+    names = ("teleport.cqp", "measurement.cqp", "counterexample.qccs", "teleport-encoded.qccs")
+    sources = [protocols.read(name) for name in names]
+    for text in sources:
+        assert _tokens_or_error(cqp.tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+    alphabet = "\n\r\t @\"#'.*=:!?|-\\xé٣ \x85\x00"
+    rng = random.Random(20)
+    errors = 0
+    for _ in range(2500):
+        chars = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(chars))
+            edit = rng.randrange(3)
+            if edit == 0:
+                del chars[at]
+            elif edit == 1:
+                chars.insert(at, rng.choice(alphabet))
+            else:
+                chars[at] = rng.choice(alphabet)
+        text = "".join(chars)
+        got = _tokens_or_error(cqp.tokenize, text)
+        assert got == _tokens_or_error(_reference_tokenize, text), text
+        errors += isinstance(got[0], str)
+    assert 100 < errors < 2400  # both outcomes are exercised
 
 
 # -- substitution ---------------------------------------------------------------

@@ -264,6 +264,16 @@ def test_ifthen_guards_inner_action():
     assert qccs.lts_steps(cfg(no)) == []
 
 
+def test_a_guard_steps_where_its_operator_does_not_overflow():
+    # K+K of B overflows, but B applied to |1><1| gives the finite diag(0, 1)
+    defs, config, table = qccs.parse_qccs(
+        "superop B(1) { +[[1e200, 0], [0, 1]]; } state qubits q ; rho = outer(|1>) ; "
+        "process if tr(B[q]) != 0 then tau.ok"
+    )
+    (step,) = qccs.lts_steps(config, defs, table)
+    assert step.next.term == Success()
+
+
 def test_guard_counts_negative_trace_as_nonzero():
     probe = quantum.amplitude_damping_probe()
     rho = quantum.superop_apply(probe, ("q",), dm("q", (0, 1)))  # diag(-1, 2)

@@ -678,6 +678,8 @@ def test_an_overflowing_mask_keeps_the_dense_sum():
     got = q.superop_apply(e, ("a",), rho)
     assert got.entries.tolist() == [[0, 0], [0, 1]]
     assert e._mask is None
+    # K+K overflows too; K rho K+ does not
+    assert q.raw_trace_after(e, ("a",), rho) == 1.0
 
 
 @pytest.mark.parametrize(
