@@ -6,7 +6,7 @@ applied to named targets, and the register keeps its order.
 
 import numpy as np
 
-from qproc import quantum
+from qproc import protocols, qccs, quantum
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -45,7 +45,8 @@ print("\nX on bob only; diagonal of the result:", np.round(np.diag(flipped.entri
 
 # -- the probe operator beyond unitaries ---------------------------------------
 
-probe = quantum.amplitude_damping_probe(1.0)
+# the signed two-Kraus operator Q of the bundled separation probe
+probe = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
 print("\nthe signed probe is not a quantum channel:", probe.advisories())
 one = quantum.outer(quantum.StateVector(("q",), [0, 1]))
 print("probe(|1><1|) =")

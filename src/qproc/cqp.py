@@ -124,7 +124,8 @@ class CqpDist:
     ``cases[i]`` is (p_i, sigma_i), outcome i reading the bits of
     ``measured`` in order; the shared term keeps ``var`` free and case i
     reads term{i/var}.  All 2**r cases are stored, r = len(measured),
-    including the zero-probability ones, which the branch rule skips.
+    including those of probability at most the tolerance, which carry the
+    zero vector and which the branch rule skips.
     """
 
     cases: tuple[tuple[float, StateVector], ...]
@@ -576,7 +577,7 @@ def run(
 _TOKEN = re.compile(
     r"""(?P<ws>\s+|\#[^\n]*)
       | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<id>[A-Za-z_#][A-Za-z0-9_#']*)
+      | (?P<id>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<op>:=|\*=|!=|[;,.|!?(){}\[\]<>*/+\-=\\])
       | (?P<bad>.)
     """,

@@ -15,6 +15,12 @@ picks a bucket and the quantum states in it are compared within the
 tolerance, so exploration terminates on the loops the calculi can express
 and no verdict hinges on where a float falls.
 
+An exploration (``Lts``) starts at state 0 and stores a state only as the
+successor of a stored one, so every stored state is reached from state 0.
+May-success and divergence read that invariant off the whole exploration;
+every other graph question (must-success, soundness's choice closure, the
+games' tau closure) is one call of ``Lts.reach``.
+
 Completeness matches a source step to a target step by congruence or,
 failing that, by the measurement-choice law, and by nothing else.  The law
 is the expansion-law step (Milner 1989) of the paper's
@@ -108,7 +114,6 @@ class System:
     key: callable
     equal: callable
     barb: callable
-    size: callable
 
 
 def cqp_system(tol: float = DEFAULT_TOL) -> System:
@@ -120,7 +125,6 @@ def cqp_system(tol: float = DEFAULT_TOL) -> System:
         key=cqp.canonical_key,
         equal=lambda a, b: cqp.congruent(a, b, tol),
         barb=cqp.has_success_barb,
-        size=lambda c: len(c.sigma_names),
     )
 
 
@@ -145,7 +149,6 @@ def qccs_system(
         key=qccs.canonical_key,
         equal=lambda a, b: qccs.congruent(a, b, tol),
         barb=lambda c: qccs.has_success_barb(c, defs),
-        size=lambda c: c.rho.num_qubits,
     )
 
 
@@ -179,13 +182,15 @@ class StateIndex:
 
 @dataclass
 class Lts:
+    """A bounded exploration.  State 0 is the initial state, and every
+    stored state is reached from it: ``build_lts`` stores a state only as
+    the successor of a stored one, and ``parents`` keeps that edge."""
+
     states: list
     edges: list[tuple[int, str, int, bool]]  # src, label, dst, reduces-choice
     barbs: list[bool]
-    sizes: list[int]
     truncated: set[int]
     parents: list[tuple[int, str] | None]
-    initial: int = 0
 
     @property
     def complete(self) -> bool:
@@ -198,6 +203,19 @@ class Lts:
         for src, label, dst, choice in self.edges:
             out[src].append((label, dst, choice))
         return out
+
+    def reach(self, i: int, follow=lambda label, dst, choice: True) -> dict[int, None]:
+        """The states reached from ``i`` along the edges that
+        ``follow(label, dst, choice)`` accepts, ``i`` included, in
+        breadth-first order."""
+        seen = {i: None}
+        queue = deque([i])
+        while queue:
+            for label, dst, choice in self.succ[queue.popleft()]:
+                if dst not in seen and follow(label, dst, choice):
+                    seen[dst] = None
+                    queue.append(dst)
+        return seen
 
     def path_to(self, i: int) -> list[str]:
         labels = []
@@ -220,7 +238,6 @@ def build_lts(initial, system: System, budget: Budget = Budget()) -> Lts:
     index.add(initial)
     states = index.states
     barbs = [system.barb(initial)]
-    sizes = [system.size(initial)]
     parents: list = [None]
     edges: list[tuple[int, str, int, bool]] = []
     truncated: set[int] = set()
@@ -238,29 +255,23 @@ def build_lts(initial, system: System, budget: Budget = Budget()) -> Lts:
                     continue
                 target = index.add(succ)
                 barbs.append(system.barb(succ))
-                sizes.append(system.size(succ))
                 parents.append((idx, label))
                 queue.append((target, depth + 1))
             edges.append((idx, label, target, choice))
-    return Lts(states, edges, barbs, sizes, truncated, parents)
+    return Lts(states, edges, barbs, truncated, parents)
 
 
 # -- reachability verdicts ------------------------------------------------------
 
 def may_reach_success(lts: Lts) -> Verdict:
-    seen = {lts.initial}
-    queue = deque([lts.initial])
-    while queue:
-        i = queue.popleft()
-        if lts.barbs[i]:
-            return _holds(**lts.stats())
-        for _, dst, _ in lts.succ[i]:
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    if lts.truncated & seen:
+    """Some path visits a success state.  Every stored state is reached, so
+    this asks whether any is a success; a failure's witness is the path to
+    the first deadlock."""
+    if any(lts.barbs):
+        return _holds(**lts.stats())
+    if lts.truncated:
         return _inconclusive("truncation", **lts.stats())
-    deadlocks = [i for i in seen if not lts.succ[i]]
+    deadlocks = [i for i, out in enumerate(lts.succ) if not out]
     witness = lts.path_to(deadlocks[0]) if deadlocks else []
     return _fails(witness, **lts.stats())
 
@@ -269,42 +280,32 @@ def must_reach_success(lts: Lts) -> Verdict:
     """Every maximal finite path visits a success state.  Infinite paths are
     outside the quantifier, so barb-free cycles do not falsify the verdict;
     paths cut by the budget make it inconclusive."""
-    if lts.barbs[lts.initial]:
+    if lts.barbs[0]:
         return _holds(**lts.stats())
-    seen = {lts.initial}
-    queue = deque([lts.initial])
-    while queue:
-        i = queue.popleft()
+    for i in lts.reach(0, lambda _, dst, __: not lts.barbs[dst]):
         if i in lts.truncated:
             return _inconclusive("truncation", **lts.stats())
         if not lts.succ[i]:
             return _fails(lts.path_to(i), **lts.stats())
-        for _, dst, _ in lts.succ[i]:
-            if dst not in seen and not lts.barbs[dst]:
-                seen.add(dst)
-                queue.append(dst)
     return _holds(**lts.stats())
 
 
 def detect_divergence(lts: Lts) -> Verdict:
-    """Holds means: an infinite run exists (a reachable cycle)."""
-    color = {}  # 1 in progress, 2 done
-    stack = [(lts.initial, iter([d for _, d, _ in lts.succ[lts.initial]]))]
-    color[lts.initial] = 1
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for nxt in it:
-            if color.get(nxt) == 1:
-                return _holds(cycle=True, **lts.stats())
-            if nxt not in color:
-                color[nxt] = 1
-                stack.append((nxt, iter([d for _, d, _ in lts.succ[nxt]])))
-                advanced = True
-                break
-        if not advanced:
-            color[node] = 2
-            stack.pop()
+    """Holds means: an infinite run exists.  Every stored state is reached,
+    so that is a cycle anywhere in the exploration: some state is left after
+    removing, again and again, the states that no remaining edge enters
+    (Kahn 1962)."""
+    entering = [0] * len(lts.states)
+    for _, _, dst, _ in lts.edges:
+        entering[dst] += 1
+    removed = [i for i, n in enumerate(entering) if not n]
+    for i in removed:  # grows as the loop removes states
+        for _, dst, _ in lts.succ[i]:
+            entering[dst] -= 1
+            if not entering[dst]:
+                removed.append(dst)
+    if len(removed) < len(lts.states):
+        return _holds(cycle=True, **lts.stats())
     if lts.truncated:
         return _inconclusive("truncation", **lts.stats())
     return _fails([], cycle=False, **lts.stats())
@@ -320,19 +321,9 @@ def _strong_after(lts: Lts) -> list[dict[str, list[int]]]:
     return out
 
 
-def _tau_reach(strong) -> list[set[int]]:
+def _tau_reach(lts: Lts) -> list[dict[int, None]]:
     """For each state i, the states j with  i ==> j."""
-    out = []
-    for i in range(len(strong)):
-        seen = {i}
-        queue = deque([i])
-        while queue:
-            for dst in strong[queue.popleft()].get("tau", ()):
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        out.append(seen)
-    return out
+    return [lts.reach(i, lambda label, _, __: label == "tau") for i in range(len(lts.states))]
 
 
 def _weak_after(strong, reach) -> list[dict[str, set[int]]]:
@@ -374,12 +365,13 @@ def corr_sim_check(lts1: Lts, lts2: Lts, size_sensitive: bool = False) -> Verdic
     Clause one matches every step of the first system strongly; clause two
     lets the first system catch up weakly while the second finishes its
     step.  Related states must agree on reachable success, and optionally
-    on register size.
+    on register size, read from ``rho``: every caller plays the game on
+    qCCS explorations.
     """
     if not (lts1.complete and lts2.complete):
         return _inconclusive("truncation")
     strong1, strong2 = _strong_after(lts1), _strong_after(lts2)
-    reach1, reach2 = _tau_reach(strong1), _tau_reach(strong2)
+    reach1, reach2 = _tau_reach(lts1), _tau_reach(lts2)
     weak1 = _weak_after(strong1, reach1)
     may1 = [any(lts1.barbs[k] for k in r) for r in reach1]
     may2 = [any(lts2.barbs[k] for k in r) for r in reach2]
@@ -400,12 +392,13 @@ def corr_sim_check(lts1: Lts, lts2: Lts, size_sensitive: bool = False) -> Verdic
             (i, j)
             for i in range(len(lts1.states))
             for j in range(len(lts2.states))
-            if may1[i] == may2[j] and (not size_sensitive or lts1.sizes[i] == lts2.sizes[j])
+            if may1[i] == may2[j]
+            and (not size_sensitive or lts1.states[i].rho.num_qubits == lts2.states[j].rho.num_qubits)
         },
         ok,
     )
     stats = {"pairs": len(pairs), "states": (len(lts1.states), len(lts2.states))}
-    if (lts1.initial, lts2.initial) in pairs:
+    if (0, 0) in pairs:
         return _holds(**stats)
     return _fails([], **stats)
 
@@ -437,7 +430,7 @@ def bisim_check(lts1: Lts, lts2: Lts) -> Verdict:
         },
         ok,
     )
-    if (lts1.initial, lts2.initial) in pairs:
+    if (0, 0) in pairs:
         return _holds(pairs=len(pairs))
     return _fails([], pairs=len(pairs))
 
@@ -565,10 +558,9 @@ class Instance:
     @cached_property
     def encoded(self) -> list[qccs.QccsConfig]:
         """The translation of each explored source state, by index."""
-        lts = self.source_lts
         return [
-            self.root if idx == lts.initial else self.translate(state)
-            for idx, state in enumerate(lts.states)
+            self.root if idx == 0 else self.translate(state)
+            for idx, state in enumerate(self.source_lts.states)
         ]
 
     @cached_property
@@ -660,23 +652,12 @@ def check_soundness(inst: Instance) -> Verdict:
         translations.add(enc)
 
     translated = [translations.find(s) is not None for s in tgt_lts.states]
-    unmatched = []
-    for t_idx in range(len(tgt_lts.states)):
-        # choice-only completions: follow edges that resolve a choice
-        closure = {t_idx}
-        queue = deque([t_idx])
-        found = translated[t_idx]
-        while queue and not found:
-            cur = queue.popleft()
-            for _, dst, choice in tgt_lts.succ[cur]:
-                if choice and dst not in closure:
-                    closure.add(dst)
-                    if translated[dst]:
-                        found = True
-                        break
-                    queue.append(dst)
-        if not found:
-            unmatched.append(t_idx)
+    # a target state is matched if it reaches a translation by resolving choices
+    unmatched = [
+        t
+        for t in range(len(tgt_lts.states))
+        if not any(translated[k] for k in tgt_lts.reach(t, lambda _, __, choice: choice))
+    ]
     stats = {
         "source_states": len(src_lts.states),
         "target_states": len(tgt_lts.states),
@@ -698,11 +679,10 @@ def check_register_size(inst: Instance) -> Verdict:
     completeness failure leaves those steps unmatched, so it makes this
     check inconclusive, not failing."""
     lts = inst.source_lts
-    for idx, enc in enumerate(inst.encoded):
-        if enc.rho.num_qubits != lts.sizes[idx]:
-            return _fails(
-                [*lts.path_to(idx), f"sizes {lts.sizes[idx]} vs {enc.rho.num_qubits}"], **lts.stats()
-            )
+    for idx, (state, enc) in enumerate(zip(lts.states, inst.encoded)):
+        size = len(state.sigma_names)
+        if enc.rho.num_qubits != size:
+            return _fails([*lts.path_to(idx), f"sizes {size} vs {enc.rho.num_qubits}"], **lts.stats())
     verdict = inst.completeness
     if not verdict.holds:
         return _inconclusive("completeness fails" if verdict.fails else verdict.reason, **verdict.stats)

@@ -246,8 +246,10 @@ GATES: dict[str, Unitary] = {
 class MeasurementOutcome:
     """One outcome of measuring named qubits.
 
-    ``post_state`` is the zero vector whenever probability is zero;
-    downstream rules filter those branches out.
+    ``probability`` is the outcome's true probability, so the outcomes'
+    probabilities sum to 1 however many are dropped.  ``post_state`` is the
+    zero vector whenever the probability is at most the tolerance; the
+    branch rule (``cqp.enumerate_steps``) skips those outcomes.
     """
 
     result: int
@@ -318,12 +320,6 @@ class SuperOperator:
     def new_qubit(cls) -> "SuperOperator":
         return cls("new", 0, ((1, np.eye(1)),), extends_register=True)
 
-    @classmethod
-    def signed_kraus(cls, name: str, terms) -> "SuperOperator":
-        terms = tuple((int(s), m) for s, m in terms)
-        arity = int(np.asarray(terms[0][1]).shape[0]).bit_length() - 1 if terms else 0
-        return cls(name, arity, terms)
-
     @cached_property
     def _mask(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(W, w) when every Kraus term is diagonal, K_j = diag(d_j), and
@@ -360,21 +356,6 @@ class SuperOperator:
 
     def __repr__(self):
         return f"SuperOperator({self.name}, arity={self.arity}, terms={len(self.terms)})"
-
-
-def amplitude_damping_probe(p: float = 1.0) -> SuperOperator:
-    """The signed two-term probe with no unitary equivalent.
-
-    +[[1,0],[0,sqrt(1+p)]] and -[[0,sqrt(p)],[0,0]]; the separation suite
-    only exercises p = 1.
-    """
-    return SuperOperator.signed_kraus(
-        "Q",
-        (
-            (1, [[1.0, 0.0], [0.0, np.sqrt(1.0 + p)]]),
-            (-1, [[0.0, np.sqrt(p)], [0.0, 0.0]]),
-        ),
-    )
 
 
 # -- operations on state vectors --------------------------------------------
@@ -443,8 +424,6 @@ def measure(psi: StateVector, qs: Sequence[str], tol: float = DEFAULT_TOL) -> li
         kept = np.zeros_like(grid)
         if p > tol:
             kept[m] = block / np.sqrt(p)
-        else:
-            p = 0.0
         outcomes.append(MeasurementOutcome(m, p, StateVector(psi.qubit_names, _unfronted(kept, axes))))
     return outcomes
 

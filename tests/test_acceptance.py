@@ -123,7 +123,7 @@ def test_criterion_2_teleportation_translation():
 
 def test_criterion_3_counterexample_suite():
     with criterion(3, "separation counterexample"):
-        probe = quantum.amplitude_damping_probe(1.0)
+        probe = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
         zero = quantum.outer(quantum.StateVector(("q",), [1, 0]))
         one = quantum.outer(quantum.StateVector(("q",), [0, 1]))
         plus = quantum.outer(quantum.StateVector(("q",), [SQ2, SQ2]))

@@ -105,6 +105,18 @@ def test_check_exit_codes(capsys):
         assert code == 0, (which, out)
 
 
+def test_a_dropped_measurement_outcome_runs_and_checks_at_the_tolerance_ceiling(tmp_path, capsys):
+    # outcome 1 has probability 4e-4, below the CLI's largest tolerance
+    src = tmp_path / "dropped.cqp"
+    src.write_text("qubits q ; state sqrt(0.9996)|0> + 0.02|1> ; channels ; process (m := measure q).ok\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--tolerance", "1e-3")
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("SUCCESS")
+    for which in cli._CHECKS:
+        code, out, _ = run_cli(capsys, "check", str(src), "--which", which, "--tolerance", "1e-3")
+        assert code == 0, (which, out)
+
+
 def test_check_json_is_deterministic(capsys):
     args = ("check", MEASUREMENT, "--which", "soundness", "--format", "json", "--seed", "11")
     code1, out1, _ = run_cli(capsys, *args)

@@ -58,6 +58,11 @@ def test_parse_simple_par():
     assert got.term == Par(Out("c", "q", Nil()), In("c", "x", Success()))
 
 
+def test_a_hash_right_after_a_name_starts_a_comment():
+    got = cqp.parse_cqp("qubits q ; state |0> ; channels c ; process c![q].ok# done\n| c?[x].ok#")
+    assert got.term == Par(Out("c", "q", Success()), In("c", "x", Success()))
+
+
 def test_parse_teleport_source():
     got = teleport()
     assert got.sigma.qubit_names == ("q0", "q1", "q2")
@@ -144,7 +149,7 @@ def test_a_star_before_a_ket_is_optional():
 _REFERENCE_TOKEN = re.compile(
     r"""(?P<ws>\s+|\#[^\n]*)
       | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<id>[A-Za-z_#][A-Za-z0-9_#']*)
+      | (?P<id>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<op>:=|\*=|!=|[;,.|!?(){}\[\]<>*/+\-=\\])
     """,
     re.VERBOSE,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import random
 import weakref
@@ -26,7 +27,7 @@ def probe_config(amps):
     return qccs.QccsConfig(config.term, quantum.outer(quantum.StateVector(("q",), np.array(amps, dtype=complex))))
 
 
-PROBE_TABLE = {"Q": quantum.amplitude_damping_probe(1.0)}
+PROBE_TABLE = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]
 
 
 # -- exploration ------------------------------------------------------------------
@@ -347,6 +348,19 @@ def test_hand_written_sources_pass_all_instance_checks(text, law_matches):
     for name, verdict in results.items():
         assert verdict.holds, f"{name}: {verdict.status} {verdict.reason or ''}"
     assert results["completeness"].stats["law_matches"] == law_matches
+
+
+# outcome 1 has probability 4e-4: at tol 1e-3 the branch rule drops it, and
+# the distribution keeps its true probability, so the cases still sum to 1
+DROPPED_OUTCOME = "qubits q ; state sqrt(0.9996)|0> + 0.02|1> ; channels ; process (m := measure q).ok"
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-9])
+def test_a_dropped_measurement_outcome_passes_all_instance_checks(tol):
+    for source, seed in ((cqp.parse_cqp(DROPPED_OUTCOME), 0), (criteria.gen_config(1904), 1904)):
+        results = criteria.run_instance_checks(source, Budget(48, 800), seed, tol)
+        for name, verdict in results.items():
+            assert verdict.holds, (seed, name, verdict.status, verdict.reason)
 
 
 def test_soundness_does_not_depend_on_the_kept_representative(monkeypatch):
@@ -829,3 +843,51 @@ def test_property_campaign_sample():
                 inconclusive += 1
     assert fails == []
     assert inconclusive == 0
+
+
+# -- verdicts that do not move with the tolerance or the budget -------------------------------
+
+PROPERTY_SEEDS = range(200)
+FULL = Budget(48, 800)
+
+
+@functools.cache
+def _campaign(budget: Budget, tol: float) -> tuple:
+    """(instance, verdict by check) for each property seed, explored once per
+    budget and tolerance."""
+    out = []
+    for seed in PROPERTY_SEEDS:
+        inst = criteria.Instance(criteria.gen_config(seed, size=4, depth=6), budget, seed, tol)
+        out.append((inst, {name: check(inst) for name, check in criteria.CHECKS.items()}))
+    return tuple(out)
+
+
+def _report(verdicts: dict) -> dict:
+    return {name: (v.status, v.witness, v.reason, v.stats) for name, v in verdicts.items()}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-4])
+def test_reports_do_not_move_with_the_tolerance(tol):
+    reference = _campaign(FULL, quantum.DEFAULT_TOL)
+    for seed, (_, got), (_, want) in zip(PROPERTY_SEEDS, _campaign(FULL, tol), reference):
+        assert _report(got) == _report(want), seed
+
+
+@pytest.mark.parametrize("budget", [Budget(2, 5), Budget(4, 12), Budget(8, 60), Budget(48, 20)])
+def test_conclusive_verdicts_do_not_move_with_the_budget(budget):
+    reference = _campaign(FULL, quantum.DEFAULT_TOL)
+    conclusive = 0
+    for seed, (_, got), (_, want) in zip(PROPERTY_SEEDS, _campaign(budget, quantum.DEFAULT_TOL), reference):
+        for name, verdict in got.items():
+            if verdict.status != "inconclusive":
+                conclusive += 1
+                assert verdict.status == want[name].status, (seed, name)
+    assert conclusive > 0
+
+
+@pytest.mark.parametrize("budget", [Budget(2, 5), FULL])
+def test_every_explored_state_is_reached_from_state_0(budget):
+    # may-success and divergence read the whole exploration on this ground
+    for inst, _ in _campaign(budget, quantum.DEFAULT_TOL):
+        for lts in (inst.source_lts, inst.target_lts):
+            assert sorted(lts.reach(0)) == list(range(len(lts.states)))

@@ -275,7 +275,7 @@ def test_a_guard_steps_where_its_operator_does_not_overflow():
 
 
 def test_guard_counts_negative_trace_as_nonzero():
-    probe = quantum.amplitude_damping_probe()
+    probe = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
     rho = quantum.superop_apply(probe, ("q",), dm("q", (0, 1)))  # diag(-1, 2)
     assert qccs.eval_bool(TraceNonzero(ProjectOp(0), ("q",)), rho)
     assert qccs.eval_bool(TraceNonzero(ProjectOp(1), ("q",)), rho)

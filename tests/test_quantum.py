@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qproc import protocols, qccs
 from qproc import quantum as q
 from qproc.errors import (
     InvalidArity,
@@ -14,6 +15,9 @@ from qproc.errors import (
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
+
+# the signed two-Kraus operator Q of the bundled separation probe
+PROBE = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
 
 
 def sv(names, amps):
@@ -486,7 +490,9 @@ def test_unitary_superop_matches_vector_path():
 
 
 def test_probe_kraus_terms_have_paper_values():
-    probe = q.amplitude_damping_probe(1.0)
+    # the bundled counterexample.qccs against the paper's probe
+    probe = PROBE
+    assert (probe.name, probe.arity) == ("Q", 1)
     (s0, k0), (s1, k1) = probe.terms
     assert (s0, s1) == (1, -1)
     assert np.allclose(k0, [[1, 0], [0, np.sqrt(2)]])
@@ -500,7 +506,7 @@ def test_measure_unknown_dissolves_plus():
 
 
 def test_probe_action_on_basis_and_diagonal_states():
-    probe = q.amplitude_damping_probe()
+    probe = PROBE
     zero = q.superop_apply(probe, ("a",), q.outer(sv("a", [1, 0])))
     assert np.allclose(zero.entries, [[1, 0], [0, 0]])
     one = q.superop_apply(probe, ("a",), q.outer(sv("a", [0, 1])))
@@ -575,9 +581,9 @@ def test_negative_outcome_rejected():
         q.SuperOperator.measure_expected(-1, 1)
 
 
-def test_signed_kraus_without_terms_rejected():
+def test_super_operator_without_terms_rejected():
     with pytest.raises(InvalidArity, match="super-operator Q needs at least one Kraus term"):
-        q.SuperOperator.signed_kraus("Q", [])
+        q.SuperOperator("Q", 1, ())
 
 
 def _kron_oracle(e, targets, rho):
@@ -601,12 +607,12 @@ KERNEL_OPS = (
     [q.SuperOperator.from_unitary(u) for u in q.GATES.values()]
     + [q.SuperOperator.measure_unknown(1), q.SuperOperator.measure_unknown(2)]
     + [q.SuperOperator.measure_expected(i, r) for r in range(3) for i in range(2 ** r)]
-    + [q.amplitude_damping_probe(), q.SuperOperator.new_qubit()]
+    + [PROBE, q.SuperOperator.new_qubit()]
     # diagonal operators that no builtin covers
     + [
-        q.SuperOperator.signed_kraus("S", [(1, np.diag([1, 1j]))]),
-        q.SuperOperator.signed_kraus("D", [(1, np.diag([1, 0.5])), (-1, np.diag([0, 0.5]))]),
-        q.SuperOperator.signed_kraus("D2", [(1, np.diag([1, -1j, 0.5, 0]))]),
+        q.SuperOperator("S", 1, ((1, np.diag([1, 1j])),)),
+        q.SuperOperator("D", 1, ((1, np.diag([1, 0.5])), (-1, np.diag([0, 0.5])))),
+        q.SuperOperator("D2", 2, ((1, np.diag([1, -1j, 0.5, 0])),)),
     ]
 )
 
@@ -673,7 +679,7 @@ def test_masked_operators_give_the_dense_sum_byte_for_byte(n):
 def test_an_overflowing_mask_keeps_the_dense_sum():
     # W[0, 0] = 1e400 overflows, and 0 * inf would be NaN where the Kraus
     # term gives 0
-    e = q.SuperOperator.signed_kraus("B", [(1, np.diag([1e200, 1.0]))])
+    e = q.SuperOperator("B", 1, ((1, np.diag([1e200, 1.0])),))
     rho = q.outer(sv("a", [0, 1]))
     got = q.superop_apply(e, ("a",), rho)
     assert got.entries.tolist() == [[0, 0], [0, 1]]
