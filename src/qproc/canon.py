@@ -4,13 +4,13 @@ both calculi.
 The term and guard classes of both calculi derive from ``Interned``:
 structurally equal nodes are one object, so equality and hashing are
 identity, and each node keeps what is derived from it alone (its free names,
-its congruence node and signatures, its translation) and computes it once
-(Filliatre & Conchon 2006).  The table is keyed by class and constructor
-arguments and holds its nodes weakly, so it never outlives the terms in use:
-a node goes when the last term holding it does, and its derived data with
-it, so a process that checks instance after instance keeps nothing of the
-earlier ones.  A hit costs one dict lookup and runs no ``__init__``; a
-``list`` argument is interned as a tuple.
+its congruence node and signatures, its translation, its steps without rho)
+and computes it once (Filliatre & Conchon 2006).  The table is keyed by
+class and constructor arguments and holds its nodes weakly, so it never
+outlives the terms in use: a node goes when the last term holding it does,
+and its derived data with it, so a process that checks instance after
+instance keeps nothing of the earlier ones.  A hit costs one dict lookup and
+runs no ``__init__``; a ``list`` argument is interned as a tuple.
 
 Two terms get the same signature exactly when they are structurally
 congruent: parallel composition is commutative, associative and has the

@@ -563,8 +563,10 @@ def run(
                     f"{','.join(cur.measured)} has outcomes 0 to {len(cur.cases) - 1}"
                 )
             chosen = next((s for s in steps if s.branch == j), None)
-            if chosen is None:
-                raise InvalidOutcome(f"scripted branch {j} has zero probability")
+            if chosen is None:  # an outcome at or below the tolerance has no step
+                p = cur.cases[j][0]
+                reason = "zero probability" if p == 0 else f"probability {p:g}, not above the tolerance {tol:g}"
+                raise InvalidOutcome(f"scripted branch {j} has {reason}")
         else:
             chosen = steps[rng.randrange(len(steps))]
         trace.append(chosen)

@@ -9,6 +9,15 @@ are syntactic: an output may not keep its payload free in the continuation
 (checked literally), and parallel components may not both actively demand
 a qubit (input-guarded uses do not count, mirroring the source type
 system; the translated teleportation relies on this).
+
+Each interned term keeps its steps without rho, per register order, as a
+template built from its children's: the tests a walk of the term evaluates,
+in its order (each guard, super-operator and error, with the guards over
+it), and the steps (label or late input, successor term or function of the
+received qubit, guards passed, super-operator applied or None, choice flag).
+A state runs the tests on its rho in one flat pass, each where its guards
+hold, so it evaluates and raises what the walk would, where it would; equal
+tests give equal results, so results are keyed by test.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -467,76 +476,105 @@ class QccsStep:
     reduces_choice: bool = False
 
 
-def _lift(step, wrap, blocked=frozenset()):
-    """A step of a subterm as a step of the term ``wrap`` puts it in; an
-    input also may not receive the ``blocked`` qubits."""
-    lab, t2, r2, ch = step
-    if isinstance(lab, _LateIn):
-        return _LateIn(lab.chan, lab.blocked | blocked), lambda q: wrap(t2(q)), r2, ch
-    return lab, wrap(t2), r2, ch
-
-
 def _meets(inp, out) -> bool:
     """The late input ``inp`` may receive what the output ``out`` sends."""
     return isinstance(inp, _LateIn) and isinstance(out, LOut) and inp.chan == out.chan and out.qubit not in inp.blocked
 
 
-def _term_steps(t, rho, defs, table, tol, unfolding):
-    """All transitions of <t, rho> as (label, term', rho', choice-flag).  An
-    input is late: its label is a ``_LateIn`` and its term' a function of
-    the received qubit, so a qubit is substituted only where it is sent."""
+def _template(t, defs, unfolding, names):
+    """The template of ``t`` (module docstring) as ``(tests, steps)``, kept
+    on the node per register order ``names`` unless ``defs`` defines
+    constants: a constant's steps also read ``defs`` and ``unfolding``."""
+    memo = {} if defs else t.__dict__.setdefault("_templates", {})
+    if names in memo:
+        return memo[names]
     match t:
         case Nil() | Success():
-            return []
+            out = (), ()
         case Tau(p):
-            return [(LTau(), p, rho, False)]
+            out = (), ((LTau(), p, (), None, False),)
         case SuperOp(op, qs, p):
-            resolved = resolve_op(op, len(qs), table)
-            try:
-                rho2 = quantum.superop_apply(resolved, qs, rho, tol)
-            except ZeroBranch:
-                return []  # an unguarded zero-probability branch cannot fire
-            return [(LTau(), p, rho2, False)]
+            out = (((), (op, qs)),), ((LTau(), p, (), (op, qs), False),)
         case In(c, x, p):
             # x is a qubit variable: a channel named x stays free
-            return [(_LateIn(c, free_qubits(t)), lambda q: _substitute(p, {}, {x: q}), rho, False)]
+            out = (), ((_LateIn(c, free_qubits(t)), lambda q: _substitute(p, {}, {x: q}), (), None, False),)
         case Out(c, q, p):
-            return [(LOut(c, q), p, rho, False)]
+            out = (), ((LOut(c, q), p, (), None, False),)
         case Choice(l, r):
-            inner = _term_steps(l, rho, defs, table, tol, unfolding)
-            inner += _term_steps(r, rho, defs, table, tol, unfolding)
-            return [(lab, t2, r2, True) for lab, t2, r2, _ in inner]
+            ltests, lefts = _template(l, defs, unfolding, names)
+            rtests, rights = _template(r, defs, unfolding, names)
+            out = ltests + rtests, tuple([(*s[:4], True) for s in lefts + rights])
         case Par(l, r):
-            lefts = _term_steps(l, rho, defs, table, tol, unfolding)
-            rights = _term_steps(r, rho, defs, table, tol, unfolding)
-            out = [_lift(s, lambda u: Par(u, r), free_qubits(r)) for s in lefts]
-            out += [_lift(s, lambda u: Par(l, u), free_qubits(l)) for s in rights]
-            for lab, t1, _, ch1 in lefts:
-                met = [(lab2, t2, ch2) for lab2, t2, _, ch2 in rights if _meets(lab, lab2) or _meets(lab2, lab)]
+            ltests, lefts = _template(l, defs, unfolding, names)
+            rtests, rights = _template(r, defs, unfolding, names)
+            steps = _wrapped(lefts, lambda u: Par(u, r), free_qubits(r))
+            steps += _wrapped(rights, lambda u: Par(l, u), free_qubits(l))
+            for lab, t1, g1, _, ch1 in lefts:
+                met = [s for s in rights if _meets(lab, s[0]) or _meets(s[0], lab)]
                 if isinstance(lab, _LateIn):  # the early order: by the sent qubit's place in the register
-                    met.sort(key=lambda m: rho.qubit_names.index(m[0].qubit))
-                for lab2, t2, ch2 in met:
+                    met.sort(key=lambda m: names.index(m[0].qubit))
+                for lab2, t2, g2, _, ch2 in met:
                     pair = Par(t1, t2(lab.qubit)) if isinstance(lab, LOut) else Par(t1(lab2.qubit), t2)
-                    out.append((LTau(), pair, rho, ch1 or ch2))
-            return out
+                    steps += ((LTau(), pair, g1 + g2, None, ch1 or ch2),)
+            out = ltests + rtests, steps
         case Restrict(p, chans):
-            inner = _term_steps(p, rho, defs, table, tol, unfolding)
-            return [_lift(s, lambda u: Restrict(u, chans)) for s in inner if getattr(s[0], "chan", None) not in chans]
+            tests, steps = _template(p, defs, unfolding, names)
+            shown = [s for s in steps if getattr(s[0], "chan", None) not in chans]
+            out = tests, _wrapped(shown, lambda u: Restrict(u, chans))
         case IfThen(b, p):
-            if not eval_bool(b, rho, table, tol):
-                return []
-            return _term_steps(p, rho, defs, table, tol, unfolding)
+            tests, steps = _template(p, defs, unfolding, names)
+            tests = (((), b),) + tuple([((b, *guards), x) for guards, x in tests])
+            out = tests, tuple([(lab, t2, (b, *guards), op, ch) for lab, t2, guards, op, ch in steps])
+        case ConstCall(name, args) if name in unfolding:
+            out = (), ()  # unguarded recursion has no actions
+        case ConstCall(name, args) if name not in defs:
+            out = (((), partial(UnknownName, f"unresolved process constant {name!r}")),), ()
+        case ConstCall(name, args) if len(defs[name][0]) != len(args):
+            error = partial(ArityMismatch, f"{name} takes {len(defs[name][0])} qubits, got {len(args)}")
+            out = (((), error),), ()
         case ConstCall(name, args):
-            if name in unfolding:
-                return []  # unguarded recursion has no actions
-            if name not in defs:
-                raise UnknownName(f"unresolved process constant {name!r}")
             params, body = defs[name]
-            if len(params) != len(args):
-                raise ArityMismatch(f"{name} takes {len(params)} qubits, got {len(args)}")
-            unfolded = substitute(body, dict(zip(params, args)))
-            return _term_steps(unfolded, rho, defs, table, tol, unfolding | {name})
-    raise TypeError(f"not a qCCS term: {t!r}")
+            out = _template(substitute(body, dict(zip(params, args))), defs, unfolding | {name}, names)
+        case _:
+            raise TypeError(f"not a qCCS term: {t!r}")
+    memo[names] = out
+    return out
+
+
+def _wrapped(steps, wrap, blocked=frozenset()) -> tuple:
+    """A subterm's template steps as steps of the term ``wrap`` puts it
+    in; an input also may not receive the ``blocked`` qubits."""
+    out = []
+    for lab, t2, guards, op, ch in steps:
+        if type(lab) is _LateIn:
+            if blocked - lab.blocked:
+                lab = _LateIn(lab.chan, lab.blocked | blocked)
+            out.append((lab, lambda q, f=t2: wrap(f(q)), guards, op, ch))
+        else:
+            out.append((lab, wrap(t2), guards, op, ch))
+    return tuple(out)
+
+
+def _steps(config, defs, table, tol):
+    """All transitions of ``config`` as (label, term', rho', choice-flag):
+    its term's template, with the tests run on rho in order."""
+    rho, table, done = config.rho, table or {}, {}
+    tests, steps = _template(config.term, defs or {}, frozenset(), rho.qubit_names)
+    for guards, x in tests:
+        if not all(map(done.get, guards)):
+            continue
+        if type(x) is tuple:
+            try:
+                done[x] = quantum.superop_apply(resolve_op(x[0], len(x[1]), table), x[1], rho, tol)
+            except ZeroBranch:
+                done[x] = None  # an unguarded zero-probability branch cannot fire
+        elif type(x) is partial:
+            raise x()
+        else:
+            done[x] = eval_bool(x, rho, table, tol)
+    # a step fires where its guards hold and its super-operator, if any, gave a state
+    out = [(lab, t2, rho if op is None else done.get(op), ch) for lab, t2, g, op, ch in steps if all(map(done.get, g))]
+    return [step for step in out if step[2] is not None]
 
 
 def lts_steps(
@@ -547,7 +585,7 @@ def lts_steps(
 ) -> list[QccsStep]:
     """The early labelled semantics: an input once per qubit it may receive."""
     out = []
-    for lab, t2, r2, ch in _term_steps(config.term, config.rho, defs or {}, table or {}, tol, frozenset()):
+    for lab, t2, r2, ch in _steps(config, defs, table, tol):
         if isinstance(lab, _LateIn):
             received = [q for q in r2.qubit_names if q not in lab.blocked]
             out += [QccsStep(LIn(lab.chan, q), QccsConfig(t2(q), r2), ch) for q in received]
@@ -563,7 +601,7 @@ def reduce_steps(
     tol: float = DEFAULT_TOL,
 ) -> list[QccsStep]:
     """The reduction semantics: the tau steps, with no input expanded."""
-    raw = _term_steps(config.term, config.rho, defs or {}, table or {}, tol, frozenset())
+    raw = _steps(config, defs, table, tol)
     return [QccsStep(lab, QccsConfig(t2, r2), ch) for lab, t2, r2, ch in raw if isinstance(lab, LTau)]
 
 

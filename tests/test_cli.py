@@ -117,6 +117,17 @@ def test_a_dropped_measurement_outcome_runs_and_checks_at_the_tolerance_ceiling(
         assert code == 0, (which, out)
 
 
+def test_a_scripted_dropped_outcome_names_its_probability_and_the_tolerance(tmp_path, capsys):
+    src = tmp_path / "dropped.cqp"
+    src.write_text("qubits q ; state sqrt(0.9996)|0> + 0.02|1> ; channels ; process (m := measure q).ok\n")
+    code, _, err = run_cli(capsys, "run", str(src), "--script", "1", "--tolerance", "1e-3")
+    assert code == 1
+    assert "scripted branch 1 has probability 0.0004, not above the tolerance 0.001" in err
+    assert "zero probability" not in err
+    code, out, _ = run_cli(capsys, "run", str(src), "--script", "1")
+    assert code == 0 and out.rstrip().endswith("SUCCESS")
+
+
 def test_check_json_is_deterministic(capsys):
     args = ("check", MEASUREMENT, "--which", "soundness", "--format", "json", "--seed", "11")
     code1, out1, _ = run_cli(capsys, *args)

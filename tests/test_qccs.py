@@ -1,13 +1,17 @@
+import collections
 import dataclasses
+import gc
 import random
 
 import numpy as np
 import pytest
 
-from qproc import cqp, protocols, qccs, quantum
-from qproc.criteria import Budget, build_lts, gen_config, qccs_system
+from qproc import canon, cqp, protocols, qccs, quantum
+from qproc.criteria import Budget, build_lts, gen_config, qccs_system, run_instance_checks
 from qproc.encode import encode_config
 from qproc.errors import (
+    ArityMismatch,
+    InvalidRegister,
     NoCloningViolation,
     ParseError,
     UnboundQubit,
@@ -461,6 +465,140 @@ def test_one_input_meets_its_outputs_in_register_order():
     steps = _same_steps(cfg(term, names=("q0", "q1"), amps=(1, 0, 0, 0)))
     taus = [t2 for lab, t2, *_ in steps if lab == LTau()]
     assert [t.left.qubits for t in taus] == [("q0",), ("q1",)]
+
+
+# -- step templates are read only where they apply -------------------------------------
+
+def test_one_term_steps_by_each_defs_it_is_stepped_under():
+    term = Par(ConstCall("A", ("q",)), Out("c", "p", Nil()))
+    config = cfg(term, names=("q", "p"), amps=(1, 0, 0, 0))
+    receives = {"A": (("x",), In("c", "y", SuperOp(GateOp("CNOT"), ("y", "x"), Nil())))}
+    flips = {"A": (("x",), Choice(Tau(SuperOp(GateOp("X"), ("x",), Success())), Out("d", "x", Nil())))}
+    for stepper in (qccs.lts_steps, qccs.reduce_steps):
+        with pytest.raises(UnknownName, match="unresolved process constant 'A'"):
+            stepper(config)
+    received = _same_steps(config, receives)
+    flipped = _same_steps(config, flips)
+    assert [lab for lab, *_ in received] == [LOut("c", "p"), LTau()]
+    assert [lab for lab, *_ in flipped] == [LTau(), LOut("d", "q"), LOut("c", "p")]
+    assert _same_steps(config, receives) == received
+    assert _same_steps(config, flips) == flipped
+
+
+def test_one_term_steps_by_each_operator_table_it_is_stepped_under():
+    # Q keeps |0> in one file and annihilates it in the other
+    process = "state qubits q ; rho = outer(|0>) ; process if tr(Q[q]) != 0 then tau.ok + Q[q].tau.nil"
+    _, keeps, kept = qccs.parse_qccs("superop Q(1) { +[[1, 0], [0, 0]]; }\n" + process)
+    _, drops, dropped = qccs.parse_qccs("superop Q(1) { +[[0, 0], [0, 1]]; }\n" + process)
+    assert keeps.term is drops.term
+    for _ in range(2):
+        assert [t2 for _, t2, *_ in _same_steps(keeps, table=kept)] == [Success(), Tau(Nil())]
+        (step,) = _same_steps(drops, table=dropped)
+        assert step[1] == Tau(Nil()) and not np.frombuffer(step[3], dtype=complex).any()
+
+
+def _spectated(config, before):
+    """``config`` with three spectator qubits in |+0-> put before or after its register."""
+    spectators = dm(("s0", "s1", "s2"), np.kron(np.kron([SQ2, SQ2], [1, 0]), [SQ2, -SQ2]))
+    first, second = (spectators, config.rho) if before else (config.rho, spectators)
+    rho = quantum.DensityMatrix(first.qubit_names + second.qubit_names, np.kron(first.entries, second.entries))
+    return QccsConfig(config.term, rho)
+
+
+def test_one_term_steps_by_each_register_order_it_is_stepped_under():
+    term = Par(In("c", "x", SuperOp(GateOp("X"), ("x",), Nil())), Par(Out("c", "q1", Nil()), Out("c", "q0", Nil())))
+    in_order = _same_steps(cfg(term, names=("q0", "q1"), amps=(1, 0, 0, 0)))
+    reversed_order = _same_steps(cfg(term, names=("q1", "q0"), amps=(1, 0, 0, 0)))
+    assert [t.left.qubits for lab, t, *_ in in_order if lab == LTau()] == [("q0",), ("q1",)]
+    assert [t.left.qubits for lab, t, *_ in reversed_order if lab == LTau()] == [("q1",), ("q0",)]
+    for seed in range(20):
+        for state in _explored(encode_config(gen_config(seed)), budget=Budget(8, 40)):
+            _same_steps(state)
+            _same_steps(_spectated(state, before=False))
+            _same_steps(_spectated(state, before=True))
+
+
+def test_a_constant_body_steps_alike_inside_and_outside_its_unfolding():
+    # inside its own unfolding A(q) has no action; outside it unfolds once
+    defs = {"A": (("x",), Par(ConstCall("A", ("x",)), Tau(Success())))}
+    body = qccs.substitute(defs["A"][1], {"x": "q"})
+    for _ in range(2):
+        assert len(_same_steps(cfg(ConstCall("A", ("q",))), defs)) == 1
+        assert len(_same_steps(cfg(body), defs)) == 2
+
+
+def test_a_guard_is_evaluated_where_the_walk_evaluates_it():
+    # the guard's trace overflows; its body has no step, but it still raises
+    overflow = "superop Q(1) { +[[1e300, 0], [0, 1]]; } state qubits q ; rho = outer(|0>) ; process nil"
+    table = qccs.parse_qccs(overflow)[2]
+    overflows = IfThen(TraceNonzero(CustomOp("Q"), ("q",)), Nil())
+    unresolved = ConstCall("A", ("q",))
+    for term, error in [
+        (overflows, InvalidRegister),
+        (Restrict(Par(Tau(Success()), overflows), ("c",)), InvalidRegister),
+        (Par(overflows, unresolved), InvalidRegister),
+        (Par(unresolved, overflows), UnknownName),
+    ]:
+        for stepper in (qccs.lts_steps, qccs.reduce_steps):
+            with pytest.raises(error):
+                stepper(cfg(term), table=table)
+    unfolds_short = {"A": (("x", "y"), Nil())}
+    for term, error in [(Par(overflows, unresolved), InvalidRegister), (Par(unresolved, overflows), ArityMismatch)]:
+        with pytest.raises(error):
+            qccs.reduce_steps(cfg(term), unfolds_short, table)
+    # under a guard that fails, neither the overflow nor the constant is reached
+    shut = IfThen(TraceNonzero(ProjectOp(1), ("q",)), Par(overflows, unresolved))
+    assert qccs.reduce_steps(cfg(Par(shut, Tau(Nil()))), table=table)[0].next.term == Par(shut, Nil())
+
+
+def test_an_unguarded_zero_probability_operator_has_no_step():
+    zero = SuperOp(ProjectOp(1), ("q",), Success())
+    assert _same_steps(cfg(zero)) == []
+    assert [lab for lab, *_ in _same_steps(cfg(Par(zero, Tau(Nil()))))] == [LTau()]
+
+
+def test_each_state_applies_and_traces_as_often_as_the_early_semantics(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        inner = getattr(quantum, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return count
+
+    def early(config, defs, table):
+        return _early_steps(config.term, config.rho, defs, table, quantum.DEFAULT_TOL, frozenset())
+
+    defs, config, table = qccs.parse_qccs(protocols.read("teleport-encoded.qccs"))
+    states = _explored(config, defs, table)
+    for name in ("superop_apply", "raw_trace_after"):
+        monkeypatch.setattr(quantum, name, counted(name))
+    total = collections.Counter()
+    for state in states:
+        counts = []
+        for stepper in (early, qccs.lts_steps, qccs.reduce_steps):
+            calls.clear()
+            stepper(state, defs, table)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == counts[2]
+        total.update(counts[0])
+    assert len(states) > 10 and total["superop_apply"] > 10 and total["raw_trace_after"] == 4
+
+
+def test_templates_keep_no_earlier_instance_alive():
+    qccs._builtin_op.cache_clear()
+    gc.collect()
+    before = len(canon._table)
+    for seed in range(40):
+        verdicts = run_instance_checks(gen_config(seed), Budget(48, 800), seed)
+        assert not any(v.fails for v in verdicts.values())
+    del verdicts
+    qccs._builtin_op.cache_clear()
+    gc.collect()
+    assert len(canon._table) == before
 
 
 # -- barbs ---------------------------------------------------------------------
