@@ -6,11 +6,14 @@ structurally equal nodes are one object, so equality and hashing are
 identity, and each node keeps what is derived from it alone (its free names,
 its congruence node and signatures, its translation, its steps without rho)
 and computes it once (Filliatre & Conchon 2006).  The table is keyed by
-class and constructor arguments and holds its nodes weakly, so it never
-outlives the terms in use: a node goes when the last term holding it does,
-and its derived data with it, so a process that checks instance after
-instance keeps nothing of the earlier ones.  A hit costs one dict lookup and
-runs no ``__init__``; a ``list`` argument is interned as a tuple.
+class and constructor arguments, a node argument by its id, and holds its
+nodes weakly, so it never outlives the terms in use: a node goes when the
+last term holding it does, and its derived data with it, so a process that
+checks instance after instance keeps nothing of the earlier ones.  A node
+whose derived data leads back to it (a recursive qCCS constant's template
+holds terms that contain the constant) goes at the next garbage collection.
+A hit costs one dict lookup and runs no ``__init__``; a ``list`` argument is
+interned as a tuple.
 
 Two terms get the same signature exactly when they are structurally
 congruent: parallel composition is commutative, associative and has the
@@ -73,7 +76,9 @@ UNIT = ("0",)
 PAR = "|"
 RES = "new"
 
-# (class, *constructor arguments) -> weak reference to the one such node
+# (class, *constructor arguments, a node as its id) -> weak reference to the
+# one such node; an entry goes before its node, which holds the arguments, is
+# freed, so every id in a key names a live node.
 _table: dict[tuple, weakref.KeyedRef] = {}
 
 
@@ -89,18 +94,19 @@ class _Interning(type):
             if sorted(kwargs) != sorted(names[len(args):]):
                 raise TypeError(f"{cls.__name__} takes the arguments {names}")
             args += tuple(kwargs[n] for n in names[len(args):])
-        key = (cls, *args)
+        key = (cls, *[id(a) if isinstance(a, Interned) else a for a in args])
         try:
             ref = _table.get(key)
         except TypeError:  # unhashable: a list argument, interned as a tuple
-            key = (cls, *[tuple(a) if type(a) is list else a for a in args])
+            args = [tuple(a) if type(a) is list else a for a in args]
+            key = (cls, *[id(a) if isinstance(a, Interned) else a for a in args])
             ref = _table.get(key)
         node = None if ref is None else ref()
         if node is None:
             if len(args) != len(cls.__match_args__):
                 raise TypeError(f"{cls.__name__} takes the arguments {cls.__match_args__}")
             node = object.__new__(cls)
-            node.__dict__.update(zip(cls.__match_args__, key[1:]))
+            node.__dict__.update(zip(cls.__match_args__, args))
             _table[key] = weakref.KeyedRef(node, _forget, key)
         return node
 

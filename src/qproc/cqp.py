@@ -523,7 +523,7 @@ def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep
 
     for opath, onode in outs:
         for ipath, inode in ins:
-            if onode.chan != inode.chan or opath == ipath:
+            if onode.chan != inode.chan:
                 continue
             new = _replace(term, opath, onode.cont)
             new = _replace(new, ipath, substitute(inode.cont, {inode.var: onode.qubit}))

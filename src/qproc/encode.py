@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import cqp, qccs, quantum
+from .errors import InvalidArity
 
 
 def enc_dist(qbar: Sequence[str], var: str, body: qccs.Term) -> qccs.Term:
@@ -33,12 +34,7 @@ def enc_dist(qbar: Sequence[str], var: str, body: qccs.Term) -> qccs.Term:
     """
     qbar = tuple(qbar)
     if len(set(qbar)) != len(qbar):
-        from .errors import InvalidArity
-
         raise InvalidArity(f"measured qubits {qbar} repeat a name")
-    if not qbar:
-        guard = qccs.TraceNonzero(qccs.ProjectOp(0), ())
-        return qccs.IfThen(guard, qccs.SuperOp(qccs.ProjectOp(0), (), body))
     branches = []
     for i in range(2 ** len(qbar)):
         guard = qccs.TraceNonzero(qccs.ProjectOp(i), qbar)

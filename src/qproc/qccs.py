@@ -10,14 +10,15 @@ are syntactic: an output may not keep its payload free in the continuation
 a qubit (input-guarded uses do not count, mirroring the source type
 system; the translated teleportation relies on this).
 
-Each interned term keeps its steps without rho, per register order, as a
-template built from its children's: the tests a walk of the term evaluates,
-in its order (each guard, super-operator and error, with the guards over
-it), and the steps (label or late input, successor term or function of the
-received qubit, guards passed, super-operator applied or None, choice flag).
-A state runs the tests on its rho in one flat pass, each where its guards
-hold, so it evaluates and raises what the walk would, where it would; equal
-tests give equal results, so results are keyed by test.
+Each interned term keeps its template, built from its children's and keyed
+by all it reads (the register order, the process definitions and the
+constants being unfolded): the tests a walk of the term evaluates, in its
+order (each guard, super-operator and error, with the guards over it), its
+steps (label or late input, successor term or function of the received
+qubit, guards passed, super-operator applied or None, choice flag) and its
+success barb.  A state runs the tests on its rho in one flat pass, each where
+its guards hold, so it evaluates and raises what the walk would, where it
+would; equal tests give equal results, so results are keyed by test.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from . import canon, quantum
 from .errors import (
     ArityMismatch,
+    InvalidArity,
     InvalidRegister,
     NoCloningViolation,
     ParseError,
@@ -350,13 +352,6 @@ def check_wellformed(
     every free qubit bound by the state."""
     table = table or {}
 
-    for name, (params, body) in defs.items():
-        if len(set(params)) != len(params):
-            raise WellFormednessError("Defs", name, f"repeated parameters {params}")
-        loose = free_qubits(body) - set(params)
-        if loose:
-            raise WellFormednessError("Defs", name, f"body uses qubits {sorted(loose)} outside {params}")
-
     def visit(t: Term, path: str, bound: frozenset[str], register: tuple[str, ...]):
         match t:
             case Nil() | Success():
@@ -364,7 +359,7 @@ def check_wellformed(
             case Tau(p):
                 visit(p, path + ".tau", bound, register)
             case SuperOp(op, qs, p):
-                resolve_op(op, len(qs), table)
+                _check_op(op, qs, path)
                 for q in qs:
                     _check_qubit(q, bound, path)
                 if len(set(qs)) != len(qs):
@@ -401,11 +396,8 @@ def check_wellformed(
             case IfThen(b, p):
                 for q in sorted(free_qubits(b)):
                     _check_qubit(q, bound, path)
-                match b:
-                    case TraceNonzero(op, qs):
-                        resolve_op(op, len(qs), table)
-                    case _:
-                        pass
+                if isinstance(b, TraceNonzero):
+                    _check_op(b.op, b.qubits, path)
                 visit(p, path + ".if", bound, register)
             case ConstCall(name, args):
                 if name not in defs:
@@ -424,6 +416,18 @@ def check_wellformed(
         if q not in bound:
             raise UnboundQubit(f"qubit {q!r} at {path} is not in the state or received")
 
+    def _check_op(op: OpRef, qs: tuple[str, ...], path: str):
+        arity = resolve_op(op, len(qs), table).arity
+        if arity != len(qs):
+            raise InvalidArity(f"{format_op(op, qs)} has arity {arity}, got {len(qs)} targets at {path}")
+
+    for name, (params, body) in defs.items():
+        if len(set(params)) != len(params):
+            raise WellFormednessError("Defs", name, f"repeated parameters {params}")
+        loose = free_qubits(body) - set(params)
+        if loose:
+            raise WellFormednessError("Defs", name, f"body uses qubits {sorted(loose)} outside {params}")
+        visit(body, f"def {name}", frozenset(params), tuple(params))
     visit(config.term, "process", frozenset(config.rho.qubit_names), config.rho.qubit_names)
 
 
@@ -481,32 +485,33 @@ def _meets(inp, out) -> bool:
     return isinstance(inp, _LateIn) and isinstance(out, LOut) and inp.chan == out.chan and out.qubit not in inp.blocked
 
 
-def _template(t, defs, unfolding, names):
-    """The template of ``t`` (module docstring) as ``(tests, steps)``, kept
-    on the node per register order ``names`` unless ``defs`` defines
-    constants: a constant's steps also read ``defs`` and ``unfolding``."""
-    memo = {} if defs else t.__dict__.setdefault("_templates", {})
-    if names in memo:
-        return memo[names]
+def _template(t, key):
+    """The template of ``t`` (module docstring) as ``(tests, steps, barb)``,
+    kept on the node by ``key``: (register order, the definitions' items, the
+    constants being unfolded).  ``barb`` is ``has_success_barb``'s answer."""
+    memo = t.__dict__.setdefault("_templates", {})
+    if key in memo:
+        return memo[key]
+    names, defs, unfolding = key
     match t:
         case Nil() | Success():
-            out = (), ()
+            out = (), (), type(t) is Success
         case Tau(p):
-            out = (), ((LTau(), p, (), None, False),)
+            out = (), ((LTau(), p, (), None, False),), False
         case SuperOp(op, qs, p):
-            out = (((), (op, qs)),), ((LTau(), p, (), (op, qs), False),)
+            out = (((), (op, qs)),), ((LTau(), p, (), (op, qs), False),), False
         case In(c, x, p):
             # x is a qubit variable: a channel named x stays free
-            out = (), ((_LateIn(c, free_qubits(t)), lambda q: _substitute(p, {}, {x: q}), (), None, False),)
+            out = (), ((_LateIn(c, free_qubits(t)), lambda q: _substitute(p, {}, {x: q}), (), None, False),), False
         case Out(c, q, p):
-            out = (), ((LOut(c, q), p, (), None, False),)
+            out = (), ((LOut(c, q), p, (), None, False),), False
         case Choice(l, r):
-            ltests, lefts = _template(l, defs, unfolding, names)
-            rtests, rights = _template(r, defs, unfolding, names)
-            out = ltests + rtests, tuple([(*s[:4], True) for s in lefts + rights])
+            ltests, lefts, lbarb = _template(l, key)
+            rtests, rights, rbarb = _template(r, key)
+            out = ltests + rtests, tuple([(*s[:4], True) for s in lefts + rights]), lbarb or rbarb
         case Par(l, r):
-            ltests, lefts = _template(l, defs, unfolding, names)
-            rtests, rights = _template(r, defs, unfolding, names)
+            ltests, lefts, lbarb = _template(l, key)
+            rtests, rights, rbarb = _template(r, key)
             steps = _wrapped(lefts, lambda u: Par(u, r), free_qubits(r))
             steps += _wrapped(rights, lambda u: Par(l, u), free_qubits(l))
             for lab, t1, g1, _, ch1 in lefts:
@@ -516,29 +521,34 @@ def _template(t, defs, unfolding, names):
                 for lab2, t2, g2, _, ch2 in met:
                     pair = Par(t1, t2(lab.qubit)) if isinstance(lab, LOut) else Par(t1(lab2.qubit), t2)
                     steps += ((LTau(), pair, g1 + g2, None, ch1 or ch2),)
-            out = ltests + rtests, steps
+            out = ltests + rtests, steps, lbarb or rbarb
         case Restrict(p, chans):
-            tests, steps = _template(p, defs, unfolding, names)
+            tests, steps, barb = _template(p, key)
             shown = [s for s in steps if getattr(s[0], "chan", None) not in chans]
-            out = tests, _wrapped(shown, lambda u: Restrict(u, chans))
+            out = tests, _wrapped(shown, lambda u: Restrict(u, chans)), barb
         case IfThen(b, p):
-            tests, steps = _template(p, defs, unfolding, names)
+            tests, steps, _ = _template(p, key)
             tests = (((), b),) + tuple([((b, *guards), x) for guards, x in tests])
-            out = tests, tuple([(lab, t2, (b, *guards), op, ch) for lab, t2, guards, op, ch in steps])
+            out = tests, tuple([(lab, t2, (b, *guards), op, ch) for lab, t2, guards, op, ch in steps]), False
         case ConstCall(name, args) if name in unfolding:
-            out = (), ()  # unguarded recursion has no actions
-        case ConstCall(name, args) if name not in defs:
-            out = (((), partial(UnknownName, f"unresolved process constant {name!r}")),), ()
-        case ConstCall(name, args) if len(defs[name][0]) != len(args):
-            error = partial(ArityMismatch, f"{name} takes {len(defs[name][0])} qubits, got {len(args)}")
-            out = (((), error),), ()
+            out = (), (), False  # unguarded recursion has no actions
         case ConstCall(name, args):
-            params, body = defs[name]
-            out = _template(substitute(body, dict(zip(params, args))), defs, unfolding | {name}, names)
+            params, body = dict(defs).get(name, (None, None))
+            if params is None:
+                out = (((), partial(UnknownName, f"unresolved process constant {name!r}")),), (), False
+            elif len(params) != len(args):
+                out = (((), partial(ArityMismatch, f"{name} takes {len(params)} qubits, got {len(args)}")),), (), False
+            else:
+                out = _template(substitute(body, dict(zip(params, args))), (names, defs, unfolding | {name}))
         case _:
             raise TypeError(f"not a qCCS term: {t!r}")
-    memo[names] = out
+    memo[key] = out
     return out
+
+
+def _root_template(config, defs):
+    """The template of ``config``'s term under ``defs``, outside any unfolding."""
+    return _template(config.term, (config.rho.qubit_names, tuple((defs or {}).items()), frozenset()))
 
 
 def _wrapped(steps, wrap, blocked=frozenset()) -> tuple:
@@ -559,7 +569,7 @@ def _steps(config, defs, table, tol):
     """All transitions of ``config`` as (label, term', rho', choice-flag):
     its term's template, with the tests run on rho in order."""
     rho, table, done = config.rho, table or {}, {}
-    tests, steps = _template(config.term, defs or {}, frozenset(), rho.qubit_names)
+    tests, steps, _ = _root_template(config, defs)
     for guards, x in tests:
         if not all(map(done.get, guards)):
             continue
@@ -607,26 +617,9 @@ def reduce_steps(
 
 def has_success_barb(config: QccsConfig, defs: ProcessDefs | None = None) -> bool:
     """Unguarded success: reachable through parallel, restriction and bare
-    choice branches; prefixes and unresolved conditionals guard."""
-    defs = defs or {}
-
-    def walk(t: Term, unfolding: frozenset) -> bool:
-        match t:
-            case Success():
-                return True
-            case Par(l, r) | Choice(l, r):
-                return walk(l, unfolding) or walk(r, unfolding)
-            case Restrict(p, _):
-                return walk(p, unfolding)
-            case ConstCall(name, args):
-                if name in unfolding or name not in defs:
-                    return False
-                params, body = defs[name]
-                return walk(substitute(body, dict(zip(params, args))), unfolding | {name})
-            case _:
-                return False
-
-    return walk(config.term, frozenset())
+    choice branches; prefixes and conditionals guard.  Read from the
+    template, so it evaluates no guard and applies no super-operator."""
+    return _root_template(config, defs)[2]
 
 
 # -- structural congruence ----------------------------------------------------------

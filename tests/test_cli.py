@@ -1,11 +1,14 @@
 import argparse
 import json
+import re
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from qproc import cli, cqp, criteria, protocols
+from qproc import cli, cqp, criteria, protocols, qccs
+from qproc.errors import InvalidArity, UnknownName, WellFormednessError
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,28 @@ def test_typecheck_rejects_illformed(tmp_path, capsys):
     code, _, err = run_cli(capsys, "typecheck", str(bad))
     assert code == 1
     assert "Cond2" in err
+
+
+@pytest.mark.parametrize(
+    "header, process, error, message",
+    [
+        ("def A(q) = tau.B(q)", "A(q0)", UnknownName, "unresolved process constant 'B' at def A"),
+        ("def A(q) = c!q.A(q)", "A(q0)", WellFormednessError, "Cond1 violated at def A"),
+        ("def A(q) = X[q, q].nil", "A(q0)", InvalidArity, "X[q, q] has arity 1, got 2 targets at def A"),
+        ("def A(q) = FOO[q].nil", "A(q0)", UnknownName, "unknown operator 'FOO'"),
+        ("", "X[q0, q1].nil", InvalidArity, "X[q0, q1] has arity 1, got 2 targets at process"),
+        ("", "if tr(CNOT[q0]) != 0 then nil", InvalidArity, "CNOT[q0] has arity 2, got 1 targets at process"),
+    ],
+)
+def test_typecheck_looks_inside_definitions_and_at_operator_arity(tmp_path, capsys, header, process, error, message):
+    source = f"{header}\nstate qubits q0, q1 ; rho = outer(|00>) ; process {process}"
+    with pytest.raises(error):
+        qccs.parse_qccs(source)
+    bad = tmp_path / "bad.qccs"
+    bad.write_text(source)
+    code, out, err = run_cli(capsys, "typecheck", str(bad))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("command", ["parse", "run", "steps", "translate", "typecheck"])
@@ -393,3 +418,18 @@ def test_an_overflowing_guard_trace_gives_the_typed_error(tmp_path, capsys, argv
         code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out, err) == (1, "", "error: non-finite trace in guard tr(Q[q])\n")
 
+
+def _readme_examples() -> dict[str, str]:
+    """The ``.cqp`` and ``.qccs`` examples under README's "File formats"
+    heading, each the code block after its "`.ext` sources:" line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^`(\.\w+)` sources:\n\n```\n(.*?)```$", section, re.DOTALL | re.MULTILINE))
+
+
+@pytest.mark.parametrize("suffix", [".cqp", ".qccs"])
+def test_readme_examples_typecheck_and_succeed(tmp_path, capsys, suffix):
+    source = tmp_path / f"example{suffix}"
+    source.write_text(_readme_examples()[suffix])
+    assert run_cli(capsys, "typecheck", str(source))[0] == 0
+    assert run_cli(capsys, "check", str(source), "--which", "success")[0] == 0

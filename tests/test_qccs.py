@@ -585,6 +585,9 @@ def test_each_state_applies_and_traces_as_often_as_the_early_semantics(monkeypat
             counts.append(dict(calls))
         assert counts[0] == counts[1] == counts[2]
         total.update(counts[0])
+        calls.clear()
+        qccs.has_success_barb(state, defs)  # the barb read evaluates no guard and applies no operator
+        assert not calls
     assert len(states) > 10 and total["superop_apply"] > 10 and total["raw_trace_after"] == 4
 
 
@@ -601,7 +604,130 @@ def test_templates_keep_no_earlier_instance_alive():
     assert len(canon._table) == before
 
 
+def _wrapped_teleport():
+    """The bundled teleport translation, and the same process as the body
+    of ``def T(q0, q1, q2)`` called on its register."""
+    defs, config, table = qccs.parse_qccs(protocols.read("teleport-encoded.qccs"))
+    names = config.rho.qubit_names
+    wrapped = {**defs, "T": (names, config.term)}
+    return (config, defs, table), (QccsConfig(ConstCall("T", names), config.rho), wrapped, table)
+
+
+def _labelled(config, defs, table):
+    return build_lts(config, qccs_system(defs, table, labelled=True), Budget(48, 800))
+
+
+def test_a_constant_wrapped_process_keeps_its_templates(monkeypatch):
+    (config, defs, table), (call, wrapped, _) = _wrapped_teleport()
+    qccs.check_wellformed(wrapped, call, table)
+    plain, first = _labelled(config, defs, table), _labelled(call, wrapped, table)
+    assert first.complete and len(plain.states) > 10
+    # the call unfolds to the file's process: the same LTS, state 0 aside
+    assert first.edges == plain.edges and first.barbs == plain.barbs
+    assert [(s.term, s.rho.entries.tobytes()) for s in first.states[1:]] == [
+        (s.term, s.rho.entries.tobytes()) for s in plain.states[1:]
+    ]
+    # a second exploration reads every template from the nodes: each state's
+    # steps and barb are one memo hit, which builds nothing below it
+    calls = collections.Counter()
+
+    def counted(name):
+        inner = getattr(qccs, name)
+
+        def count(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return count
+
+    for name in ("_root_template", "_template"):
+        monkeypatch.setattr(qccs, name, counted(name))
+    second = _labelled(call, wrapped, table)
+    assert second.edges == first.edges
+    assert calls["_template"] == calls["_root_template"] == 2 * len(second.states)
+
+
+def test_a_recursive_constant_goes_at_the_next_collection():
+    # the template of A(q) holds A's body, which holds A(q): a cycle
+    gc.collect()
+    before = len(canon._table)
+
+    def explore():
+        defs, config, table = qccs.parse_qccs("def A(q) = tau.A(q)\nstate qubits q ;\nrho = outer(|0>) ;\nprocess A(q)")
+        lts = _labelled(config, defs, table)
+        assert len(lts.states) == 1 and lts.edges == [(0, "tau", 0, False)]
+
+    explore()
+    gc.collect()
+    assert len(canon._table) == before
+
+
 # -- barbs ---------------------------------------------------------------------
+
+def _barb_walk(t, defs, unfolding=frozenset()):
+    """Unguarded success by a walk of its own, with its own unfolding of
+    constants: the reference for the barb that ``has_success_barb`` reads
+    from the template."""
+    match t:
+        case Success():
+            return True
+        case Par(l, r) | Choice(l, r):
+            return _barb_walk(l, defs, unfolding) or _barb_walk(r, defs, unfolding)
+        case Restrict(p, _):
+            return _barb_walk(p, defs, unfolding)
+        case ConstCall(name, args):
+            if name in unfolding or name not in defs:
+                return False
+            params, body = defs[name]
+            return _barb_walk(qccs.substitute(body, dict(zip(params, args))), defs, unfolding | {name})
+    return False
+
+
+def _same_barbs(states, defs=None):
+    for state in states:
+        assert qccs.has_success_barb(state, defs) == _barb_walk(state.term, defs or {})
+
+
+def test_barbs_match_the_walk_on_generated_configurations_and_bundled_files():
+    for seed in range(100):
+        _same_barbs(_explored(encode_config(gen_config(seed))))
+    for name in ("teleport-encoded.qccs", "counterexample.qccs"):
+        defs, config, table = qccs.parse_qccs(protocols.read(name))
+        _same_barbs(_explored(config, defs, table), defs)
+
+
+def test_barbs_match_the_walk_through_constants():
+    def call(name):
+        return ConstCall(name, ("q",))
+
+    defs = {
+        "G": (("x",), Choice(Tau(ConstCall("G", ("x",))), Out("c", "x", Nil()))),  # guarded, no barb
+        "H": (("x",), Par(Tau(ConstCall("H", ("x",))), Success())),  # guarded, barb
+        "U": (("x",), Par(ConstCall("U", ("x",)), Tau(Success()))),  # unguarded, no barb
+        "V": (("x",), Choice(ConstCall("V", ("x",)), Success())),  # unguarded, barb beside the recursion
+        "M": (("x",), Choice(ConstCall("N", ("x",)), Tau(Nil()))),  # mutual, barb in the other body
+        "N": (("x",), Par(ConstCall("M", ("x",)), Success())),
+    }
+    bodies = [qccs.substitute(body, {"x": "q"}) for _, body in defs.values()]
+    # each body is reached outside its unfolding here and inside it below
+    terms = [call(name) for name in defs] + bodies
+    for order in (terms, terms[::-1]):
+        for term in order:
+            _same_barbs(_explored(cfg(term), defs), defs)
+    barbs = [qccs.has_success_barb(cfg(t), defs) for t in terms]
+    assert barbs == [False, True, False, True, True, True] * 2
+    # A(q) has a barb, but not inside B's unfolding, where B(q) reaches it first
+    inside = {"A": (("x",), ConstCall("B", ("x",))), "B": (("x",), Choice(ConstCall("A", ("x",)), Success()))}
+    for term in (call("B"), call("A")):
+        _same_barbs(_explored(cfg(term), inside), inside)
+    # an unresolved constant has no barb, called directly or from a body
+    unresolved = {**defs, "W": (("x",), Par(ConstCall("Z", ("x",)), Nil()))}
+    terms = [call("Z"), call("W"), Choice(call("Z"), call("V"))]
+    _same_barbs([cfg(t) for t in terms], unresolved)
+    assert [qccs.has_success_barb(cfg(t), unresolved) for t in terms] == [False, False, True]
+    # a call of the wrong arity reads as no barb (the walk would unfold it short)
+    assert not qccs.has_success_barb(cfg(ConstCall("V", ("q", "p")), names=("q", "p"), amps=(1, 0, 0, 0)), defs)
+
 
 def test_barbs():
     assert qccs.has_success_barb(cfg(Par(Success(), Nil())))
