@@ -4,6 +4,11 @@ Subcommands tie parsing, execution, translation and checking together with
 reproducible outputs: identical inputs, options and seed produce
 byte-identical JSON.  Exit codes: 0 for ok/holds, 1 for fails or rejected
 input, 2 for inconclusive, 3 for usage errors.
+
+A call whose first argument names a subcommand builds that subcommand's
+parser alone; any other call builds all seven, so help and usage errors read
+the same either way.  A closed stdout (``qproc ... | head -1``) ends a call
+with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+
+# `qproc -h` shows the docstring's first two paragraphs
+_DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
 
 
 class UsageError(Exception):
@@ -319,7 +328,7 @@ def cmd_counterexample(args) -> int:
 _FILE = (("file",), {})
 
 # name -> (help, arguments after the shared options, handler); a table, so
-# that a call can build the one subparser it parses
+# that a call naming a command builds that command's parser alone
 _COMMANDS = {
     "parse": ("dump the parsed configuration", [_FILE], cmd_parse),
     "typecheck": ("type/well-formedness check a file", [_FILE], cmd_typecheck),
@@ -343,36 +352,54 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The qproc parser.  Where ``command`` names a subcommand, only its
-    subparser is added; otherwise (help, no or an unknown subcommand) all
-    are, so the listing and the usage errors stay whole."""
-    shared = _Parser(add_help=False)
-    shared.add_argument("--tolerance", type=float, default=quantum.DEFAULT_TOL)
-    shared.add_argument("--max-depth", type=int, default=64)
-    shared.add_argument("--max-states", type=int, default=100_000)
-    shared.add_argument("--seed", type=int, default=None, help="falls back to QPROC_SEED, then 0")
-    shared.add_argument("--format", choices=("text", "json"), default="text")
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Fills ``parser`` as the subcommand ``name``: the shared options, then
+    its own arguments, then its handler and name as defaults."""
+    parser.add_argument("--tolerance", type=float, default=quantum.DEFAULT_TOL)
+    parser.add_argument("--max-depth", type=int, default=64)
+    parser.add_argument("--max-states", type=int, default=100_000)
+    parser.add_argument("--seed", type=int, default=None, help="falls back to QPROC_SEED, then 0")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    _, arguments, handler = _COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=handler, command=name)
+    return parser
 
-    parser = _Parser(prog="qproc", description=__doc__)
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one qproc call.  Where ``command`` names a subcommand,
+    it is that subcommand's own parser, which parses the arguments after the
+    name; otherwise (help, no or an unknown subcommand) it is the full
+    parser with all seven subparsers, so the listing and the usage errors
+    stay whole."""
+    if command in _COMMANDS:
+        return _add_arguments(_Parser(prog=f"qproc {command}"), command)
+    parser = _Parser(prog="qproc", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [command] if command in _COMMANDS else _COMMANDS
-    for name in names:
-        help_text, arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, parents=[shared], help=help_text)
-        for flags, kwargs in arguments:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = parser.parse_args(argv[1:] if command else argv)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is left for stdout goes to the null
+        # device, so the interpreter's last flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILS
     except (UsageError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

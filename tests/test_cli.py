@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -238,12 +240,15 @@ def parse_outcome(parser, argv):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_one_subparser_parses_like_the_full_parser(command):
-    alone, full = cli.build_parser(command), cli.build_parser()
-    assert list(subparsers(alone)) == [command]
-    assert subparsers(alone)[command].format_help() == subparsers(full)[command].format_help()
+def test_one_subparser_parses_like_the_full_parser(command, monkeypatch):
+    whole = cli.build_parser()
+    alone, full = cli.build_parser(command), subparsers(whole)[command]
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert alone.format_help() == full.format_help()
     # the shared options precede the subcommand's own in its usage and help
-    options = [a.option_strings[-1] for a in subparsers(alone)[command]._actions if a.option_strings]
+    options = [a.option_strings[-1] for a in alone._actions if a.option_strings]
+    assert options == [a.option_strings[-1] for a in full._actions if a.option_strings]
     assert options[:6] == ["--help", "--tolerance", "--max-depth", "--max-states", "--seed", "--format"]
     tails = [
         [],
@@ -261,8 +266,53 @@ def test_one_subparser_parses_like_the_full_parser(command):
         ["--seed", "x"],
     ]
     for tail in tails:
-        argv = [command, *tail]
-        assert parse_outcome(alone, argv) == parse_outcome(full, argv), argv
+        assert parse_outcome(alone, tail) == parse_outcome(whole, [command, *tail]), tail
+
+
+def count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", TELEPORT),
+        ("typecheck", TELEPORT),
+        ("run", TELEPORT, "--script", "0"),
+        ("steps", TELEPORT),
+        ("translate", TELEPORT),
+        ("check", TELEPORT, "--which", "size"),
+        ("counterexample",),
+    ],
+    ids=COMMANDS,
+)
+def test_a_named_command_builds_one_parser(capsys, monkeypatch, argv):
+    built = count_parsers(monkeypatch)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_a_double_dash_first_goes_through_the_full_parser(capsys, monkeypatch):
+    argv = ["--", "check", TELEPORT, "--which", "size"]
+    outcome = parse_outcome(cli.build_parser(), argv)
+    built = count_parsers(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert len(built) == 1 + len(COMMANDS)
+    # argparse takes a leading "--" for the subcommand's name on some Python
+    # versions, and skips it on others
+    if isinstance(outcome, str):
+        assert (code, out, err) == (3, "", f"usage error: {outcome}\n")
+    else:
+        assert outcome["command"] == "check"
+        assert (code, out, err) == (0, "size: holds\n", "")
 
 
 @pytest.mark.parametrize("command", [None, "bogus", "-h", "--seed"])
@@ -309,6 +359,40 @@ def test_unreadable_path_is_a_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "parse", str(folder))
     assert code == 3
     assert err.startswith("usage error:")
+
+
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "translate", TELEPORT, "-o", str(tmp_path / "missing" / "out.qccs"))
+    assert code == 3
+    assert err.startswith("usage error:")
+
+
+def run_qproc(argv, env=os.environ, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m qproc.cli`` in a new process, importing this checkout."""
+    path = [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    env = dict(env, PYTHONPATH=os.pathsep.join(path))
+    argv = [sys.executable, "-m", "qproc.cli", *argv]
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the read end is closed before the call starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_qproc(["parse", ENCODED, "--format", "json"], env, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_a_call_started_without_stdout_runs():
+    proc = run_qproc(["typecheck", TELEPORT], preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_non_utf8_source_is_a_parse_error(tmp_path, capsys):
