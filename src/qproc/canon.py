@@ -7,11 +7,12 @@ identity, and each node keeps what is derived from it alone (its free names,
 its congruence node and signatures, its translation, its steps without rho)
 and computes it once (Filliatre & Conchon 2006).  The table is keyed by
 class and constructor arguments, a node argument by its id, and holds its
-nodes weakly, so it never outlives the terms in use: a node goes when the
-last term holding it does, and its derived data with it, so a process that
-checks instance after instance keeps nothing of the earlier ones.  A node
-whose derived data leads back to it (a recursive qCCS constant's template
-holds terms that contain the constant) goes at the next garbage collection.
+nodes weakly, so it never outlives the terms in use: a node goes with its
+derived data once nothing holds it.  Reference cycles hold an exploration's
+terms until the next garbage collection: the tie search's closure
+(``_Pass.label``) and ``qccs.check_wellformed``'s ``visit`` keep them
+(ROADMAP item 13), and a recursive qCCS constant's template holds terms
+that contain the constant.
 A hit costs one dict lookup and runs no ``__init__``; a ``list`` argument is
 interned as a tuple.
 
@@ -40,13 +41,12 @@ Channels still tied are tried in turn, skipping choices that a symmetry of
 the group already covers.
 
 Each node's signatures are memoised on it, keyed by the binder depth and
-the tokens that the environment gives its free names, a group channel
-reading as its current number.  The pass reads the environment only
-through these names, and the signature text is a function of the depth and
-the tokens it reads, so an entry is valid wherever its key recurs, in any
-pass.  The only other effect of signing a node is to record which group
-channels it read, so a hit replays that: it records the group channels
-among its free names, and refinement sees the same occurrences.
+the tokens that the environment gives its free names.  Every environment
+value is a token: in each refinement round a component reads the group's
+outer environment and the current numbers of the group channels among its
+free names, the innermost restriction of a name winning.  Signing has no
+other effect, and its text is a function of the depth and the tokens it
+reads, so an entry is valid wherever its key recurs, in any pass.
 
 Cost: a group of two or more channels walks its components at least twice.
 The colouring leaves no group of the bundled protocols or of the campaign
@@ -229,37 +229,21 @@ def _split(cells: list, key: Callable) -> list:
     """Each cell split by ``key``, its parts in the order of their keys."""
     split = []
     for cell in cells:
-        parts: dict[tuple, list[_Channel]] = {}
+        parts: dict[tuple, list[int]] = {}
         for ch in cell:
             parts.setdefault(key(ch), []).append(ch)
         split += [parts[k] for k in sorted(parts)]
     return split
 
 
-class _Channel:
-    """A channel of a restriction group, read by name once it is numbered."""
-
-    __slots__ = ("token",)
-
-
 class _Pass:
     def __init__(self, node: Callable):
         self.node = node
-        # group channels read by the component being walked
-        self.hits: set[_Channel] = set()
-        # groups being numbered: while none is, no name reads as a channel
-        self.open = 0
 
     def sig(self, t, env: dict, depth: int) -> str:
         """The signature of ``t`` under ``env`` below ``depth`` binders."""
         n, free, memo = _entry(t, self.node)
         key = (depth, *map(env.get, free))  # None: a free name, read as itself
-        if self.open:
-            chans = [tok for tok in key if type(tok) is _Channel]
-            if chans:
-                # the group channels ``t`` reads, whether signed now or memoised
-                self.hits.update(chans)
-                key = tuple([tok.token if type(tok) is _Channel else tok for tok in key])
         s = memo.get(key)
         if s is not None:
             return s
@@ -267,10 +251,7 @@ class _Pass:
             s = self.group(t, env, depth)
         else:
             tag, names, binders, children = n
-            refs = []
-            for x in names:
-                tok = env.get(x, "f:" + x)
-                refs.append(tok.token if type(tok) is _Channel else tok)
+            refs = [env.get(x, "f:" + x) for x in names]
             if binders:
                 env = dict(env)
                 for b in binders:
@@ -284,78 +265,72 @@ class _Pass:
         memo[key] = s
         return s
 
-    def flatten(self, t, env: dict, comps: list, chans: list[_Channel]) -> None:
-        n = _entry(t, self.node)[0]
+    def flatten(self, t, chans: dict[str, int], comps: list, count: int) -> int:
+        """Append the components of ``t`` to ``comps``, each with the group
+        channels among its free names, and return the group's channel count:
+        ``chans`` numbers the names restricted above ``t``, the innermost
+        restriction winning, and the numbers below ``count`` are taken."""
+        n, free, _ = _entry(t, self.node)
         if n is UNIT:
-            return
+            return count
         if n[0] == PAR:
-            self.flatten(n[1], env, comps, chans)
-            self.flatten(n[2], env, comps, chans)
-        elif n[0] == RES:
-            if n[1]:
-                env = dict(env)
-                for c in n[1]:
-                    env[c] = ch = _Channel()
-                    chans.append(ch)
-            self.flatten(n[2], env, comps, chans)
-        else:
-            comps.append((t, env))
+            return self.flatten(n[2], chans, comps, self.flatten(n[1], chans, comps, count))
+        if n[0] == RES:
+            chans = {**chans, **{c: count + i for i, c in enumerate(n[1])}}
+            return self.flatten(n[2], chans, comps, count + len(n[1]))
+        comps.append((t, {x: chans[x] for x in free if x in chans} if chans else {}))
+        return count
 
     def group(self, t, env: dict, depth: int) -> str:
-        comps: list[tuple[object, dict]] = []
-        chans: list[_Channel] = []
-        self.flatten(t, env, comps, chans)
-        if chans:
-            self.open += 1
-            body = self.label(comps, chans, depth)
-            self.open -= 1
-            return f"{RES}{len(chans)}({body})"
-        sigs = sorted([self.sig(c, cenv, depth) for c, cenv in comps])
+        comps: list[tuple[object, dict[str, int]]] = []
+        count = self.flatten(t, {}, comps, 0)
+        if count:
+            return f"{RES}{count}({self.label(comps, env, count, depth)})"
+        sigs = sorted([self.sig(c, env, depth) for c, _ in comps])
         if len(sigs) == 1:
             return sigs[0]
         return f"({'|'.join(sigs)})" if sigs else "0"
 
-    def walk(self, comps: list, depth: int) -> list[tuple[str, set[_Channel]]]:
+    def walk(self, comps: list, depth: int) -> list[tuple[str, Iterable[int]]]:
         """Component signatures in order, each with the group channels it reads."""
-        outer, out = self.hits, []
-        for t, env in comps:
-            self.hits = set()
-            out.append((self.sig(t, env, depth), self.hits))
-            outer |= self.hits
-        self.hits = outer
+        out = [(self.sig(t, env, depth), own.values()) for t, env, own in comps]
         out.sort(key=lambda p: p[0])
         return out
 
-    def refine(self, comps: list, cells: list, depth: int, inner: int, colour: bool) -> tuple[list, str]:
+    def refine(self, comps: list, env: dict, cells: list, depth: int, inner: int, colour: bool) -> tuple[list, str]:
         """Split the cells of an ordered partition of a group's channels by the
         signatures of the components each channel occurs in, until stable.
 
         Every channel of a cell reads as the number of the cell's first place,
         so the split never depends on the names or the order of the terms.
-        With ``colour``, a stable partition that is not discrete is split once
-        by the channels' ``colours`` and refined on.  Returns the stable
-        partition and the components' signature under it.
+        Each round gives each component ``env`` and its own channels' current
+        numbers.  With ``colour``, a stable partition that is not discrete is
+        split once by the channels' ``colours`` and refined on.  Returns the
+        stable partition and the components' signature under it.
         """
+        count = inner - depth
         while True:
-            start = depth
+            tokens, start = [""] * count, depth
             for cell in cells:
-                token = f"b{start}"
                 for ch in cell:
-                    ch.token = token
+                    tokens[ch] = f"b{start}"
                 start += len(cell)
-            probes = self.walk(comps, inner)
+            walked = [(t, dict(env), own) for t, own in comps]
+            for _, cenv, own in walked:
+                for x, ch in own.items():
+                    cenv[x] = tokens[ch]
+            probes = self.walk(walked, inner)
             body = "|".join([s for s, _ in probes])
-            if len(cells) == inner - depth:
+            if len(cells) == count:
                 return cells, body
-            occurs: dict[_Channel, list[str]] = {ch: [] for cell in cells for ch in cell}
-            for s, hits in probes:
-                for ch in hits:
-                    if ch in occurs:
-                        occurs[ch].append(s)
+            occurs: list[list[str]] = [[] for _ in range(count)]
+            for s, chans in probes:
+                for ch in chans:
+                    occurs[ch].append(s)
             split = _split(cells, lambda ch: tuple(occurs[ch]))
             if len(split) == len(cells) and colour:
                 colour = False
-                split = _split(cells, self.colours(comps, occurs).__getitem__)
+                split = _split(cells, self.colours(comps, count).__getitem__)
             if len(split) == len(cells):
                 return cells, body
             cells = split
@@ -381,7 +356,7 @@ class _Pass:
         found = t.__dict__["_uses"] = {x: tuple(nodes) for x, nodes in occ.items()}
         return found
 
-    def colours(self, comps: list, chans: Iterable[_Channel]) -> dict[_Channel, tuple]:
+    def colours(self, comps: list, count: int) -> list[tuple]:
         """Each channel's colour: the sorted multiset, over the components
         that use it, of the nodes that name it, each read as the name's
         position and the node's signature with every free name masked: a
@@ -391,21 +366,21 @@ class _Pass:
         by scope extrusion, ``(v a)(P | Q) = (v a)P | Q`` with ``a`` not
         free in ``Q``, which moves a component in or out of ``a``'s scope.
         """
-        found: dict[_Channel, list] = {ch: [] for ch in chans}
-        for t, env in comps:
-            for x, nodes in self.uses(t).items():
-                ch = env.get(x)
-                if ch in found:
-                    found[ch].append(tuple(sorted([(i, self.masked(t if n is None else n)) for i, n in nodes])))
-        return {ch: tuple(sorted(v)) for ch, v in found.items()}
+        found: list[list] = [[] for _ in range(count)]
+        for t, own in comps:
+            uses = self.uses(t)
+            for x, ch in own.items():
+                found[ch].append(tuple(sorted([(i, self.masked(t if n is None else n)) for i, n in uses[x]])))
+        return [tuple(sorted(v)) for v in found]
 
     def masked(self, t) -> str:
         """The signature of ``t`` at depth 0 with every free name masked."""
         return self.sig(t, dict.fromkeys(_entry(t, self.node)[1], "?"), 0)
 
-    def label(self, comps: list, chans: list[_Channel], depth: int) -> str:
-        """The least signature of the components over the numberings of the
-        group's channels that refinement leaves open.
+    def label(self, comps: list, env: dict, count: int, depth: int) -> str:
+        """The least signature of the components under ``env`` over the
+        numberings of the group's ``count`` channels that refinement leaves
+        open.
 
         The first refinement also splits by the channels' colours, which
         tell apart channels that the components they occur in cannot:
@@ -417,14 +392,14 @@ class _Pass:
         onto an explored one is skipped, and the search returns to the point
         where the two numberings part (McKay 1981).
         """
-        inner = depth + len(chans)
-        first: tuple[str, list[_Channel], list[_Channel]] | None = None
-        autos: list[dict[_Channel, _Channel]] = []
+        inner = depth + count
+        first: tuple[str, list[int], list[int]] | None = None
+        autos: list[dict[int, int]] = []
 
-        def search(cells: list, fixed: list[_Channel]) -> tuple[str, int | None]:
+        def search(cells: list, fixed: list[int]) -> tuple[str, int | None]:
             nonlocal first
-            cells, body = self.refine(comps, cells, depth, inner, not fixed)
-            if len(cells) == len(chans):
+            cells, body = self.refine(comps, env, cells, depth, inner, not fixed)
+            if len(cells) == count:
                 order = [cell[0] for cell in cells]
                 if first is None:
                     first = (body, order, fixed)
@@ -433,7 +408,7 @@ class _Pass:
                     return body, None
                 autos.append(dict(zip(order, first[1])))
                 level = 0
-                while fixed[level] is first[2][level]:
+                while fixed[level] == first[2][level]:
                     level += 1
                 return body, level
             i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
@@ -441,7 +416,7 @@ class _Pass:
             for ch in cells[i]:
                 if done and ch in _orbit(done, autos, fixed):
                     continue
-                rest = [c for c in cells[i] if c is not ch]
+                rest = [c for c in cells[i] if c != ch]
                 s, jump = search(cells[:i] + [[ch], rest] + cells[i + 1:], fixed + [ch])
                 done.append(ch)
                 if best is None or s < best:
@@ -450,12 +425,12 @@ class _Pass:
                     return best, jump
             return best, None
 
-        return search([chans], [])[0]
+        return search([list(range(count))], [])[0]
 
 
 def _orbit(seeds: list, autos: list[dict], fixed: list) -> set:
     """The seeds' orbit under the symmetries found so far that fix ``fixed``."""
-    usable = [a for a in autos if all(a[f] is f for f in fixed)]
+    usable = [a for a in autos if all(a[f] == f for f in fixed)]
     orbit, todo = set(seeds), list(seeds)
     while todo:
         x = todo.pop()

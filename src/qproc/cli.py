@@ -5,10 +5,11 @@ reproducible outputs: identical inputs, options and seed produce
 byte-identical JSON.  Exit codes: 0 for ok/holds, 1 for fails or rejected
 input, 2 for inconclusive, 3 for usage errors.
 
-A call whose first argument names a subcommand builds that subcommand's
-parser alone; any other call builds all seven, so help and usage errors read
-the same either way.  A closed stdout (``qproc ... | head -1``) ends a call
-with exit code 1 and nothing on stderr.
+A call whose first argument names a subcommand, or is ``--`` followed by
+one, builds that subcommand's parser alone; any other call builds all seven,
+so help and usage errors read the same either way.  A closed stdout
+(``qproc ... | head -1``) ends a call with exit code 1 and nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -385,6 +386,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        argv = argv[1:]  # argparse would read the "--" as the command's name
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = build_parser(command)
     try:

@@ -835,7 +835,13 @@ def parse_cqp(text: str) -> CqpPure:
         ts.error(f"state amplitudes are not normalised (|psi|^2 = {norm2:.9f})")
     ts.expect(";")
     ts.expect("channels")
+    start = ts.pos
     channels = ts.names(";")
+    for k, c in enumerate(channels):
+        if c in qubits or c in channels[:k]:
+            tok = ts.tokens[start + 2 * k]  # the names alternate with commas
+            what = "as both a qubit and a channel" if c in qubits else "twice as a channel"
+            raise ParseError(f"{c!r} is declared {what}", tok.line, tok.column)
     ts.expect(";")
     ts.expect("process")
     term = parse_cqp_term(ts)

@@ -187,6 +187,45 @@ def test_memoised_components_report_the_group_channels_they_read(edges, monkeypa
     assert reads == fresh_reads
 
 
+def test_a_shadowed_channel_is_a_channel_of_its_own_in_the_extruded_group():
+    # the inner (new a) is extruded into the outer group, where its channel
+    # must stay apart from the outer a: on either side of the composition
+    # (sibling restrictions share no names), and in every refinement round
+    # (a component reads the current numbers of its channels)
+    par = qccs.Par
+
+    def new(body, *names):
+        return qccs.Restrict(body, names)
+
+    def send(c):
+        return qccs.Out(c, "q", qccs.Nil())
+
+    def recv(c):
+        return qccs.In(c, "x", qccs.Nil())
+
+    def key(t):
+        return qccs.canonical_key(_qccs(t))
+
+    for join in (par, lambda left, right: par(right, left)):
+        for beside in ((), ("c",)):
+            def group(inner, beside=beside):
+                outputs = functools.reduce(par, [send(c) for c in ("a", *beside)])
+                return new(join(outputs, inner), "a", *beside)
+
+            shadowed, renamed, shared = group(new(recv("a"), "a")), group(new(recv("b"), "b")), group(recv("a"))
+            assert key(shadowed) == key(renamed) != key(shared)
+
+        # two channels, each read by one output and one input, against a
+        # group of the same shape whose second input reads the first channel
+        def pairs(inner):
+            return new(join(par(send("a"), recv("a")), inner), "a")
+
+        shadowed = pairs(new(par(send("a"), recv("a")), "a"))
+        renamed = pairs(new(par(send("b"), recv("b")), "b"))
+        crossed = pairs(new(par(send("b"), recv("a")), "b"))
+        assert key(shadowed) == key(renamed) != key(crossed)
+
+
 # -- colouring a group's channels by their uses ------------------------------------
 
 

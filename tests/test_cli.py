@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qproc import cli, cqp, criteria, protocols, qccs
-from qproc.errors import InvalidArity, UnknownName, WellFormednessError
+from qproc.errors import InvalidArity, ParseError, UnknownName, WellFormednessError
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +90,20 @@ def test_an_ill_typed_cqp_is_rejected_on_load(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, str(bad))
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: 'c' is not an available qubit"]
+
+
+@pytest.mark.parametrize(
+    "channels, message",
+    [("c, c", "1:36: 'c' is declared twice as a channel"), ("q", "1:33: 'q' is declared as both a qubit and a channel")],
+    ids=["channel-twice", "qubit-and-channel"],
+)
+def test_a_cqp_header_declares_each_name_once(tmp_path, capsys, channels, message):
+    source = f"qubits q ; state |0> ; channels {channels} ; process (new d)d![q].0"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        cqp.parse_cqp(source)
+    bad = tmp_path / "bad.cqp"
+    bad.write_text(source)
+    assert run_cli(capsys, "typecheck", str(bad)) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("script", ["7", "-1"])
@@ -300,19 +314,17 @@ def test_a_named_command_builds_one_parser(capsys, monkeypatch, argv):
     assert len(built) == 1
 
 
-def test_a_double_dash_first_goes_through_the_full_parser(capsys, monkeypatch):
-    argv = ["--", "check", TELEPORT, "--which", "size"]
-    outcome = parse_outcome(cli.build_parser(), argv)
+def test_a_double_dash_before_a_command_is_dropped(capsys, monkeypatch):
+    # argparse would take a leading "--" for the subcommand's name
     built = count_parsers(monkeypatch)
-    code, out, err = run_cli(capsys, *argv)
-    assert len(built) == 1 + len(COMMANDS)
-    # argparse takes a leading "--" for the subcommand's name on some Python
-    # versions, and skips it on others
-    if isinstance(outcome, str):
-        assert (code, out, err) == (3, "", f"usage error: {outcome}\n")
-    else:
-        assert outcome["command"] == "check"
-        assert (code, out, err) == (0, "size: holds\n", "")
+    assert run_cli(capsys, "--", "check", TELEPORT, "--which", "size") == (0, "size: holds\n", "")
+    assert len(built) == 1
+    # with no command after it, the call goes through the full parser
+    for argv in (["--"], ["--", "bogus"]):
+        outcome = parse_outcome(cli.build_parser(), argv)
+        built.clear()
+        assert run_cli(capsys, *argv) == (3, "", f"usage error: {outcome}\n")
+        assert len(built) == 1 + len(COMMANDS)
 
 
 @pytest.mark.parametrize("command", [None, "bogus", "-h", "--seed"])
