@@ -1,9 +1,13 @@
 """The qproc command line.
 
-Subcommands tie parsing, execution, translation and checking together with
-reproducible outputs: identical inputs, options and seed produce
-byte-identical JSON.  Exit codes: 0 for ok/holds, 1 for fails or rejected
-input, 2 for inconclusive, 3 for usage errors.
+Subcommands tie parsing, execution, translation and checking together.
+Every one but ``translate``, which writes the emitted .qccs text, prints one
+report: as text, or under ``--format json`` as JSON carrying
+``"schema": 1``.  Identical inputs, options and seed produce byte-identical
+JSON.  ``run`` takes its step budget from ``--max-depth``.  On a .qccs file
+an encoding criterion is a usage error, decided before any exploration.
+Exit codes: 0 for ok/holds, 1 for fails or rejected input, 2 for
+inconclusive, 3 for usage errors.
 
 A call whose first argument names a subcommand, or is ``--`` followed by
 one, builds that subcommand's parser alone; any other call builds all seven,
@@ -19,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cqp, criteria, encode, qccs, quantum
@@ -46,47 +49,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    tolerance: float = quantum.DEFAULT_TOL
-    max_depth: int = 64
-    max_states: int = 100_000
-    seed: int = 0
-    format: str = "text"
-    script: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not (0.0 < self.tolerance <= 1e-3):
-            raise UsageError(f"tolerance must lie in (0, 1e-3], got {self.tolerance}")
-        if self.max_depth <= 0 or self.max_states <= 0:
-            raise UsageError("budgets must be positive")
-
-    @property
-    def budget(self) -> criteria.Budget:
-        return criteria.Budget(self.max_depth, self.max_states)
-
-
-def _options(args) -> RunOptions:
-    seed = args.seed
-    if seed is None:
+def _options(args) -> None:
+    """Checks the shared options, in this order, and resolves two in place:
+    ``seed`` falls back to ``QPROC_SEED``, then 0, and ``run``'s ``script``
+    becomes a tuple of branch choices."""
+    if args.seed is None:
         try:
-            seed = int(os.environ.get("QPROC_SEED", "0"))
+            args.seed = int(os.environ.get("QPROC_SEED", "0"))
         except ValueError:
             raise UsageError(f"QPROC_SEED takes an integer, got {os.environ['QPROC_SEED']!r}")
-    script = ()
-    if getattr(args, "script", None):
+    if hasattr(args, "script"):
         try:
-            script = tuple(int(part) for part in args.script.split(",") if part != "")
+            args.script = tuple(int(part) for part in args.script.split(",") if part != "")
         except ValueError:
             raise UsageError(f"--script takes comma-separated integers, got {args.script!r}")
-    return RunOptions(
-        tolerance=args.tolerance,
-        max_depth=args.max_depth,
-        max_states=args.max_states,
-        seed=seed,
-        format=args.format,
-        script=script,
-    )
+    if not (0.0 < args.tolerance <= 1e-3):
+        raise UsageError(f"tolerance must lie in (0, 1e-3], got {args.tolerance}")
+    if args.max_depth <= 0 or args.max_states <= 0:
+        raise UsageError("budgets must be positive")
 
 
 def _load(path: str):
@@ -107,16 +87,6 @@ def _load(path: str):
 
 def _emit_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
-
-
-def _report(check: str, verdict: criteria.Verdict, opts: RunOptions) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "check": check,
-        **verdict.as_dict(),
-        "tolerance": opts.tolerance,
-        "seed": opts.seed,
-    }
 
 
 def _verdict_exit(verdict: criteria.Verdict) -> int:
@@ -140,55 +110,47 @@ def _to_dict(node):
     return node
 
 
-def cmd_parse(args) -> int:
-    opts = _options(args)
+# Each command returns its exit code, its JSON report and its text, which
+# `main` prints as one or the other; `translate` writes its own output.
+
+def cmd_parse(args):
     kind, parsed = _load(args.file)
     if kind == "cqp":
-        config = parsed
-        payload = {
-            "schema": SCHEMA_VERSION,
+        report = {
             "calculus": "cqp",
-            "qubits": list(config.sigma.qubit_names),
-            "state": cqp.format_amps(config.sigma, 9),
-            "channels": list(config.phi),
-            "process": _to_dict(config.term),
+            "qubits": list(parsed.sigma.qubit_names),
+            "state": cqp.format_amps(parsed.sigma, 9),
+            "channels": list(parsed.phi),
+            "process": _to_dict(parsed.term),
         }
-        text = f"{cqp.format_config(config)}"
-    else:
-        defs, config, table = parsed
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "calculus": "qccs",
-            "qubits": list(config.rho.qubit_names),
-            "operators": sorted(table),
-            "constants": sorted(defs),
-            "process": _to_dict(config.term),
-        }
-        text = qccs.format_term(config.term)
-    print(_emit_json(payload) if opts.format == "json" else text)
-    return EXIT_OK
+        return EXIT_OK, report, cqp.format_config(parsed)
+    defs, config, table = parsed
+    report = {
+        "calculus": "qccs",
+        "qubits": list(config.rho.qubit_names),
+        "operators": sorted(table),
+        "constants": sorted(defs),
+        "process": _to_dict(config.term),
+    }
+    return EXIT_OK, report, qccs.format_term(config.term)
 
 
-def cmd_typecheck(args) -> int:
-    opts = _options(args)
+def cmd_typecheck(args):
     kind, _ = _load(args.file)
     check = "typecheck" if kind == "cqp" else "wellformed"
-    payload = {"schema": SCHEMA_VERSION, "check": check, "verdict": "holds", "calculus": kind}
-    print(_emit_json(payload) if opts.format == "json" else "ok")
-    return EXIT_OK
+    return EXIT_OK, {"check": check, "verdict": "holds", "calculus": kind}, "ok"
 
 
-def cmd_run(args) -> int:
-    opts = _options(args)
+def cmd_run(args):
     kind, config = _load(args.file)
     if kind != "cqp":
         raise UsageError("run drives .cqp sources; use steps for .qccs behaviour")
     result = cqp.run(
         config,
-        seed=opts.seed,
-        script=list(opts.script),
-        max_steps=opts.max_depth,
-        tol=opts.tolerance,
+        seed=args.seed,
+        script=list(args.script),
+        max_steps=args.max_depth,
+        tol=args.tolerance,
     )
     lines = []
     for i, step in enumerate(result.steps):
@@ -199,37 +161,31 @@ def cmd_run(args) -> int:
         state = f"{','.join(final.sigma.qubit_names)} = {cqp.format_amps(final.sigma)}"
     else:
         state = cqp.format_config(final)
-    if opts.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "check": "run",
-            "trace": [s.label() for s in result.steps],
-            "final_state": state,
-            "success": success,
-            "truncated": result.truncated,
-            "seed": opts.seed,
-            "tolerance": opts.tolerance,
-        }
-        print(_emit_json(payload))
-    else:
-        print("\n".join(lines))
-        print(f"final state: {state}")
-        if result.truncated:
-            print("TRUNCATED: step budget reached with steps remaining")
-        print("SUCCESS" if success else "NO SUCCESS")
-    return EXIT_OK
+    lines.append(f"final state: {state}")
+    if result.truncated:
+        lines.append("TRUNCATED: step budget reached with steps remaining")
+    lines.append("SUCCESS" if success else "NO SUCCESS")
+    report = {
+        "check": "run",
+        "trace": [s.label() for s in result.steps],
+        "final_state": state,
+        "success": success,
+        "truncated": result.truncated,
+        "seed": args.seed,
+        "tolerance": args.tolerance,
+    }
+    return EXIT_OK, report, "\n".join(lines)
 
 
-def cmd_steps(args) -> int:
-    opts = _options(args)
+def cmd_steps(args):
     kind, parsed = _load(args.file)
     rows = []
     if kind == "cqp":
-        for step in cqp.enumerate_steps(parsed, opts.tolerance):
+        for step in cqp.enumerate_steps(parsed, args.tolerance):
             rows.append({"label": step.label(), "next": cqp.format_config(step.next)})
     else:
         defs, config, table = parsed
-        for step in qccs.lts_steps(config, defs, table, opts.tolerance):
+        for step in qccs.lts_steps(config, defs, table, args.tolerance):
             rows.append(
                 {
                     "label": qccs.format_label(step.label),
@@ -237,18 +193,11 @@ def cmd_steps(args) -> int:
                     "next": qccs.format_term(step.next.term),
                 }
             )
-    if opts.format == "json":
-        print(_emit_json({"schema": SCHEMA_VERSION, "check": "steps", "steps": rows}))
-    else:
-        if not rows:
-            print("no steps")
-        for row in rows:
-            print(f"{row['label']:<14} -> {row['next']}")
-    return EXIT_OK
+    text = "\n".join(f"{row['label']:<14} -> {row['next']}" for row in rows) or "no steps"
+    return EXIT_OK, {"check": "steps", "steps": rows}, text
 
 
-def cmd_translate(args) -> int:
-    opts = _options(args)
+def cmd_translate(args):
     kind, config = _load(args.file)
     if kind != "cqp":
         raise UsageError("translate takes a .cqp source")
@@ -257,7 +206,7 @@ def cmd_translate(args) -> int:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK, None, None
 
 
 # --which value -> key in criteria.CHECKS
@@ -272,58 +221,50 @@ _CHECKS = {
 }
 
 
-def cmd_check(args) -> int:
-    opts = _options(args)
+def cmd_check(args):
     kind, parsed = _load(args.file)
     which = args.which
+    budget = criteria.Budget(args.max_depth, args.max_states)
     if kind == "cqp":
         check = criteria.CHECKS[_CHECKS[which]]
-        verdict = check(criteria.Instance(parsed, opts.budget, opts.seed, opts.tolerance))
+        verdict = check(criteria.Instance(parsed, budget, args.seed, args.tolerance))
+    elif which not in ("divergence", "success"):
+        # decided before the file's behaviour is explored
+        raise UsageError(f"check --which {which} needs a .cqp source")
     else:
         defs, config, table = parsed
-        lts = criteria.build_lts(config, criteria.qccs_system(defs, table, opts.tolerance), opts.budget)
+        lts = criteria.build_lts(config, criteria.qccs_system(defs, table, args.tolerance), budget)
         if which == "divergence":
             verdict = criteria.detect_divergence(lts)
-        elif which == "success":
+        else:
             may = criteria.may_reach_success(lts)
             must = criteria.must_reach_success(lts)
             verdict = criteria.Verdict(
                 may.status, may.witness, may.reason, {"may": may.status, "must": must.status, **lts.stats()}
             )
-        else:
-            raise UsageError(f"check --which {which} needs a .cqp source")
-    payload = _report(which, verdict, opts)
-    if opts.format == "json":
-        print(_emit_json(payload))
-    else:
-        print(f"{which}: {verdict.status}" + (f" ({verdict.reason})" if verdict.reason else ""))
-    return _verdict_exit(verdict)
+    report = {"check": which, **verdict.as_dict(), "tolerance": args.tolerance, "seed": args.seed}
+    text = f"{which}: {verdict.status}" + (f" ({verdict.reason})" if verdict.reason else "")
+    return _verdict_exit(verdict), report, text
 
 
-def cmd_counterexample(args) -> int:
-    opts = _options(args)
-    report = criteria.counterexample_suite(opts.tolerance)
-    if opts.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "check": "counterexample",
-            "verdict": "holds" if report["ok"] else "fails",
-            "rows": report["rows"],
-            "tolerance": opts.tolerance,
-            "seed": opts.seed,
-        }
-        print(_emit_json(payload))
-    else:
-        header = f"{'input':<10} {'probe ok':<9} {'may':<7} {'must':<7} {'expected':<16} ok"
-        print(header)
-        print("-" * len(header))
-        for row in report["rows"]:
-            expected = f"{row['expected_may']}/{row['expected_must']}"
-            print(
-                f"{row['input']:<10} {str(row['probe_matrix_ok']):<9} {row['may']:<7} "
-                f"{row['must']:<7} {expected:<16} {row['ok']}"
-            )
-    return EXIT_OK if report["ok"] else EXIT_FAILS
+def cmd_counterexample(args):
+    suite = criteria.counterexample_suite(args.tolerance)
+    report = {
+        "check": "counterexample",
+        "verdict": "holds" if suite["ok"] else "fails",
+        "rows": suite["rows"],
+        "tolerance": args.tolerance,
+        "seed": args.seed,
+    }
+    header = f"{'input':<10} {'probe ok':<9} {'may':<7} {'must':<7} {'expected':<16} ok"
+    lines = [header, "-" * len(header)]
+    for row in suite["rows"]:
+        expected = f"{row['expected_may']}/{row['expected_must']}"
+        lines.append(
+            f"{row['input']:<10} {str(row['probe_matrix_ok']):<9} {row['may']:<7} "
+            f"{row['must']:<7} {expected:<16} {row['ok']}"
+        )
+    return (EXIT_OK if suite["ok"] else EXIT_FAILS), report, "\n".join(lines)
 
 
 _FILE = (("file",), {})
@@ -392,7 +333,10 @@ def main(argv=None) -> int:
     parser = build_parser(command)
     try:
         args = parser.parse_args(argv[1:] if command else argv)
-        code = args.func(args)
+        _options(args)
+        code, report, text = args.func(args)
+        if report is not None:
+            print(_emit_json({"schema": SCHEMA_VERSION, **report}) if args.format == "json" else text)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()
         return code

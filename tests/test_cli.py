@@ -231,6 +231,32 @@ def test_counterexample_table(capsys):
     assert len(payload["rows"]) == 4
 
 
+def test_a_run_that_takes_no_step_starts_with_the_final_state(tmp_path, capsys):
+    src = tmp_path / "zero.cqp"
+    src.write_text("qubits q ; state |0> ; channels ; process 0\n")
+    assert run_cli(capsys, "run", str(src)) == (0, "final state: q = |0>\nNO SUCCESS\n", "")
+
+
+# each file holds the exact stdout of its call
+PINNED = {
+    "run-teleport-script-0.txt": ("run", TELEPORT, "--script", "0"),
+    "steps-measurement.txt": ("steps", MEASUREMENT),
+    "steps-counterexample.txt": ("steps", COUNTEREXAMPLE),
+    "parse-teleport.txt": ("parse", TELEPORT),
+    "parse-teleport.json": ("parse", TELEPORT, "--format", "json"),
+    "counterexample.txt": ("counterexample",),
+    "counterexample.json": ("counterexample", "--format", "json"),
+    "check-measurement-success-seed-3.json": ("check", MEASUREMENT, "--which", "success", "--format", "json", "--seed", "3"),
+    "typecheck-teleport-encoded.json": ("typecheck", ENCODED, "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_a_report_prints_the_same_bytes(capsys, name):
+    expected = (Path(__file__).parent / "cli_outputs" / name).read_text(encoding="utf-8")
+    assert run_cli(capsys, *PINNED[name]) == (0, expected, "")
+
+
 def test_usage_errors_exit_3(capsys):
     assert run_cli(capsys, "check", TELEPORT)[0] == 3  # missing --which
     assert run_cli(capsys, "run", TELEPORT, "--tolerance", "0.5")[0] == 3
@@ -513,6 +539,15 @@ def test_an_overflowing_guard_trace_gives_the_typed_error(tmp_path, capsys, argv
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out, err) == (1, "", "error: non-finite trace in guard tr(Q[q])\n")
+
+
+@pytest.mark.parametrize("which", ["completeness", "soundness", "name-inv", "qubit-inv", "size"])
+def test_an_encoding_criterion_on_a_qccs_file_is_refused_before_exploring(tmp_path, capsys, which):
+    # exploring this file raises, so only a refusal made first exits 3
+    path = tmp_path / "guard.qccs"
+    path.write_text(GUARD_OVERFLOW)
+    code, out, err = run_cli(capsys, "check", str(path), "--which", which)
+    assert (code, out, err) == (3, "", f"usage error: check --which {which} needs a .cqp source\n")
 
 
 def _readme_examples() -> dict[str, str]:
