@@ -1,11 +1,12 @@
 """The qproc command line.
 
 Subcommands tie parsing, execution, translation and checking together.
-Every one but ``translate``, which writes the emitted .qccs text, prints one
-report: as text, or under ``--format json`` as JSON carrying
-``"schema": 1``.  Identical inputs, options and seed produce byte-identical
-JSON.  ``run`` takes its step budget from ``--max-depth``.  On a .qccs file
-an encoding criterion is a usage error, decided before any exploration.
+Every one but ``translate``, which writes the emitted .qccs text and takes
+no ``--format json``, prints one report: as text, or under ``--format json``
+as JSON carrying ``"schema": 1``.  Identical inputs, options and seed
+produce byte-identical JSON.  ``run`` takes its step budget from
+``--max-depth``.  On a .qccs file an encoding criterion is a usage error,
+decided before any exploration.
 Exit codes: 0 for ok/holds, 1 for fails or rejected input, 2 for
 inconclusive, 3 for usage errors.
 
@@ -198,6 +199,8 @@ def cmd_steps(args):
 
 
 def cmd_translate(args):
+    if args.format == "json":
+        raise UsageError("translate writes .qccs text and has no JSON report")
     kind, config = _load(args.file)
     if kind != "cqp":
         raise UsageError("translate takes a .cqp source")

@@ -288,39 +288,19 @@ def has_success_barb(config: CqpConfig) -> bool:
 
 # -- type systems ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TInt:
-    pass
-
-
-@dataclass(frozen=True)
-class TQbit:
-    pass
-
-
-@dataclass(frozen=True)
-class TChan:
-    pass
-
-
-CqpType = TInt | TQbit | TChan
-
-
 def _is_int_literal(name: str) -> bool:
     return name.isdigit()
 
 
-def _check_chan(c: str, env: Mapping[str, CqpType]):
+def _check_chan(c: str, env: Mapping[str, str]):
     if _is_int_literal(c):
         return  # measurement results are valid channel identifiers
-    ty = env.get(c)
-    if isinstance(ty, (TChan, TInt)):
-        return
-    raise UnknownName(f"{c!r} is not usable as a channel")
+    if env.get(c) not in ("chan", "int"):
+        raise UnknownName(f"{c!r} is not usable as a channel")
 
 
-def _check_qbit(q: str, env: Mapping[str, CqpType]):
-    if not isinstance(env.get(q), TQbit):
+def _check_qbit(q: str, env: Mapping[str, str]):
+    if env.get(q) != "qbit":
         raise UnknownQubitName(f"{q!r} is not an available qubit")
 
 
@@ -344,6 +324,7 @@ def _creates_qubit(t: Term) -> bool:
 
 def _check_term(t: Term, env: dict) -> set[str]:
     """Returns the set of qubits the term demands; raises on errors.
+    ``env`` maps each name in scope to its type: "int", "qbit" or "chan".
 
     Parallel components must demand disjoint qubits.  A demand is an
     unguarded use: input-prefixed continuations are checked recursively but
@@ -366,7 +347,7 @@ def _check_term(t: Term, env: dict) -> set[str]:
             return ul | ur
         case In(c, x, p):
             _check_chan(c, env)
-            inner = dict(env, **{x: TQbit()})
+            inner = dict(env, **{x: "qbit"})
             _check_term(p, inner)
             return set()
         case Out(c, q, p):
@@ -386,13 +367,13 @@ def _check_term(t: Term, env: dict) -> set[str]:
             if not qs:
                 raise ArityMismatch("measurement needs at least one qubit")
             _check_operands(qs, env)
-            inner = dict(env, **{x: TInt()})
+            inner = dict(env, **{x: "int"})
             return (_check_term(p, inner) - {x}) | set(qs)
         case NewChan(x, p):
-            inner = dict(env, **{x: TChan()})
+            inner = dict(env, **{x: "chan"})
             return _check_term(p, inner) - {x}
         case NewQbit(x, p):
-            inner = dict(env, **{x: TQbit()})
+            inner = dict(env, **{x: "qbit"})
             return _check_term(p, inner) - {x}
     raise TypeError(f"not a CQP- term: {t!r}")
 
@@ -406,9 +387,9 @@ def typecheck_internal(config: CqpConfig) -> None:
     guarded or not.  The translation names a created qubit statically, by
     the register it is created beside, so two parallel creations would get
     the same name."""
-    env: dict[str, CqpType] = {} if isinstance(config, CqpPure) else {config.var: TInt()}
-    env.update({q: TQbit() for q in config.sigma_names})
-    env.update({c: TChan() for c in config.phi if not _is_int_literal(c)})
+    env = {} if isinstance(config, CqpPure) else {config.var: "int"}
+    env.update({q: "qbit" for q in config.sigma_names})
+    env.update({c: "chan" for c in config.phi if not _is_int_literal(c)})
     _check_term(config.term, env)
 
 

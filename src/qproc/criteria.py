@@ -444,21 +444,13 @@ def _check_injective(gamma: dict, register: tuple[str, ...]) -> None:
         raise NoCloningViolation(f"non-injective qubit substitution {dict(gamma)}")
 
 
-def rename_source(config: cqp.CqpConfig, gamma: dict) -> cqp.CqpConfig:
-    """The configuration with its free channel and qubit names renamed by
-    ``gamma``: in the term, the channel list and the register alike."""
+def rename_source(config: cqp.CqpPure, gamma: dict) -> cqp.CqpPure:
+    """The pure configuration with its free channel and qubit names renamed
+    by ``gamma``: in the term, the channel list and the register alike."""
     _check_injective(gamma, config.sigma_names)
+    sigma = quantum.StateVector(tuple(gamma.get(n, n) for n in config.sigma_names), config.sigma.amps)
     phi = tuple(gamma.get(c, c) for c in config.phi)
-    term = cqp.substitute(config.term, gamma)
-
-    def rename(sigma: quantum.StateVector) -> quantum.StateVector:
-        return quantum.StateVector(tuple(gamma.get(n, n) for n in sigma.qubit_names), sigma.amps)
-
-    if isinstance(config, cqp.CqpPure):
-        return cqp.CqpPure(rename(config.sigma), phi, term)
-    cases = tuple((p, rename(s)) for p, s in config.cases)
-    measured = tuple(gamma.get(q, q) for q in config.measured)
-    return cqp.CqpDist(cases, config.var, measured, phi, term)
+    return cqp.CqpPure(sigma, phi, cqp.substitute(config.term, gamma))
 
 
 def rename_target(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfig:
@@ -517,7 +509,7 @@ class Instance:
     own vector keeps its matrix, as the source keeps its congruence key.
     """
 
-    source: cqp.CqpConfig
+    source: cqp.CqpPure
     budget: Budget = Budget()
     seed: int = 0
     tol: float = DEFAULT_TOL
@@ -948,7 +940,7 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
     return cqp.CqpPure(config.sigma, config.phi, shuffle(config.term))
 
 
-def random_channel_renaming(config: cqp.CqpConfig) -> dict:
+def random_channel_renaming(config: cqp.CqpPure) -> dict:
     """Injective renaming of the configuration's symbolic channels to fresh
     names ``u0, u1, ...`` in sorted order; deterministic, and measurement
     literals stay fixed."""

@@ -10,7 +10,8 @@ non-physical probe operators stay executable;
 ``SuperOperator.advisories`` reports CP and trace violations without
 blocking anything.  One whose Kraus terms are all diagonal (I, Z,
 measurements, projectors) applies as an entry-by-entry mask, for these
-builtins with the dense sum's bytes; the rest take the dense Kraus sum.
+builtins with the dense sum's bytes; the rest take the dense Kraus sum.  A
+guard's trace is the trace of that same application.
 
 Everything is immutable and pure.  Registers beyond a dozen qubits are out
 of scope and dense numpy is used throughout.
@@ -321,19 +322,17 @@ class SuperOperator:
         return cls("new", 0, ((1, np.eye(1)),), extends_register=True)
 
     @cached_property
-    def _mask(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(W, w) when every Kraus term is diagonal, K_j = diag(d_j), and
-        W = sum_j sign_j d_j d_j+ is finite; w = sum_j sign_j |d_j|^2 is its
-        real diagonal.  Otherwise None: where W overflows, its 0 * inf would
-        be NaN where the terms give 0.  Built on the first application,
-        under that kernel's ``np.errstate``, so an overflow does not warn."""
+    def _mask(self) -> np.ndarray | None:
+        """W = sum_j sign_j d_j d_j+ when every Kraus term is diagonal,
+        K_j = diag(d_j), and W is finite.  Otherwise None: where W overflows,
+        its 0 * inf would be NaN where the terms give 0.  Built on the first
+        application, under that kernel's ``np.errstate``, so an overflow
+        does not warn."""
         if any(np.count_nonzero(k) != np.count_nonzero(k.diagonal()) for _, k in self.terms):
             return None
         zero = np.zeros((2 ** self.arity,) * 2)
         grid = sum((s * np.outer(k.diagonal(), k.diagonal().conj()) for s, k in self.terms), zero)
-        if not np.isfinite(grid).all():
-            return None
-        return grid, grid.diagonal().real.copy()
+        return grid if np.isfinite(grid).all() else None
 
     def advisories(self) -> list[str]:
         """Report CP / trace-nonincreasing violations without blocking."""
@@ -478,13 +477,28 @@ def _signed_kraus_sum(e: SuperOperator, front: list[int], rho: DensityMatrix) ->
     return acc.reshape([2] * (2 * n)).transpose(inverse_perm(axes)).reshape(2 ** n, 2 ** n)
 
 
-def _spread(block: np.ndarray, front: list[int], n: int) -> np.ndarray:
-    """``block``, a vector or grid over the targets at positions ``front``,
-    reshaped to broadcast against rho's n-axis diagonal or 2n-axis tensor."""
+def _spread(grid: np.ndarray, front: list[int], n: int) -> np.ndarray:
+    """``grid``, over the targets at positions ``front``, reshaped to
+    broadcast against rho's 2n-axis tensor."""
     order = sorted(range(len(front)), key=front.__getitem__)
-    axes = [g * len(front) + j for g in range(block.ndim) for j in order]
-    shape = [2 if i % n in front else 1 for i in range(block.ndim * n)]
-    return block.reshape([2] * len(axes)).transpose(axes).reshape(shape)
+    axes = [g * len(front) + j for g in range(2) for j in order]
+    shape = [2 if i % n in front else 1 for i in range(2 * n)]
+    return grid.reshape([2] * len(axes)).transpose(axes).reshape(shape)
+
+
+def _raw_apply(e: SuperOperator, targets: tuple[str, ...], rho: DensityMatrix) -> np.ndarray:
+    """e's signed Kraus sum on the named targets of rho, in rho's name
+    order: never normalised, unvalidated, blind to ``extends_register``.
+    With a mask W (``SuperOperator._mask``) rho's tensor is multiplied entry
+    by entry by W spread over the target axes, else ``_signed_kraus_sum``.
+    The + 0.0 turns a masked -0.0 into the dense sum's +0.0, so for W in
+    {0, 1, -1} the bytes, which the reduction table keys on, are the same."""
+    front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
+    if e._mask is None:
+        return _signed_kraus_sum(e, front, rho)
+    n = rho.num_qubits
+    masked = rho.entries.reshape([2] * (2 * n)) * _spread(e._mask, front, n)
+    return masked.reshape(2 ** n, 2 ** n) + 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -494,18 +508,10 @@ def superop_apply(
     rho: DensityMatrix,
     tol: float = DEFAULT_TOL,
 ) -> DensityMatrix:
-    """Apply e to the named targets of rho.
-
-    The signed Kraus sum acts on the target axes of rho's tensor only; the
-    result keeps rho's name order.  With ``normalize_after`` the result is
-    divided by its trace (ZeroBranch when the trace vanishes).
-
-    An operator with a mask W (``SuperOperator._mask``: I, Z, measurements
-    and projectors) multiplies rho's tensor entry by entry by W spread over
-    the target axes; any other takes the dense ``_signed_kraus_sum``.  The
-    + 0.0 turns a masked -0.0 into the dense sum's +0.0, so for W in
-    {0, 1, -1} the bytes, which the reduction table keys on, are the same.
-    An overflow raises no warning; the result's check rejects it.
+    """Apply e to the named targets of rho (``_raw_apply``), keeping rho's
+    name order.  With ``normalize_after`` the result is divided by its
+    trace, the number ``raw_trace_after`` returns (ZeroBranch when it is at
+    most tol).  An overflow raises no warning; the result's check rejects it.
     """
     targets = tuple(targets)
     if e.extends_register:
@@ -515,13 +521,7 @@ def superop_apply(
         zero = np.array([[1.0, 0.0], [0.0, 0.0]])
         return _density_under_errstate(rho.qubit_names + (fresh,), np.kron(rho.entries, zero))
 
-    front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
-    if e._mask is None:
-        acc = _signed_kraus_sum(e, front, rho)
-    else:
-        n = rho.num_qubits
-        masked = rho.entries.reshape([2] * (2 * n)) * _spread(e._mask[0], front, n)
-        acc = masked.reshape(2 ** n, 2 ** n) + 0.0
+    acc = _raw_apply(e, targets, rho)
     if e.normalize_after:
         tr = float(np.trace(acc).real)
         if tr <= tol:
@@ -532,29 +532,11 @@ def superop_apply(
 
 @np.errstate(over="ignore", invalid="ignore")
 def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix) -> float:
-    """Trace of the raw, never normalised application; guard evaluation.
-
-    Equal to sum_j sign_j tr(K_j rho_T K_j+), with rho_T the reduced state
-    of rho on the targets, so no register-sized grid is built: with a mask
-    (``superop_apply``) w spread over the target axes dotted with rho's
-    diagonal, else an ``einsum`` that traces the spectators out.  Probe
-    operators give traces above one; the guard only needs the number.  An
-    overflow gives an infinite or NaN trace without a warning.  K rho_T K+,
-    not K+K, is formed, so the trace overflows only where the applied
-    operator does: K+K of +diag(1e200, 1) overflows even on |1><1|.
-    """
-    targets = tuple(targets)
-    front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
-    n = rho.num_qubits
-    if e._mask is not None:
-        weights = _spread(e._mask[1], front, n)
-        return float((rho.entries.diagonal().real.reshape([2] * n) * weights).sum())
-    # Label each spectator's column axis like its row axis, so einsum traces it out.
-    labels = list(range(n)) + [n + i if i in front else i for i in range(n)]
-    dim = 2 ** e.arity
-    grid = rho.entries.reshape([2] * (2 * n))
-    reduced = np.einsum(grid, labels, front + [n + i for i in front]).reshape(dim, dim)
-    return float(sum(sign * np.trace(k @ reduced @ k.conj().T) for sign, k in e.terms).real)
+    """Trace of the raw, never normalised application, for a guard: the
+    number ``superop_apply`` divides by, so a guard tr(E[q]) > tol passes
+    exactly when its branch raises no ZeroBranch.  An overflow gives an
+    infinite or NaN trace without a warning."""
+    return float(np.trace(_raw_apply(e, tuple(targets), rho)).real)
 
 
 # -- comparison --------------------------------------------------------------

@@ -140,6 +140,17 @@ def test_translate_output_reparses(tmp_path, capsys):
     assert run_cli(capsys, "typecheck", str(target))[0] == 0
 
 
+@pytest.mark.parametrize("source", [TELEPORT, "missing.cqp"], ids=["teleport", "missing"])
+def test_translate_has_no_json_report(tmp_path, capsys, source):
+    # decided before the source is read or the -o file is written
+    target = tmp_path / "out.qccs"
+    code, out, err = run_cli(capsys, "translate", source, "-o", str(target), "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == "usage error: translate writes .qccs text and has no JSON report\n"
+    assert not target.exists()
+    assert run_cli(capsys, "translate", TELEPORT, "--format", "json")[:2] == (3, "")
+
+
 def test_check_exit_codes(capsys):
     for which in ("completeness", "soundness", "name-inv", "qubit-inv", "size", "divergence", "success"):
         code, out, _ = run_cli(capsys, "check", TELEPORT, "--which", which)

@@ -688,6 +688,33 @@ def test_an_overflowing_mask_keeps_the_dense_sum():
     assert q.raw_trace_after(e, ("a",), rho) == 1.0
 
 
+def test_a_guard_passes_exactly_when_its_branch_fires():
+    # The guard tr(E{i}[q]) != 0 and the normalisation of the branch it
+    # guards read one number, so they agree even with tol on that number or
+    # one ulp either side of it, where two sums in different orders do not.
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        names = tuple(f"r{k}" for k in range(n))
+        rho = q.outer(random_state(rng, names))
+        r = int(rng.integers(1, n + 1))
+        targets = tuple(rng.permutation(names)[:r])
+        for i in range(2 ** r):
+            e = q.SuperOperator.measure_expected(i, r)
+            t = q.raw_trace_after(e, targets, rho)
+            for tol in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)):
+                guard = qccs.eval_bool(qccs.TraceNonzero(qccs.ProjectOp(i), targets), rho, None, tol)
+                try:
+                    q.superop_apply(e, targets, rho, tol)
+                    fires = True
+                except ZeroBranch:
+                    fires = False
+                assert guard == fires, (n, targets, i, tol)
+                checked += 1
+    assert checked > 3000
+
+
 @pytest.mark.parametrize(
     "e, targets, error, message",
     [
