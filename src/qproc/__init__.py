@@ -3,7 +3,7 @@
 Subpackages:
 
 * ``qproc.quantum``   named-register linear algebra (states, gates, super-operators)
-* ``qproc.cqp``       CQP- terms, parser, type systems and reduction semantics
+* ``qproc.cqp``       CQP- terms, parser, type system and reduction semantics
 * ``qproc.qccs``      qCCS terms, parser, well-formedness and labelled semantics
 * ``qproc.encode``    the translation from CQP- configurations into qCCS
 * ``qproc.criteria``  bounded exploration and the encodability criteria checks

@@ -29,6 +29,10 @@ The node tuples are also the one source of free names: a node's own names
 and its children's free names less its binders (``free_names``), computed
 once per node with its tuple.  A restriction keeps only its live channels,
 those free in its body, so neither calculus walks its terms for names.
+Both calculi tag an input prefix ``"in"``, so the tuples also give the
+demand of the no-cloning rule, the free names outside input prefixes
+(``demand``), and the parallel components (``components``), each computed
+once per node as well.
 
 Names are resolved through an environment, never by substitution: a binder
 becomes its nesting depth (de Bruijn 1972), and a free name, a register
@@ -192,6 +196,35 @@ def free_names(t, node: Callable) -> frozenset[str]:
     """The free names of ``t``, read from its node tuples: a node's own
     names and its children's free names less its binders."""
     return _entry(t, node)[1]
+
+
+def demand(t, node: Callable) -> frozenset[str]:
+    """The free names of ``t`` outside input prefixes, the nodes tagged
+    ``"in"``: the names ``t`` may use before an input fires, which no
+    parallel sibling may use too.  Read from the node tuples like
+    ``free_names`` and kept on ``t``."""
+    found = getattr(t, "_demand", None)
+    if found is None:
+        n = _entry(t, node)[0]
+        names, bound, kids = ((), (), ()) if n[0] == "in" else _parts(n)
+        found = frozenset().union(*[demand(c, node) for c in kids]).difference(bound).union(names)
+        t.__dict__["_demand"] = found
+    return found
+
+
+def components(t, node: Callable) -> tuple:
+    """The parallel components of ``t``, left to right, with the units
+    dropped; ``(t,)`` for a term that is neither.  Kept on a parallel
+    composition, and never on a component, which would then hold itself."""
+    n = _entry(t, node)[0]
+    if n is UNIT:
+        return ()
+    if n[0] != PAR:
+        return (t,)
+    found = getattr(t, "_components", None)
+    if found is None:
+        found = t.__dict__["_components"] = components(n[1], node) + components(n[2], node)
+    return found
 
 
 def _entry(t, node: Callable) -> tuple[tuple, frozenset[str], dict]:

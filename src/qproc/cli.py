@@ -51,9 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _options(args) -> None:
-    """Checks the shared options, in this order, and resolves two in place:
-    ``seed`` falls back to ``QPROC_SEED``, then 0, and ``run``'s ``script``
-    becomes a tuple of branch choices."""
+    """Checks the shared options, in this order, and resolves three in
+    place: ``seed`` falls back to ``QPROC_SEED``, then 0, ``run``'s
+    ``script`` becomes a tuple of branch choices, and the two budgets
+    become ``budget``, a ``criteria.Budget``."""
     if args.seed is None:
         try:
             args.seed = int(os.environ.get("QPROC_SEED", "0"))
@@ -66,8 +67,10 @@ def _options(args) -> None:
             raise UsageError(f"--script takes comma-separated integers, got {args.script!r}")
     if not (0.0 < args.tolerance <= 1e-3):
         raise UsageError(f"tolerance must lie in (0, 1e-3], got {args.tolerance}")
-    if args.max_depth <= 0 or args.max_states <= 0:
-        raise UsageError("budgets must be positive")
+    try:
+        args.budget = criteria.Budget(args.max_depth, args.max_states)
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def _load(path: str):
@@ -227,16 +230,15 @@ _CHECKS = {
 def cmd_check(args):
     kind, parsed = _load(args.file)
     which = args.which
-    budget = criteria.Budget(args.max_depth, args.max_states)
     if kind == "cqp":
         check = criteria.CHECKS[_CHECKS[which]]
-        verdict = check(criteria.Instance(parsed, budget, args.seed, args.tolerance))
+        verdict = check(criteria.Instance(parsed, args.budget, args.seed, args.tolerance))
     elif which not in ("divergence", "success"):
         # decided before the file's behaviour is explored
         raise UsageError(f"check --which {which} needs a .cqp source")
     else:
         defs, config, table = parsed
-        lts = criteria.build_lts(config, criteria.qccs_system(defs, table, args.tolerance), budget)
+        lts = criteria.build_lts(config, criteria.qccs_system(defs, table, args.tolerance), args.budget)
         if which == "divergence":
             verdict = criteria.detect_divergence(lts)
         else:
@@ -300,9 +302,10 @@ _COMMANDS = {
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Fills ``parser`` as the subcommand ``name``: the shared options, then
     its own arguments, then its handler and name as defaults."""
+    budget = criteria.Budget()
     parser.add_argument("--tolerance", type=float, default=quantum.DEFAULT_TOL)
-    parser.add_argument("--max-depth", type=int, default=64)
-    parser.add_argument("--max-states", type=int, default=100_000)
+    parser.add_argument("--max-depth", type=int, default=budget.max_depth)
+    parser.add_argument("--max-states", type=int, default=budget.max_states)
     parser.add_argument("--seed", type=int, default=None, help="falls back to QPROC_SEED, then 0")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     _, arguments, handler = _COMMANDS[name]

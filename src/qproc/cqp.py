@@ -1,4 +1,4 @@
-"""The CQP- calculus: terms, both type systems, congruence and semantics.
+"""The CQP- calculus: terms, the type system, congruence and semantics.
 
 Configurations pair a process term with a state-vector register and a
 channel list.  Measurement produces an intermediate probability
@@ -270,23 +270,14 @@ def canonical_key(config: CqpConfig) -> str:
 
 
 def has_success_barb(config: CqpConfig) -> bool:
-    """Unguarded success: not under an input, output, gate, measurement or
-    binder prefix.  A distribution barbs iff all non-zero cases barb; the
-    cases only differ by a channel-name instantiation, so they agree."""
-
-    def unguarded(t: Term) -> bool:
-        match t:
-            case Success():
-                return True
-            case Par(l, r):
-                return unguarded(l) or unguarded(r)
-            case _:
-                return False
-
-    return unguarded(config.term)
+    """Unguarded success: a parallel component that is ``ok``, not under an
+    input, output, gate, measurement or binder prefix.  A distribution barbs
+    iff all non-zero cases barb; the cases only differ by a channel-name
+    instantiation, so they agree."""
+    return any(isinstance(c, Success) for c in canon.components(config.term, _node))
 
 
-# -- type systems ---------------------------------------------------------------
+# -- the type system ------------------------------------------------------------
 
 def _is_int_literal(name: str) -> bool:
     return name.isdigit()
@@ -322,11 +313,12 @@ def _creates_qubit(t: Term) -> bool:
     return isinstance(t, NewQbit) or _creates_qubit(t.cont)
 
 
-def _check_term(t: Term, env: dict) -> set[str]:
-    """Returns the set of qubits the term demands; raises on errors.
+def _check_term(t: Term, env: dict) -> None:
+    """Raises on the first error, in the order of a left-to-right walk.
     ``env`` maps each name in scope to its type: "int", "qbit" or "chan".
 
-    Parallel components must demand disjoint qubits.  A demand is an
+    Parallel components must demand disjoint qubits: the names of both
+    sides' ``canon.demand`` that ``env`` types "qbit".  A demand is an
     unguarded use: input-prefixed continuations are checked recursively but
     contribute nothing to the enclosing split, since their qubits come into
     play only when the input fires.  (The canonical protocol example relies
@@ -335,47 +327,42 @@ def _check_term(t: Term, env: dict) -> set[str]:
     """
     match t:
         case Nil() | Success():
-            return set()
+            return
         case Par(l, r):
-            ul = _check_term(l, env)
-            ur = _check_term(r, env)
-            clash = ul & ur
+            _check_term(l, env)
+            _check_term(r, env)
+            clash = [x for x in canon.demand(l, _node) & canon.demand(r, _node) if env.get(x) == "qbit"]
             if clash:
                 raise SharedQubit(f"parallel components share qubits {sorted(clash)}")
             if _creates_qubit(l) and _creates_qubit(r):
                 raise SharedQubit("parallel components both create qubits")
-            return ul | ur
         case In(c, x, p):
             _check_chan(c, env)
-            inner = dict(env, **{x: "qbit"})
-            _check_term(p, inner)
-            return set()
+            _check_term(p, dict(env, **{x: "qbit"}))
         case Out(c, q, p):
             _check_chan(c, env)
             _check_qbit(q, env)
             inner = dict(env)
             del inner[q]  # transmitted qubit leaves the continuation's environment
-            return _check_term(p, inner) | {q}
+            _check_term(p, inner)
         case Trans(qs, g, p):
             if g not in GATES:
                 raise UnknownName(f"unknown gate {g!r}")
             if GATES[g].arity != len(qs):
                 raise ArityMismatch(f"gate {g} has arity {GATES[g].arity}, got {len(qs)} operands")
             _check_operands(qs, env)
-            return _check_term(p, env) | set(qs)
+            _check_term(p, env)
         case Measure(qs, x, p):
             if not qs:
                 raise ArityMismatch("measurement needs at least one qubit")
             _check_operands(qs, env)
-            inner = dict(env, **{x: "int"})
-            return (_check_term(p, inner) - {x}) | set(qs)
+            _check_term(p, dict(env, **{x: "int"}))
         case NewChan(x, p):
-            inner = dict(env, **{x: "chan"})
-            return _check_term(p, inner) - {x}
+            _check_term(p, dict(env, **{x: "chan"}))
         case NewQbit(x, p):
-            inner = dict(env, **{x: "qbit"})
-            return _check_term(p, inner) - {x}
-    raise TypeError(f"not a CQP- term: {t!r}")
+            _check_term(p, dict(env, **{x: "qbit"}))
+        case _:
+            raise TypeError(f"not a CQP- term: {t!r}")
 
 
 def typecheck_internal(config: CqpConfig) -> None:
@@ -479,8 +466,6 @@ def enumerate_steps(config: CqpConfig, tol: float = DEFAULT_TOL) -> list[CqpStep
                 steps.append(CqpStep("R-Qbit", nxt))
             case Trans(_, g, _) if g not in GATES:
                 raise UnknownName(f"unknown gate {g!r}")
-            case Trans(qs, _, _) | Measure(qs, _, _) if not set(qs) <= set(names):
-                pass  # an operand outside the register: an ill-typed source
             case Trans(qs, g, p):
                 sigma2 = quantum.apply_unitary(GATES[g], sigma, qs)
                 steps.append(CqpStep("R-Trans", CqpPure(sigma2, phi, _replace(term, path, p)), gate=g))

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import cqp, encode, protocols, qccs, quantum
+from . import canon, cqp, encode, protocols, qccs, quantum
 from .errors import NoCloningViolation
 from .quantum import DEFAULT_TOL
 
@@ -891,15 +891,10 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
     """A structurally congruent rearrangement: parallel components shuffled
     and reassociated, unit processes sprinkled in, binders renamed."""
 
-    def components(t: cqp.Term) -> list[cqp.Term]:
-        if isinstance(t, cqp.Par):
-            return components(t.left) + components(t.right)
-        return [] if isinstance(t, cqp.Nil) else [t]
-
     def shuffle(t: cqp.Term) -> cqp.Term:
         match t:
             case cqp.Par():
-                parts = [shuffle(p) for p in components(t)]
+                parts = [shuffle(p) for p in canon.components(t, cqp._node)]
                 if not parts:
                     return cqp.Nil()
                 rng.shuffle(parts)

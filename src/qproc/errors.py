@@ -43,7 +43,7 @@ class ParseError(QprocError):
 
 
 class TypeCheckError(QprocError):
-    """Base class for both type systems' rejections."""
+    """Base class for the CQP- type system's rejections."""
 
 
 class SharedQubit(TypeCheckError):

@@ -7,8 +7,9 @@ Terms apply super-operators to named qubit sets, so no permutation rule is
 needed; states are partial density operators.  The no-cloning conditions
 are syntactic: an output may not keep its payload free in the continuation
 (checked literally), and parallel components may not both actively demand
-a qubit (input-guarded uses do not count, mirroring the source type
-system; the translated teleportation relies on this).
+a qubit.  That is the source type system's rule, read from the same node
+tuples (``canon.demand``): input-guarded uses do not count, and the
+translated teleportation relies on this.
 
 Each interned term keeps its template, built from its children's and keyed
 by all it reads (the register order, the process definitions and the
@@ -81,8 +82,6 @@ OpRef = GateOp | MeasureOp | ProjectOp | NewOp | CustomOp
 
 def resolve_op(op: OpRef, arity: int, table: Mapping[str, SuperOperator]) -> SuperOperator:
     match op:
-        case GateOp(g) if g in table:
-            return table[g]
         case CustomOp(name):
             if name not in table:
                 raise UnknownName(f"unknown operator {name!r}")
@@ -258,28 +257,6 @@ def free_qubits(t: Term | BoolExpr) -> frozenset[str]:
 
 
 @canon.per_node
-def _demanded_qubits(t: Term) -> frozenset[str]:
-    """Free qubits outside input-guarded continuations: the demand notion
-    of the parallel no-cloning condition."""
-    match t:
-        case In():
-            return frozenset()
-        case Nil() | Success() | ConstCall():
-            return free_qubits(t)
-        case Tau(p) | Restrict(p, _):
-            return _demanded_qubits(p)
-        case SuperOp(_, qs, p):
-            return frozenset(qs) | _demanded_qubits(p)
-        case Out(_, q, p):
-            return frozenset({q}) | _demanded_qubits(p)
-        case Choice(l, r) | Par(l, r):
-            return _demanded_qubits(l) | _demanded_qubits(r)
-        case IfThen(b, p):
-            return free_qubits(b) | _demanded_qubits(p)
-    raise TypeError(f"not a qCCS term: {t!r}")
-
-
-@canon.per_node
 def free_channels(t: Term) -> frozenset[str]:
     return frozenset([x[1:] for x in canon.free_names(t, _node) if x[0] == "@"])
 
@@ -384,7 +361,7 @@ def check_wellformed(
                 visit(l, path + ".choice.left", bound, register)
                 visit(r, path + ".choice.right", bound, register)
             case Par(l, r):
-                shared = _demanded_qubits(l) & _demanded_qubits(r)
+                shared = [x for x in canon.demand(l, _node) & canon.demand(r, _node) if x[0] != "@"]
                 if shared:
                     raise WellFormednessError(
                         "Cond2", path, f"parallel components both demand {sorted(shared)}"
@@ -685,10 +662,10 @@ def canonical_key(config: QccsConfig) -> str:
 
 # -- the measurement-choice law -------------------------------------------------------
 
-def _components(t: Term, kind: type) -> list[Term]:
-    """The operands of a nest of ``kind`` (``Par`` or ``Choice``) nodes."""
-    if isinstance(t, kind):
-        return _components(t.left, kind) + _components(t.right, kind)
+def _summands(t: Term) -> list[Term]:
+    """The operands of a nest of ``Choice`` nodes."""
+    if isinstance(t, Choice):
+        return _summands(t.left) + _summands(t.right)
     return [t]
 
 
@@ -701,7 +678,7 @@ def _measurement_branches(t: Choice) -> tuple[tuple[str, ...], list[IfThen]] | N
     """``qs`` and the branches of a measurement choice
     ``Σ_i if tr(E{i}[qs]) != 0 then E{i}[qs].body_i`` whose branches
     cover every outcome of ``qs`` once, or None for any other choice."""
-    branches = _components(t, Choice)
+    branches = _summands(t)
     qs = None
     for branch in branches:
         match branch:
@@ -722,9 +699,9 @@ def factor_measurement_choices(t: Term) -> Term:
     becomes  (Σ_i if tr(E{i}[qs]) != 0 then E{i}[qs].P_i) | R.
 
     Measurement choices are found through ``Par`` and ``Restrict`` only.
-    ``R`` is the multiset of parallel components, compared by term
-    equality, that occur in every ``body_i`` and have no free qubit in
-    ``qs``; everything else is left as it is.  The two sides are
+    ``R`` is the multiset of parallel components (``canon.components``,
+    so no unit), compared by term equality, that occur in every ``body_i``
+    and have no free qubit in ``qs``; everything else is left as it is.  The two sides are
     correspondence similar, not congruent (see ``criteria``), so the
     congruence and the state keys never call this.
     """
@@ -738,7 +715,7 @@ def factor_measurement_choices(t: Term) -> Term:
             if found is None:
                 return t
             qs, branches = found
-            parts = [Counter(_components(b.cont.cont, Par)) for b in branches]
+            parts = [Counter(canon.components(b.cont.cont, _node)) for b in branches]
             shared = Counter({c: n for c, n in parts[0].items() if free_qubits(c).isdisjoint(qs)})
             for counted in parts[1:]:
                 shared &= counted

@@ -406,6 +406,47 @@ def _qccs_free_channels(t) -> frozenset[str]:
     raise TypeError(t)
 
 
+# The demand walks that ``canon.demand`` replaced: ``qccs._demanded_qubits``,
+# and the CQP- type checker's demand sets, which are these free names outside
+# inputs less the names not typed "qbit".
+
+
+def _cqp_demand(t) -> frozenset[str]:
+    match t:
+        case cqp.Nil() | cqp.Success() | cqp.In():
+            return frozenset()
+        case cqp.Par(l, r):
+            return _cqp_demand(l) | _cqp_demand(r)
+        case cqp.Out(c, q, p):
+            return frozenset({c, q}) | _cqp_demand(p)
+        case cqp.Trans(qs, _, p):
+            return frozenset(qs) | _cqp_demand(p)
+        case cqp.Measure(qs, x, p):
+            return frozenset(qs) | (_cqp_demand(p) - {x})
+        case cqp.NewChan(x, p) | cqp.NewQbit(x, p):
+            return _cqp_demand(p) - {x}
+    raise TypeError(t)
+
+
+def _qccs_demanded_qubits(t) -> frozenset[str]:
+    match t:
+        case qccs.In():
+            return frozenset()
+        case qccs.Nil() | qccs.Success() | qccs.ConstCall():
+            return qccs.free_qubits(t)
+        case qccs.Tau(p) | qccs.Restrict(p, _):
+            return _qccs_demanded_qubits(p)
+        case qccs.SuperOp(_, qs, p):
+            return frozenset(qs) | _qccs_demanded_qubits(p)
+        case qccs.Out(_, q, p):
+            return frozenset({q}) | _qccs_demanded_qubits(p)
+        case qccs.Choice(l, r) | qccs.Par(l, r):
+            return _qccs_demanded_qubits(l) | _qccs_demanded_qubits(r)
+        case qccs.IfThen(b, p):
+            return qccs.free_qubits(b) | _qccs_demanded_qubits(p)
+    raise TypeError(t)
+
+
 def _subterms(t):
     """``t`` and every term and guard below it."""
     yield t
@@ -419,11 +460,14 @@ def _assert_free_names_match(cqp_terms, qccs_terms) -> int:
     checked = 0
     for sub in {s for t in cqp_terms for s in _subterms(t)}:
         assert cqp.free_names(sub) == _cqp_free_names(sub), cqp.format_term(sub)
+        assert canon.demand(sub, cqp._node) == _cqp_demand(sub), cqp.format_term(sub)
         checked += 1
     for sub in {s for t in qccs_terms for s in _subterms(t)}:
         assert qccs.free_qubits(sub) == _qccs_free_qubits(sub), sub
         if not isinstance(sub, qccs.BoolExpr):
             assert qccs.free_channels(sub) == _qccs_free_channels(sub), sub
+            demand = canon.demand(sub, qccs._node)
+            assert {x for x in demand if x[0] != "@"} == _qccs_demanded_qubits(sub), sub
         checked += 1
     return checked
 

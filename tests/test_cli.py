@@ -249,23 +249,34 @@ def test_a_run_that_takes_no_step_starts_with_the_final_state(tmp_path, capsys):
 
 
 # each file holds the exact stdout of its call
+# name -> (exit code, argv)
 PINNED = {
-    "run-teleport-script-0.txt": ("run", TELEPORT, "--script", "0"),
-    "steps-measurement.txt": ("steps", MEASUREMENT),
-    "steps-counterexample.txt": ("steps", COUNTEREXAMPLE),
-    "parse-teleport.txt": ("parse", TELEPORT),
-    "parse-teleport.json": ("parse", TELEPORT, "--format", "json"),
-    "counterexample.txt": ("counterexample",),
-    "counterexample.json": ("counterexample", "--format", "json"),
-    "check-measurement-success-seed-3.json": ("check", MEASUREMENT, "--which", "success", "--format", "json", "--seed", "3"),
-    "typecheck-teleport-encoded.json": ("typecheck", ENCODED, "--format", "json"),
+    "run-teleport-script-0.txt": (0, ("run", TELEPORT, "--script", "0")),
+    "run-teleport-max-depth-2.txt": (0, ("run", TELEPORT, "--max-depth", "2")),
+    "steps-measurement.txt": (0, ("steps", MEASUREMENT)),
+    "steps-counterexample.txt": (0, ("steps", COUNTEREXAMPLE)),
+    "parse-teleport.txt": (0, ("parse", TELEPORT)),
+    "parse-teleport.json": (0, ("parse", TELEPORT, "--format", "json")),
+    "parse-counterexample.txt": (0, ("parse", COUNTEREXAMPLE)),
+    "parse-counterexample.json": (0, ("parse", COUNTEREXAMPLE, "--format", "json")),
+    "counterexample.txt": (0, ("counterexample",)),
+    "counterexample.json": (0, ("counterexample", "--format", "json")),
+    "check-measurement-success-seed-3.json": (
+        0, ("check", MEASUREMENT, "--which", "success", "--format", "json", "--seed", "3")
+    ),
+    "check-counterexample-divergence.json": (1, ("check", COUNTEREXAMPLE, "--which", "divergence", "--format", "json")),
+    "check-teleport-soundness-max-states-3.json": (
+        2, ("check", TELEPORT, "--which", "soundness", "--max-states", "3", "--format", "json")
+    ),
+    "typecheck-teleport-encoded.json": (0, ("typecheck", ENCODED, "--format", "json")),
 }
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_a_report_prints_the_same_bytes(capsys, name):
     expected = (Path(__file__).parent / "cli_outputs" / name).read_text(encoding="utf-8")
-    assert run_cli(capsys, *PINNED[name]) == (0, expected, "")
+    code, argv = PINNED[name]
+    assert run_cli(capsys, *argv) == (code, expected, "")
 
 
 def test_usage_errors_exit_3(capsys):
@@ -273,6 +284,19 @@ def test_usage_errors_exit_3(capsys):
     assert run_cli(capsys, "run", TELEPORT, "--tolerance", "0.5")[0] == 3
     assert run_cli(capsys, "run", "nope.txt")[0] == 3
     assert run_cli(capsys, "run", "missing.cqp")[0] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", COUNTEREXAMPLE), "run drives .cqp sources; use steps for .qccs behaviour"),
+        (("translate", COUNTEREXAMPLE), "translate takes a .cqp source"),
+        (("check", TELEPORT, "--which", "size", "--max-depth", "0"), "budgets must be positive"),
+        (("run", TELEPORT, "--max-states", "-1"), "budgets must be positive"),
+    ],
+)
+def test_usage_errors_name_their_cause(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (3, "", f"usage error: {message}\n")
 
 
 COMMANDS = ("parse", "typecheck", "run", "steps", "translate", "check", "counterexample")

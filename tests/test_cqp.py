@@ -28,6 +28,7 @@ from qproc.errors import (
     ParseError,
     SharedQubit,
     UnknownName,
+    UnknownQubit,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -434,6 +435,25 @@ def test_qbit_appends_zero_qubit():
     assert step.next.sigma.qubit_names == ("q0", "q1")
     assert np.allclose(step.next.sigma.amps, [0, 0, 1, 0])
     assert step.next.term == Trans(("q1",), "H", Nil())
+
+
+@pytest.mark.parametrize("process", ["{c *= X}.ok", "(m := measure c).ok"])
+def test_an_operand_outside_the_register_is_a_typed_error(process):
+    # an ill-typed configuration handed to the kernel is not silently stuck
+    config = cqp.parse_cqp(f"qubits q ; state |0> ; channels c ; process {process}")
+    with pytest.raises(UnknownQubit, match="unknown qubit 'c'"):
+        cqp.enumerate_steps(config)
+    with pytest.raises(UnknownQubit):
+        cqp.run(config)
+
+
+def test_success_barbs_only_as_a_parallel_component():
+    unguarded = Par(Par(Nil(), In("c", "x", Nil())), Par(Nil(), Success()))
+    assert canon.components(unguarded, cqp._node) == (In("c", "x", Nil()), Success())
+    assert cqp.has_success_barb(pure("q", [1, 0], unguarded))
+    assert cqp.has_success_barb(pure("q", [1, 0], Success()))
+    for guarded in (Nil(), Out("c", "q", Success()), Par(Nil(), NewChan("d", Success()))):
+        assert not cqp.has_success_barb(pure("q", [1, 0], guarded))
 
 
 def test_trans_fires_on_named_operands():
