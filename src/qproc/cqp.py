@@ -612,20 +612,27 @@ class TokenStream:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
 
-    def name(self) -> str:
+    def name(self, qubit: bool = False) -> str:
+        """An identifier or an integer literal.  A ``qubit`` name may not be
+        an integer literal: that is the channel a measurement result
+        selects, so CQP- reads it as a channel wherever it stands."""
         tok = self.peek()
-        if tok.kind == "id" or (tok.kind == "num" and tok.text.isdigit()):
+        if tok.kind == "num" and tok.text.isdigit():
+            if qubit:
+                self.error(f"an integer literal cannot name a qubit: {tok.text!r}")
+            return self.next().text
+        if tok.kind == "id":
             return self.next().text
         self.error(f"expected a name, found {tok.text or 'end of input'!r}")
 
-    def names(self, end: str | None = None) -> list[str]:
+    def names(self, end: str | None = None, qubit: bool = False) -> list[str]:
         """A comma-separated list of names; empty where the token ``end``
         comes first."""
         if end is not None and self.peek().text == end:
             return []
-        names = [self.name()]
+        names = [self.name(qubit)]
         while self.accept(","):
-            names.append(self.name())
+            names.append(self.name(qubit))
         return names
 
 
@@ -746,7 +753,7 @@ def _parse_cqp_prefix(ts: TokenStream) -> Term:
             return NewChan(var, _parse_cqp_prefix(ts))
         if nxt.text == "qbit":
             ts.next(), ts.next()
-            var = ts.name()
+            var = ts.name(qubit=True)
             ts.expect(")")
             return NewQbit(var, _parse_cqp_prefix(ts))
         if ts.peek(2).text == ":=":
@@ -766,7 +773,7 @@ def _parse_cqp_prefix(ts: TokenStream) -> Term:
         chan = ts.name()
         if ts.accept("?"):
             ts.expect("[")
-            var = ts.name()
+            var = ts.name(qubit=True)
             ts.expect("]")
             ts.expect(".")
             return In(chan, var, _parse_cqp_prefix(ts))
@@ -791,7 +798,7 @@ def parse_cqp(text: str) -> CqpPure:
     """Parse the .cqp format: qubit/state/channel header, then the process."""
     ts = TokenStream(text)
     ts.expect("qubits")
-    qubits = ts.names(";")
+    qubits = ts.names(";", qubit=True)
     ts.expect(";")
     ts.expect("state")
     amps = parse_amp_expr(ts, len(qubits))

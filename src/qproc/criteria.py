@@ -493,20 +493,26 @@ class Instance:
     at each call, so a wrapper installed there (as ``perfbench/layers.py``
     does) sees every call.
 
+    One table (``_registers``, read through ``_shared``) maps a register
+    state's type, name order and bytes to the instance's first state
+    vector or density matrix with them, so equal register states of one
+    instance are one object.  Every translation goes through
+    ``translate``, which hands ``encode.encode_config`` the shared state
+    vector, so the pure register states of one instance that are equal
+    byte for byte share one density matrix
+    (``quantum.StateVector.density``).
+
     Completeness and the target exploration step translations through one
     reduction table (``reductions``), so each configuration is stepped once
-    per instance.  The table is exact: its key is the interned term, the
-    register's name order and the bytes of rho's entries, and equal keys
-    are equal inputs to the deterministic ``qccs.reduce_steps``, so no
-    tolerance decides a hit.
-
-    Every translation goes through ``translate``, which hands
-    ``encode.encode_config`` the instance's first state vector with the
-    same names and amplitude bytes, so the pure register states of one
-    instance that are equal byte for byte share one density matrix
-    (``quantum.StateVector.density``).  Both tables live and die with
-    their instance, and so does every shared matrix but one: the source's
-    own vector keeps its matrix, as the source keeps its congruence key.
+    per instance.  Its key is the interned term and the shared density
+    matrix, and ``qccs.reduce_steps`` steps the configuration over that
+    matrix, so the super-operators that terms apply to equal matrices are
+    applied once (``quantum.superop_apply`` keeps its result on the
+    matrix).  Both tables are exact: equal keys are equal inputs to
+    deterministic functions, so no tolerance decides a hit.  They live and
+    die with their instance, and so does every shared register but one:
+    the source's own vector keeps its matrix, and with it the results kept
+    on that matrix, as the source keeps its congruence key.
     """
 
     source: cqp.CqpPure
@@ -516,25 +522,33 @@ class Instance:
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _registers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def _shared(self, state: quantum.StateVector | quantum.DensityMatrix):
+        """The instance's first register state of ``state``'s type with the
+        same names and bytes (amplitudes or entries)."""
+        data = state.amps if isinstance(state, quantum.StateVector) else state.entries
+        return self._registers.setdefault((type(state), state.qubit_names, data.tobytes()), state)
+
     def translate(self, config: cqp.CqpConfig, check: bool = False) -> qccs.QccsConfig:
         """``encode.encode_config(config, check)``, with a pure
-        configuration's state vector replaced by the instance's first one
-        with the same names and amplitude bytes.  The key is exact, so the
-        translation is the same as without the replacement."""
+        configuration's state vector replaced by the shared one.  The key
+        is exact, so the translation is the same as without the
+        replacement."""
         if isinstance(config, cqp.CqpPure):
-            sigma = config.sigma
-            shared = self._registers.setdefault((sigma.qubit_names, sigma.amps.tobytes()), sigma)
-            if shared is not sigma:
-                config = cqp.CqpPure(shared, config.phi, config.term)
+            sigma = self._shared(config.sigma)
+            if sigma is not config.sigma:
+                config = cqp.CqpPure(sigma, config.phi, config.term)
         return encode.encode_config(config, check)
 
     def reductions(self, config: qccs.QccsConfig) -> tuple[qccs.QccsStep, ...]:
-        """``qccs.reduce_steps`` of a translation, from the reduction table;
-        a tuple, since every caller with an equal key gets the same one."""
-        rho = config.rho
-        key = (config.term, rho.qubit_names, rho.entries.tobytes())
+        """``qccs.reduce_steps`` of a translation over the shared density
+        matrix, from the reduction table; a tuple, since every caller with
+        an equal key gets the same one."""
+        rho = self._shared(config.rho)
+        key = (config.term, rho)
         steps = self._reductions.get(key)
         if steps is None:
+            if rho is not config.rho:
+                config = qccs.QccsConfig(config.term, rho)
             steps = self._reductions[key] = tuple(qccs.reduce_steps(config, {}, {}, self.tol))
         return steps
 

@@ -13,8 +13,13 @@ measurements, projectors) applies as an entry-by-entry mask, for these
 builtins with the dense sum's bytes; the rest take the dense Kraus sum.  A
 guard's trace is the trace of that same application.
 
-Everything is immutable and pure.  Registers beyond a dozen qubits are out
-of scope and dense numpy is used throughout.
+Everything is immutable and pure, so a density matrix keeps what is
+computed from it, as an interned term keeps its key: ``superop_apply``'s
+result and ``raw_trace_after``'s trace, under the operator object and the
+targets.  Applying one operator to one matrix again returns the kept
+value, and a caller that holds one object per equal matrix (as
+``criteria.Instance`` does) applies each operator to it once.  Registers
+beyond a dozen qubits are out of scope and dense numpy is used throughout.
 """
 
 from __future__ import annotations
@@ -166,6 +171,10 @@ class DensityMatrix:
     full check sequence (``_check_density``), so a rejected grid raises the
     same typed error, in the same order of precedence, as the checks run
     one by one, all under one ``np.errstate`` that ignores overflows.
+
+    The matrix keeps the results of the super-operators applied to it
+    (``_kept``); each is a new matrix that holds no reference back, so
+    they go when the matrix does.
     """
 
     qubit_names: tuple[str, ...]
@@ -192,6 +201,12 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
+
+    @cached_property
+    def _kept(self) -> dict:
+        """``superop_apply``'s results under (operator, targets, tol) and
+        ``raw_trace_after``'s traces under (operator, targets)."""
+        return {}
 
     def __repr__(self):
         return f"DensityMatrix({','.join(self.qubit_names)}; tr={self.trace:.6f})"
@@ -512,22 +527,32 @@ def superop_apply(
     name order.  With ``normalize_after`` the result is divided by its
     trace, the number ``raw_trace_after`` returns (ZeroBranch when it is at
     most tol).  An overflow raises no warning; the result's check rejects it.
+
+    The result is kept on rho (``DensityMatrix._kept``), so applying one
+    operator object to the same targets of one matrix again returns the
+    same object; an application that raises keeps nothing.
     """
     targets = tuple(targets)
+    key = (e, targets, tol)
+    out = rho._kept.get(key)
+    if out is not None:
+        return out
     if e.extends_register:
         if targets:
             raise InvalidArity("register extension takes no targets")
         fresh = fresh_qubit_name(rho.qubit_names)
         zero = np.array([[1.0, 0.0], [0.0, 0.0]])
-        return _density_under_errstate(rho.qubit_names + (fresh,), np.kron(rho.entries, zero))
-
-    acc = _raw_apply(e, targets, rho)
-    if e.normalize_after:
-        tr = float(np.trace(acc).real)
-        if tr <= tol:
-            raise ZeroBranch(f"{e.name} applied to a branch of trace {tr}")
-        acc = acc / tr
-    return _density_under_errstate(rho.qubit_names, acc)
+        out = _density_under_errstate(rho.qubit_names + (fresh,), np.kron(rho.entries, zero))
+    else:
+        acc = _raw_apply(e, targets, rho)
+        if e.normalize_after:
+            tr = float(np.trace(acc).real)
+            if tr <= tol:
+                raise ZeroBranch(f"{e.name} applied to a branch of trace {tr}")
+            acc = acc / tr
+        out = _density_under_errstate(rho.qubit_names, acc)
+    rho._kept[key] = out
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -535,8 +560,14 @@ def raw_trace_after(e: SuperOperator, targets: Sequence[str], rho: DensityMatrix
     """Trace of the raw, never normalised application, for a guard: the
     number ``superop_apply`` divides by, so a guard tr(E[q]) > tol passes
     exactly when its branch raises no ZeroBranch.  An overflow gives an
-    infinite or NaN trace without a warning."""
-    return float(np.trace(_raw_apply(e, tuple(targets), rho)).real)
+    infinite or NaN trace without a warning.  The trace is kept on rho
+    under (operator, targets), as ``superop_apply`` keeps its result."""
+    targets = tuple(targets)
+    key = (e, targets)
+    tr = rho._kept.get(key)
+    if tr is None:
+        tr = rho._kept[key] = float(np.trace(_raw_apply(e, targets, rho)).real)
+    return tr
 
 
 # -- comparison --------------------------------------------------------------
@@ -548,7 +579,10 @@ def within_tol(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def density_equal_mod_order(a: DensityMatrix, b: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """Equality after reordering b's register to a's name order."""
+    """Equality after reordering b's register to a's name order; one
+    matrix equals itself at once."""
+    if a is b:
+        return True
     if a.qubit_names == b.qubit_names:
         return within_tol(a.entries, b.entries, tol)
     if set(a.qubit_names) != set(b.qubit_names):

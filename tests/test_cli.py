@@ -106,6 +106,37 @@ def test_a_cqp_header_declares_each_name_once(tmp_path, capsys, channels, messag
     assert run_cli(capsys, "typecheck", str(bad)) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("qubits 0 ; state |0> ; channels ; process {0 *= X}.ok", "1:8: an integer literal cannot name a qubit: '0'"),
+        (
+            "qubits q ; state |0> ; channels c ; process c![q].0 | c?[0].{0 *= X}.ok",
+            "1:58: an integer literal cannot name a qubit: '0'",
+        ),
+        ("qubits ; state |> ; channels ; process (qbit 7){7 *= H}.ok", "1:46: an integer literal cannot name a qubit: '7'"),
+        # '0' as a qubit and as the channel a measurement result selects
+        (
+            "qubits 0, q ; state |00> ; channels ; process {0 *= X}.0 | 0![q].0 | 0?[y].ok",
+            "1:8: an integer literal cannot name a qubit: '0'",
+        ),
+    ],
+    ids=["header", "input-binder", "qubit-creation", "qubit-and-literal-channel"],
+)
+def test_an_integer_literal_names_no_qubit(tmp_path, capsys, source, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        cqp.parse_cqp(source)
+    bad = tmp_path / "bad.cqp"
+    bad.write_text(source)
+    assert run_cli(capsys, "typecheck", str(bad)) == (1, "", f"error: {message}\n")
+
+
+def test_an_integer_literal_still_names_a_channel(tmp_path, capsys):
+    good = tmp_path / "good.cqp"
+    good.write_text("qubits q ; state |0> ; channels ; process (new 0)(0![q].0 | 0?[y].{y *= X}.ok)")
+    assert run_cli(capsys, "typecheck", str(good)) == (0, "ok\n", "")
+
+
 @pytest.mark.parametrize("script", ["7", "-1"])
 def test_run_script_outside_the_outcomes_names_their_range(capsys, script):
     code, out, err = run_cli(capsys, "run", TELEPORT, "--script", script)

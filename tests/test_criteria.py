@@ -550,6 +550,55 @@ def test_shared_density_matrices_die_with_their_instance():
     assert root() is None
 
 
+def test_an_instance_applies_each_operator_to_equal_matrices_once(monkeypatch):
+    # Every input that repeats by value (operator, targets, register and
+    # bytes) reaches the kernel as the same matrix object, whose kept
+    # result answers the repeat.
+    inputs = {}
+    for name in ("superop_apply", "raw_trace_after"):
+        real = getattr(quantum, name)
+
+        def recorded(e, targets, rho, *tol, name=name, real=real):
+            key = (name, e, tuple(targets), *tol, rho.qubit_names, rho.entries.tobytes())
+            inputs.setdefault(key, []).append(rho)
+            return real(e, targets, rho, *tol)
+
+        monkeypatch.setattr(quantum, name, recorded)
+    calls = repeats = 0
+    for seed in range(50):
+        criteria.run_instance_checks(criteria.gen_config(seed, size=4, depth=6), Budget(48, 800), seed)
+        for matrices in inputs.values():
+            assert all(rho is matrices[0] for rho in matrices)
+            calls += len(matrices)
+            repeats += len(matrices) - 1
+        inputs.clear()
+    assert repeats > calls / 4
+
+
+def test_kept_results_leave_the_collector_nothing(monkeypatch):
+    # A kept result holds no reference back to its matrix, so with the
+    # collector off every matrix of a finished instance is freed.
+    built = []
+    accept = quantum.DensityMatrix._accept
+
+    def tracked(self, names, entries):
+        accept(self, names, entries)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(quantum.DensityMatrix, "_accept", tracked)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed in range(50):
+            criteria.run_instance_checks(criteria.gen_config(seed, size=4, depth=6), Budget(48, 800), seed)
+        alive = [ref() for ref in built if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(built) > 500 and alive == []
+
+
 def test_renaming_and_variant_checks_typecheck_every_translation(monkeypatch):
     inst = criteria.Instance(teleport(), BUDGET, seed=1)
     inst.root

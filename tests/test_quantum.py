@@ -715,6 +715,72 @@ def test_a_guard_passes_exactly_when_its_branch_fires():
     assert checked > 3000
 
 
+# -- results kept on the matrix -----------------------------------------------
+
+# every builtin gate, M and E{i} over one and two qubits, and a new qubit
+KEPT_OPS = (
+    [q.SuperOperator.from_unitary(u) for u in q.GATES.values()]
+    + [q.SuperOperator.measure_unknown(r) for r in (1, 2)]
+    + [q.SuperOperator.measure_expected(i, r) for r in (1, 2) for i in range(2 ** r)]
+    + [q.SuperOperator.new_qubit()]
+)
+
+
+def _twin(rho):
+    """A new matrix with rho's names and entries, and nothing kept on it."""
+    return q.DensityMatrix(rho.qubit_names, rho.entries.copy())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_repeated_application_returns_the_kept_result(n):
+    rng = np.random.default_rng(400 + n)
+    names = tuple(f"r{i}" for i in range(n))
+    # on a basis state one of E0, E1 on any qubit is a zero branch
+    rhos = [q.outer(q.basis_state(names, int(rng.integers(2 ** n))))] + [
+        q.mix([(0.6, random_state(rng, names)), (0.4, random_state(rng, names))]) for _ in range(2)
+    ]
+    zero_branches = 0
+    for rho in rhos:
+        for e in KEPT_OPS:
+            if e.arity > n:
+                continue
+            picked = tuple(rng.permutation(names)[: e.arity])
+            # a two-qubit operator (CNOT among them) in both operand orders
+            for targets in dict.fromkeys([picked, picked[::-1]]):
+                if not e.extends_register:
+                    trace = q.raw_trace_after(e, targets, rho)
+                    assert q.raw_trace_after(e, list(targets), rho) == trace
+                    assert q.raw_trace_after(e, targets, _twin(rho)) == trace
+                try:
+                    got = q.superop_apply(e, targets, rho)
+                except ZeroBranch:
+                    zero_branches += 1
+                    # nothing was kept: the application raises again
+                    with pytest.raises(ZeroBranch):
+                        q.superop_apply(e, targets, rho)
+                    with pytest.raises(ZeroBranch):
+                        q.superop_apply(e, targets, _twin(rho))
+                    continue
+                assert q.superop_apply(e, list(targets), rho) is got
+                fresh = q.superop_apply(e, targets, _twin(rho))
+                assert fresh is not got
+                assert (fresh.qubit_names, fresh.entries.tobytes()) == (got.qubit_names, got.entries.tobytes())
+    assert zero_branches > 0
+
+
+def test_each_tol_keeps_its_own_result():
+    rho = q.outer(sv("ab", [0.6, 0, 0, 0.8]))
+    e = q.SuperOperator.measure_expected(0, 1)  # a branch of trace 0.36
+    default = q.superop_apply(e, ("a",), rho)
+    other = q.superop_apply(e, ("a",), rho, 1e-6)
+    assert other is not default and other.entries.tobytes() == default.entries.tobytes()
+    assert q.superop_apply(e, ("a",), rho, 1e-6) is other
+    # a tol above the branch's trace raises, whatever a smaller one keeps
+    with pytest.raises(ZeroBranch):
+        q.superop_apply(e, ("a",), rho, 0.5)
+    assert q.superop_apply(e, ("a",), rho) is default
+
+
 @pytest.mark.parametrize(
     "e, targets, error, message",
     [
@@ -764,6 +830,7 @@ def test_density_equal_mod_order():
     rho = q.outer(psi)
     swapped = q.outer(reorder(psi, (1, 0)))
     assert swapped.qubit_names == ("b", "a")
+    assert q.density_equal_mod_order(rho, rho)
     assert q.density_equal_mod_order(rho, swapped)
     # the names swapped but the entries left as they were is another state
     assert not q.density_equal_mod_order(rho, q.DensityMatrix(("b", "a"), rho.entries))
