@@ -55,9 +55,9 @@ reads, so an entry is valid wherever its key recurs, in any pass.
 Cost: a group of two or more channels walks its components at least twice.
 The colouring leaves no group of the bundled protocols or of the campaign
 tied, so each numbering is one refinement: one protocols round, each call
-started after a garbage collection, runs 208 refinements for 208 groups
-(501 for 271 without the colouring), and one campaign pass 1,415 for 1,415
-(1,818 for 1,414).  A genuine symmetry still takes the search, which has
+started after a garbage collection, runs 180 refinements for 180 groups
+(440 for 243 without the colouring), and one campaign pass 1,322 for 1,322
+(1,693 for 1,321).  A genuine symmetry still takes the search, which has
 no proved bound.  A group nested inside the components of another is
 numbered again only when the walk of the outer group reaches it under a
 token assignment not seen before.  There is no proved bound on the number

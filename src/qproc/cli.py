@@ -12,9 +12,10 @@ inconclusive, 3 for usage errors.
 
 A call whose first argument names a subcommand, or is ``--`` followed by
 one, builds that subcommand's parser alone; any other call builds all seven,
-so help and usage errors read the same either way.  A closed stdout
-(``qproc ... | head -1``) ends a call with exit code 1 and nothing on
-stderr.
+so help and usage errors read the same either way.  A command takes only
+the shared options it reads: ``translate`` takes no seed or budget and
+``counterexample`` no budget.  A closed stdout (``qproc ... | head -1``)
+ends a call with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _options(args) -> None:
-    """Checks the shared options, in this order, and resolves three in
-    place: ``seed`` falls back to ``QPROC_SEED``, then 0, ``run``'s
-    ``script`` becomes a tuple of branch choices, and the two budgets
-    become ``budget``, a ``criteria.Budget``."""
-    if args.seed is None:
+    """Checks the shared options the command takes, in this order, and
+    resolves three in place: ``seed`` falls back to ``QPROC_SEED``, then 0,
+    ``run``'s ``script`` becomes a tuple of branch choices, and the two
+    budgets become ``budget``, a ``criteria.Budget``."""
+    if "seed" in args and args.seed is None:
         try:
             args.seed = int(os.environ.get("QPROC_SEED", "0"))
         except ValueError:
@@ -67,10 +68,11 @@ def _options(args) -> None:
             raise UsageError(f"--script takes comma-separated integers, got {args.script!r}")
     if not (0.0 < args.tolerance <= 1e-3):
         raise UsageError(f"tolerance must lie in (0, 1e-3], got {args.tolerance}")
-    try:
-        args.budget = criteria.Budget(args.max_depth, args.max_states)
-    except ValueError as err:
-        raise UsageError(str(err))
+    if "max_depth" in args:
+        try:
+            args.budget = criteria.Budget(args.max_depth, args.max_states)
+        except ValueError as err:
+            raise UsageError(str(err))
 
 
 def _load(path: str):
@@ -224,6 +226,7 @@ _CHECKS = {
     "size": "register_size",
     "divergence": "divergence_reflection",
     "success": "success",
+    "congruence": "congruence_preservation",
 }
 
 
@@ -299,15 +302,27 @@ _COMMANDS = {
 }
 
 
+_SHARED = (
+    ("--tolerance", {"type": float, "default": quantum.DEFAULT_TOL}),
+    ("--max-depth", {"type": int, "default": criteria.Budget().max_depth}),
+    ("--max-states", {"type": int, "default": criteria.Budget().max_states}),
+    ("--seed", {"type": int, "default": None, "help": "falls back to QPROC_SEED, then 0"}),
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+)
+
+# the shared options a command does not read, and so does not take
+_UNREAD = {
+    "translate": ("--max-depth", "--max-states", "--seed"),
+    "counterexample": ("--max-depth", "--max-states"),
+}
+
+
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Fills ``parser`` as the subcommand ``name``: the shared options, then
-    its own arguments, then its handler and name as defaults."""
-    budget = criteria.Budget()
-    parser.add_argument("--tolerance", type=float, default=quantum.DEFAULT_TOL)
-    parser.add_argument("--max-depth", type=int, default=budget.max_depth)
-    parser.add_argument("--max-states", type=int, default=budget.max_states)
-    parser.add_argument("--seed", type=int, default=None, help="falls back to QPROC_SEED, then 0")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    """Fills ``parser`` as the subcommand ``name``: the shared options it
+    reads, then its own arguments, then its handler and name as defaults."""
+    for flag, kwargs in _SHARED:
+        if flag not in _UNREAD.get(name, ()):
+            parser.add_argument(flag, **kwargs)
     _, arguments, handler = _COMMANDS[name]
     for flags, kwargs in arguments:
         parser.add_argument(*flags, **kwargs)

