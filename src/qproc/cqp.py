@@ -279,12 +279,13 @@ def has_success_barb(config: CqpConfig) -> bool:
 
 # -- the type system ------------------------------------------------------------
 
-def _is_int_literal(name: str) -> bool:
+def is_int_literal(name: str) -> bool:
+    """An integer literal names a measurement-result channel."""
     return name.isdigit()
 
 
 def _check_chan(c: str, env: Mapping[str, str]):
-    if _is_int_literal(c):
+    if is_int_literal(c):
         return  # measurement results are valid channel identifiers
     if env.get(c) not in ("chan", "int"):
         raise UnknownName(f"{c!r} is not usable as a channel")
@@ -376,7 +377,7 @@ def typecheck_internal(config: CqpConfig) -> None:
     the same name."""
     env = {} if isinstance(config, CqpPure) else {config.var: "int"}
     env.update({q: "qbit" for q in config.sigma_names})
-    env.update({c: "chan" for c in config.phi if not _is_int_literal(c)})
+    env.update({c: "chan" for c in config.phi if not is_int_literal(c)})
     _check_term(config.term, env)
 
 
@@ -825,7 +826,7 @@ def parse_cqp(text: str) -> CqpPure:
     config = CqpPure(sigma, tuple(channels), term)
     missing = {
         n for n in free_names(term)
-        if n not in qubits and n not in channels and not _is_int_literal(n)
+        if n not in qubits and n not in channels and not is_int_literal(n)
     }
     if missing:
         raise ParseError(f"undeclared free names {sorted(missing)}", tok.line, tok.column)

@@ -516,32 +516,25 @@ class Instance:
     ``translate``, which hands ``encode.encode_config`` the shared state
     vector, so the pure register states of one instance that are equal
     byte for byte share one density matrix
-    (``quantum.StateVector.density``).
+    (``quantum.StateVector.density``), and ``reductions`` steps a
+    translation over the shared density matrix, so the super-operators
+    that terms apply to equal matrices are applied once
+    (``quantum.superop_apply`` keeps its result on the matrix) and a
+    repeated step reads its kept results and its term's step template.
+    Its key is exact: equal keys are equal inputs to deterministic
+    functions, so no tolerance decides a hit.  The table lives and dies
+    with its instance, and so does every shared register but one: the
+    source's own vector keeps its matrix, and with it the results kept on
+    that matrix, as the source keeps its congruence key.
 
-    Completeness and the target exploration step translations through one
-    reduction table (``reductions``), so each configuration is stepped once
-    per instance.  Its key is the interned term and the shared density
-    matrix, and ``qccs.reduce_steps`` steps the configuration over that
-    matrix, so the super-operators that terms apply to equal matrices are
-    applied once (``quantum.superop_apply`` keeps its result on the
-    matrix).  Both tables are exact: equal keys are equal inputs to
-    deterministic functions, so no tolerance decides a hit.  They live and
-    die with their instance, and so does every shared register but one:
-    the source's own vector keeps its matrix, and with it the results kept
-    on that matrix, as the source keeps its congruence key.
-
-    The table stores each reduct whose term is ``(νa)(νb)P`` as
-    ``(νa,b)P`` (``_merge_root``).  A channel creation's translation puts
-    its channel into the configuration's one restriction, while the reduct
-    of ``τ.(νx)P`` keeps ``(νx)`` nested; the two are congruent by scope
-    extrusion but are two terms, so each such translation's key was
-    computed again.  Merged, the reduct is the translation's own interned
-    term, and the target exploration's state holds it: 19 of
-    teleportation's 20 translations are target states' terms, against 1
-    when nested, so their keys and steps are found, not computed.
+    A reduct whose term is ``(νa)(νb)P`` is read as ``(νa,b)P``
+    (``_merge_root``).  A channel creation's translation puts its channel
+    into the configuration's one restriction, while the reduct of
+    ``τ.(νx)P`` keeps ``(νx)`` nested; the two are congruent by scope
+    extrusion but are two terms.  Merged, the reduct is the translation's
+    own interned term, so its key and steps are found, not computed.
     Congruent terms have one key, and the merge keeps each step's label,
-    choice flag and matrix, so no verdict, stat or witness changes; the
-    states the exploration stores are the same up to congruence.
+    choice flag and matrix, so no verdict, stat or witness changes.
     Restrictions nested under ``|`` stay as they are.
     """
 
@@ -549,7 +542,6 @@ class Instance:
     budget: Budget = Budget()
     seed: int = 0
     tol: float = DEFAULT_TOL
-    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _registers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _shared(self, state: quantum.StateVector | quantum.DensityMatrix):
@@ -569,18 +561,13 @@ class Instance:
                 config = cqp.CqpPure(sigma, config.phi, config.term)
         return encode.encode_config(config, check)
 
-    def reductions(self, config: qccs.QccsConfig) -> tuple[qccs.QccsStep, ...]:
+    def reductions(self, config: qccs.QccsConfig) -> list[qccs.QccsStep]:
         """``qccs.reduce_steps`` of a translation over the shared density
-        matrix, from the reduction table; a tuple, since every caller with
-        an equal key gets the same one."""
+        matrix, each reduct's root restrictions merged."""
         rho = self._shared(config.rho)
-        key = (config.term, rho)
-        steps = self._reductions.get(key)
-        if steps is None:
-            if rho is not config.rho:
-                config = qccs.QccsConfig(config.term, rho)
-            steps = self._reductions[key] = tuple(map(_merge_root, qccs.reduce_steps(config, {}, {}, self.tol)))
-        return steps
+        if rho is not config.rho:
+            config = qccs.QccsConfig(config.term, rho)
+        return [_merge_root(step) for step in qccs.reduce_steps(config, {}, {}, self.tol)]
 
     @cached_property
     def root(self) -> qccs.QccsConfig:
@@ -623,21 +610,24 @@ class Instance:
         matched (``law_matches``)."""
         lts, tol = self.source_lts, self.tol
         law_matches = 0
-        for src, label, dst, _ in lts.edges:
+        for src, out in enumerate(lts.succ):
+            if not out:
+                continue
             candidates = [cand.next for cand in self.reductions(self.encoded[src])]
-            enc_dst = self.encoded[dst]
-            if any(qccs.congruent(enc_dst, cand, tol) for cand in candidates):
-                continue
-            # the measurement-choice law: congruent once the components
-            # every branch shares are factored out of the choice
-            factored = _factor(enc_dst)
-            if any(
-                cand.rho.num_qubits == enc_dst.rho.num_qubits and qccs.congruent(factored, _factor(cand), tol)
-                for cand in candidates
-            ):
-                law_matches += 1
-                continue
-            return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats())
+            for label, dst, _ in out:
+                enc_dst = self.encoded[dst]
+                if any(qccs.congruent(enc_dst, cand, tol) for cand in candidates):
+                    continue
+                # the measurement-choice law: congruent once the components
+                # every branch shares are factored out of the choice
+                factored = _factor(enc_dst)
+                if any(
+                    cand.rho.num_qubits == enc_dst.rho.num_qubits and qccs.congruent(factored, _factor(cand), tol)
+                    for cand in candidates
+                ):
+                    law_matches += 1
+                    continue
+                return _fails(lts.path_to(dst) or [label], edge=label, **lts.stats())
         if lts.truncated:
             return _inconclusive("budget", matched_edges=len(lts.edges), **lts.stats())
         return _holds(matched_edges=len(lts.edges), law_matches=law_matches, **lts.stats())
@@ -660,7 +650,7 @@ def check_name_invariance(inst: Instance, gamma: dict) -> Verdict:
     both the source branch rule and the target choice, so remapping them is
     the name-clash case the invariance statement excludes.
     """
-    clashes = [c for c in gamma if c.isdigit()]
+    clashes = [c for c in gamma if cqp.is_int_literal(c)]
     if clashes:
         return _inconclusive(f"renaming remaps measurement literals {clashes}")
     return _renaming_commutes(inst, gamma)
@@ -968,12 +958,12 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
     def _maybe_rename(t):
         if rng.random() >= 0.4:
             return t
-        if t.var.isdigit():
+        if cqp.is_int_literal(t.var):
             # measurement materialises integer literals on both sides of the
             # translation, so alpha-converting a literal binder is the
             # name-clash case the invariance statements exclude
             return t
-        fresh = f"{t.var}_r{rng.randrange(1000)}"
+        fresh = canon.fresh_name(f"{t.var}_r{rng.randrange(1000)}", cqp.free_names(t.cont))
         return replace(t, var=fresh, cont=cqp.substitute(t.cont, {t.var: fresh}))
 
     return cqp.CqpPure(config.sigma, config.phi, shuffle(config.term))
@@ -983,7 +973,7 @@ def random_channel_renaming(config: cqp.CqpPure) -> dict:
     """Injective renaming of the configuration's symbolic channels to fresh
     names ``u0, u1, ...`` in sorted order; deterministic, and measurement
     literals stay fixed."""
-    free = set(config.phi) | {c for c in cqp.free_names(config.term) if not c.isdigit()}
+    free = set(config.phi) | {c for c in cqp.free_names(config.term) if not cqp.is_int_literal(c)}
     free -= set(config.sigma_names)
     return {c: f"u{i}" for i, c in enumerate(sorted(free))}
 

@@ -507,7 +507,8 @@ def _raw_apply(e: SuperOperator, targets: tuple[str, ...], rho: DensityMatrix) -
     With a mask W (``SuperOperator._mask``) rho's tensor is multiplied entry
     by entry by W spread over the target axes, else ``_signed_kraus_sum``.
     The + 0.0 turns a masked -0.0 into the dense sum's +0.0, so for W in
-    {0, 1, -1} the bytes, which the reduction table keys on, are the same."""
+    {0, 1, -1} the bytes, which ``criteria.Instance``'s register table
+    keys on, are the same."""
     front = _target_positions(e.name, e.arity, targets, rho.qubit_names)
     if e._mask is None:
         return _signed_kraus_sum(e, front, rho)

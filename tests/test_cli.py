@@ -262,6 +262,16 @@ def test_success_verdicts_do_not_depend_on_the_order_of_congruent_looking_branch
         assert (code, stats["may"], stats["must"]) == (0, "holds", "fails")
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_a_congruent_variant_captures_no_free_name(capsys, tmp_path, seed):
+    # at seed 1 the variant renames the binder y to y_r867, a name free in
+    # its continuation; the renaming must pick another
+    src = tmp_path / "capture.cqp"
+    src.write_text("qubits q ; state |0> ; channels c, y_r867 ; process c?[y].y_r867![y].0 | c![q].0\n")
+    code, out, _ = run_cli(capsys, "check", str(src), "--which", "congruence", "--seed", seed)
+    assert (code, out) == (0, "congruence: holds\n")
+
+
 def test_counterexample_table(capsys):
     code, out, _ = run_cli(capsys, "counterexample")
     assert code == 0

@@ -398,31 +398,32 @@ def test_instance_translates_its_source_once(monkeypatch):
     assert calls.count(True) == 1
 
 
-# -- the reduction table --------------------------------------------------------------
+# -- stepping a translation ---------------------------------------------------------
 
 def _measurement():
     return cqp.parse_cqp(protocols.read("measurement.cqp"))
 
 
-def test_reduction_table_returns_the_stored_steps_for_an_equal_key():
+def test_a_byte_equal_matrix_is_stepped_as_the_shared_one():
     inst = criteria.Instance(_measurement(), BUDGET)
     root = inst.root
-    steps = inst.reductions(root)
     copy = qccs.QccsConfig(root.term, quantum.DensityMatrix(root.rho.qubit_names, root.rho.entries.copy()))
-    assert inst.reductions(copy) is steps
+    first, again = inst.reductions(root), inst.reductions(copy)
+    assert len(first) == len(again) > 0
+    assert all(a.next.rho is b.next.rho for a, b in zip(first, again))
 
 
-def test_reduction_table_size_over_the_campaign_seeds():
-    # The table keys on rho's bytes, so a kernel that changed them (a -0.0
-    # for a +0.0, a rounding) would show here as more entries, not only as
-    # a slower benchmark.
+def test_register_table_size_over_the_campaign_seeds():
+    # The table keys on each register state's bytes, so a kernel that
+    # changed them (a -0.0 for a +0.0, a rounding) would show here as more
+    # entries, not only as a slower benchmark.
     total = 0
     for seed in range(100):
         inst = criteria.Instance(criteria.gen_config(seed, size=4, depth=6), Budget(48, 800), seed)
         for check in criteria.CHECKS.values():
             check(inst)
-        total += len(inst._reductions)
-    assert total == 724
+        total += len(inst._registers)
+    assert total == 605
 
 
 def test_reports_keep_their_bytes():
@@ -461,7 +462,7 @@ def test_a_reduct_binding_a_channel_twice_stays_nested():
         assert check(inst).holds, name
 
 
-def test_reduction_table_keys_rho_bitwise(monkeypatch):
+def test_a_matrix_is_shared_only_byte_for_byte(monkeypatch):
     calls = []
     real = qccs.reduce_steps
 
@@ -477,11 +478,11 @@ def test_reduction_table_keys_rho_bitwise(monkeypatch):
     nudged = qccs.QccsConfig(root.term, quantum.DensityMatrix(root.rho.qubit_names, entries))
     assert quantum.within_tol(entries, root.rho.entries, 1e-15)
     steps = inst.reductions(root)
-    assert inst.reductions(nudged) is not steps
+    assert all(a.next.rho is not b.next.rho for a, b in zip(steps, inst.reductions(nudged)))
     assert calls == [root, nudged]
 
 
-def test_reduction_table_dies_with_its_instance():
+def test_shared_matrices_die_with_their_instance():
     inst = criteria.Instance(_measurement(), BUDGET)
     criteria.check_soundness(inst)
     criteria.check_completeness(inst)
@@ -492,23 +493,23 @@ def test_reduction_table_dies_with_its_instance():
     assert [ref() for ref in gone] == [None, None, None]
 
 
-def test_every_translation_is_stepped_once_per_instance(monkeypatch):
-    keys = []
+@pytest.mark.parametrize("name, stepped, edges", [("teleport.cqp", 16, 19), ("measurement.cqp", 7, 10)])
+def test_completeness_steps_each_source_state_once(monkeypatch, name, stepped, edges):
+    # completeness matches all of a source state's edges against one list
+    # of its translation's reducts, so it steps the translation of each
+    # source state with an edge once
+    calls = []
     real = qccs.reduce_steps
 
     def counted(config, *args):
-        keys.append((config.term, config.rho.qubit_names, config.rho.entries.tobytes()))
+        calls.append(config)
         return real(config, *args)
 
     monkeypatch.setattr(qccs, "reduce_steps", counted)
-    inst = criteria.Instance(_measurement(), BUDGET, seed=2)
-    for check in criteria.CHECKS.values():
-        assert check(inst).holds
-    assert len(keys) == len(set(keys))
-    # completeness looks up the translation of each edge's source, and the
-    # target exploration that of each state it expands: 10 + 9 lookups on
-    # this instance, for 13 distinct configurations
-    assert (len(inst.source_lts.edges), len(inst.target_lts.states), len(keys)) == (10, 9, 13)
+    inst = criteria.Instance(cqp.parse_cqp(protocols.read(name)), BUDGET)
+    assert criteria.check_completeness(inst).holds
+    assert len(inst.source_lts.edges) == edges
+    assert len(calls) == sum(bool(out) for out in inst.source_lts.succ) == stepped
 
 
 # -- source states up to channel-list order, shared density matrices ----------------

@@ -656,8 +656,8 @@ def test_the_terms_choose_the_path():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_masked_operators_give_the_dense_sum_byte_for_byte(n):
-    # The reduction table keys on rho's bytes, so a -0.0 where the dense
-    # sum gives +0.0 would make a second entry for an equal state.
+    # An instance's register table keys on rho's bytes, so a -0.0 where
+    # the dense sum gives +0.0 would make a second entry for an equal state.
     rng = np.random.default_rng(200 + n)
     names = tuple(f"r{i}" for i in range(n))
     minus = sv(names, [(-1) ** bin(i).count("1") / 2 ** (n / 2) for i in range(2 ** n)])
