@@ -46,7 +46,7 @@ print("\nX on bob only; diagonal of the result:", np.round(np.diag(flipped.entri
 # -- the probe operator beyond unitaries ---------------------------------------
 
 # the signed two-Kraus operator Q of the bundled separation probe
-probe = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
+probe = qccs.parse_qccs(protocols.read("counterexample.qccs")).table["Q"]
 print("\nthe signed probe is not a quantum channel:", probe.advisories())
 one = quantum.outer(quantum.StateVector(("q",), [0, 1]))
 print("probe(|1><1|) =")

@@ -76,7 +76,7 @@ def _options(args) -> None:
 
 
 def _load(path: str):
-    """Returns ("cqp", config) or ("qccs", (defs, config, table)); a source
+    """Returns ("cqp", config) or ("qccs", config); a source
     that does not typecheck, or is not well formed, is rejected."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -130,15 +130,14 @@ def cmd_parse(args):
             "process": _to_dict(parsed.term),
         }
         return EXIT_OK, report, cqp.format_config(parsed)
-    defs, config, table = parsed
     report = {
         "calculus": "qccs",
-        "qubits": list(config.rho.qubit_names),
-        "operators": sorted(table),
-        "constants": sorted(defs),
-        "process": _to_dict(config.term),
+        "qubits": list(parsed.rho.qubit_names),
+        "operators": sorted(parsed.table),
+        "constants": sorted(parsed.defs),
+        "process": _to_dict(parsed.term),
     }
-    return EXIT_OK, report, qccs.format_term(config.term)
+    return EXIT_OK, report, qccs.format_term(parsed.term)
 
 
 def cmd_typecheck(args):
@@ -190,8 +189,7 @@ def cmd_steps(args):
         for step in cqp.enumerate_steps(parsed, args.tolerance):
             rows.append({"label": step.label(), "next": cqp.format_config(step.next)})
     else:
-        defs, config, table = parsed
-        for step in qccs.lts_steps(config, defs, table, args.tolerance):
+        for step in qccs.lts_steps(parsed, args.tolerance):
             rows.append(
                 {
                     "label": qccs.format_label(step.label),
@@ -240,8 +238,7 @@ def cmd_check(args):
         # decided before the file's behaviour is explored
         raise UsageError(f"check --which {which} needs a .cqp source")
     else:
-        defs, config, table = parsed
-        lts = criteria.build_lts(config, criteria.qccs_system(defs, table, args.tolerance), args.budget)
+        lts = criteria.build_lts(parsed, criteria.qccs_system(args.tolerance), args.budget)
         if which == "divergence":
             verdict = criteria.detect_divergence(lts)
         else:

@@ -46,6 +46,7 @@ against, and ``bisim_check`` is the diagnostic of criterion 6.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
@@ -128,27 +129,16 @@ def cqp_system(tol: float = DEFAULT_TOL) -> System:
     )
 
 
-def qccs_system(
-    defs=None,
-    table=None,
-    tol: float = DEFAULT_TOL,
-    labelled: bool = False,
-) -> System:
-    defs = defs or {}
-    table = table or {}
-
+def qccs_system(tol: float = DEFAULT_TOL, labelled: bool = False) -> System:
     def steps(config):
         stepper = qccs.lts_steps if labelled else qccs.reduce_steps
-        return [
-            (qccs.format_label(s.label), s.next, s.reduces_choice)
-            for s in stepper(config, defs, table, tol)
-        ]
+        return [(qccs.format_label(s.label), s.next, s.reduces_choice) for s in stepper(config, tol)]
 
     return System(
         steps=steps,
         key=qccs.canonical_key,
         equal=lambda a, b: qccs.congruent(a, b, tol),
-        barb=lambda c: qccs.has_success_barb(c, defs),
+        barb=qccs.has_success_barb,
     )
 
 
@@ -278,15 +268,18 @@ def may_reach_success(lts: Lts) -> Verdict:
 
 def must_reach_success(lts: Lts) -> Verdict:
     """Every maximal finite path visits a success state.  Infinite paths are
-    outside the quantifier, so barb-free cycles do not falsify the verdict;
-    paths cut by the budget make it inconclusive."""
+    outside the quantifier, so barb-free cycles do not falsify the verdict.
+    A deadlock reached without a barb fails it wherever the budget cut other
+    paths, so the verdict does not depend on the order of a choice; failing
+    that, paths cut by the budget make it inconclusive."""
     if lts.barbs[0]:
         return _holds(**lts.stats())
-    for i in lts.reach(0, lambda _, dst, __: not lts.barbs[dst]):
-        if i in lts.truncated:
-            return _inconclusive("truncation", **lts.stats())
-        if not lts.succ[i]:
+    reached = lts.reach(0, lambda _, dst, __: not lts.barbs[dst])
+    for i in reached:
+        if not lts.succ[i] and i not in lts.truncated:
             return _fails(lts.path_to(i), **lts.stats())
+    if not lts.truncated.isdisjoint(reached):
+        return _inconclusive("truncation", **lts.stats())
     return _holds(**lts.stats())
 
 
@@ -454,19 +447,24 @@ def rename_source(config: cqp.CqpPure, gamma: dict) -> cqp.CqpPure:
 
 
 def rename_target(config: qccs.QccsConfig, gamma: dict) -> qccs.QccsConfig:
-    """``rename_source`` for a translation.  The outermost restriction
+    """``rename_source`` for a translation.  qCCS keeps qubits and
+    channels apart, so ``gamma``'s register names are renamed in qubit
+    positions and its other names in channel positions: a qubit created
+    later under a channel's name keeps its name.  The outermost restriction
     carries the configuration's channel list, so its channels are renamed
     as free names, not alpha-converted."""
-    _check_injective(gamma, config.rho.qubit_names)
-    rho = quantum.DensityMatrix(
-        tuple(gamma.get(n, n) for n in config.rho.qubit_names), config.rho.entries
-    )
+    register = config.rho.qubit_names
+    _check_injective(gamma, register)
+    rho = quantum.DensityMatrix(tuple(gamma.get(n, n) for n in register), config.rho.entries)
+    moved = {k: v for k, v in gamma.items() if k != v}
+    qubits = {k: v for k, v in moved.items() if k in register}
+    chans = {k: v for k, v in moved.items() if k not in register}
     term = config.term
     if isinstance(term, qccs.Restrict):
-        term = qccs.Restrict(qccs.substitute(term.cont, gamma), tuple(gamma.get(c, c) for c in term.chans))
+        term = qccs.Restrict(qccs._substitute(term.cont, chans, qubits), tuple(chans.get(c, c) for c in term.chans))
     else:
-        term = qccs.substitute(term, gamma)
-    return qccs.QccsConfig(term, rho)
+        term = qccs._substitute(term, chans, qubits)
+    return replace(config, term=term, rho=rho)
 
 
 def _target_equal(c1: qccs.QccsConfig, c2: qccs.QccsConfig, tol: float) -> bool:
@@ -476,23 +474,21 @@ def _target_equal(c1: qccs.QccsConfig, c2: qccs.QccsConfig, tol: float) -> bool:
 
 
 def _factor(config: qccs.QccsConfig) -> qccs.QccsConfig:
-    return qccs.QccsConfig(qccs.factor_measurement_choices(config.term), config.rho)
+    return replace(config, term=qccs.factor_measurement_choices(config.term))
 
 
-def _merge_root(step: qccs.QccsStep) -> qccs.QccsStep:
-    """``step`` with a successor ``(νa)(νb)P`` read as ``(νa,b)P``, the
-    outer channels first, as ``encode.encode_config`` lists a channel
-    creation's channel after the configuration's.  The step keeps its label,
-    choice flag and matrix; a term whose two restrictions share a channel
-    stays as it is."""
-    term = step.next.term
+def _merge_root(config: qccs.QccsConfig) -> qccs.QccsConfig:
+    """``config`` with a term ``(νa)(νb)P`` read as ``(νa,b)P``, the outer
+    channels first, as ``encode.encode_config`` lists a channel creation's
+    channel after the configuration's.  A term whose two restrictions share
+    a channel stays as it is."""
+    term = config.term
     if not (isinstance(term, qccs.Restrict) and isinstance(term.cont, qccs.Restrict)):
-        return step
+        return config
     inner = term.cont
     if not set(term.chans).isdisjoint(inner.chans):
-        return step
-    merged = qccs.QccsConfig(qccs.Restrict(inner.cont, term.chans + inner.chans), step.next.rho)
-    return qccs.QccsStep(step.label, merged, step.reduces_choice)
+        return config
+    return qccs.QccsConfig(qccs.Restrict(inner.cont, term.chans + inner.chans), config.rho, config.defs, config.table)
 
 
 # -- one instance ------------------------------------------------------------------------
@@ -534,7 +530,8 @@ class Instance:
     extrusion but are two terms.  Merged, the reduct is the translation's
     own interned term, so its key and steps are found, not computed.
     Congruent terms have one key, and the merge keeps each step's label,
-    choice flag and matrix, so no verdict, stat or witness changes.
+    choice flag, matrix, definitions and operators, so no verdict, stat or
+    witness changes.
     Restrictions nested under ``|`` stay as they are.
     """
 
@@ -561,13 +558,17 @@ class Instance:
                 config = cqp.CqpPure(sigma, config.phi, config.term)
         return encode.encode_config(config, check)
 
-    def reductions(self, config: qccs.QccsConfig) -> list[qccs.QccsStep]:
+    def reductions(self, config: qccs.QccsConfig) -> list[tuple[str, qccs.QccsConfig, bool]]:
         """``qccs.reduce_steps`` of a translation over the shared density
-        matrix, each reduct's root restrictions merged."""
+        matrix as (label, reduct, choice flag), each reduct's root
+        restrictions merged."""
         rho = self._shared(config.rho)
         if rho is not config.rho:
-            config = qccs.QccsConfig(config.term, rho)
-        return [_merge_root(step) for step in qccs.reduce_steps(config, {}, {}, self.tol)]
+            config = qccs.QccsConfig(config.term, rho, config.defs, config.table)
+        return [
+            (qccs.format_label(s.label), _merge_root(s.next), s.reduces_choice)
+            for s in qccs.reduce_steps(config, self.tol)
+        ]
 
     @cached_property
     def root(self) -> qccs.QccsConfig:
@@ -588,10 +589,7 @@ class Instance:
 
     @cached_property
     def target_lts(self) -> Lts:
-        def steps(config):
-            return [(qccs.format_label(s.label), s.next, s.reduces_choice) for s in self.reductions(config)]
-
-        return build_lts(self.root, replace(qccs_system(tol=self.tol), steps=steps), self.budget)
+        return build_lts(self.root, replace(qccs_system(self.tol), steps=self.reductions), self.budget)
 
     @cached_property
     def completeness(self) -> Verdict:
@@ -613,7 +611,7 @@ class Instance:
         for src, out in enumerate(lts.succ):
             if not out:
                 continue
-            candidates = [cand.next for cand in self.reductions(self.encoded[src])]
+            candidates = [cand for _, cand, _ in self.reductions(self.encoded[src])]
             for label, dst, _ in out:
                 enc_dst = self.encoded[dst]
                 if any(qccs.congruent(enc_dst, cand, tol) for cand in candidates):
@@ -673,7 +671,7 @@ def check_soundness(inst: Instance) -> Verdict:
     the verdict does not depend on which order of a state the source
     exploration kept."""
     src_lts, tgt_lts = inst.source_lts, inst.target_lts
-    translations = StateIndex(qccs_system(tol=inst.tol))
+    translations = StateIndex(qccs_system(inst.tol))
     for enc in inst.encoded:
         translations.add(enc)
 
@@ -788,8 +786,8 @@ def counterexample_suite(tol: float = DEFAULT_TOL) -> dict:
     values, and run the may/must verdicts whose disagreement pattern the
     impossibility argument uses."""
     sq2 = 1.0 / np.sqrt(2.0)
-    _, config, table = qccs.parse_qccs(protocols.read("counterexample.qccs"))
-    probe, names = table["Q"], config.rho.qubit_names
+    config = qccs.parse_qccs(protocols.read("counterexample.qccs"))
+    probe, names = config.table["Q"], config.rho.qubit_names
     inputs = {
         "|0><0|": ([1, 0], [[1, 0], [0, 0]], ("holds", "holds")),
         "|1><1|": ([0, 1], [[-1, 0], [0, 2]], ("holds", "fails")),
@@ -802,7 +800,7 @@ def counterexample_suite(tol: float = DEFAULT_TOL) -> dict:
         rho = quantum.outer(quantum.StateVector(names, np.array(amps, dtype=complex)))
         after = quantum.superop_apply(probe, names, rho, tol)
         matrix_ok = quantum.within_tol(after.entries, np.array(probe_matrix), tol)
-        lts = build_lts(qccs.QccsConfig(config.term, rho), qccs_system(table=table, tol=tol))
+        lts = build_lts(replace(config, rho=rho), qccs_system(tol))
         may = may_reach_success(lts)
         must = must_reach_success(lts)
         ok = matrix_ok and may.status == want_may and must.status == want_must
@@ -971,11 +969,14 @@ def congruent_variant(config: cqp.CqpPure, rng: random.Random) -> cqp.CqpPure:
 
 def random_channel_renaming(config: cqp.CqpPure) -> dict:
     """Injective renaming of the configuration's symbolic channels to fresh
-    names ``u0, u1, ...`` in sorted order; deterministic, and measurement
-    literals stay fixed."""
-    free = set(config.phi) | {c for c in cqp.free_names(config.term) if not cqp.is_int_literal(c)}
+    names ``u0, u1, ...`` in sorted order, skipping every register name and
+    free name; deterministic, and measurement literals stay fixed."""
+    names = cqp.free_names(config.term)
+    free = set(config.phi) | {c for c in names if not cqp.is_int_literal(c)}
     free -= set(config.sigma_names)
-    return {c: f"u{i}" for i, c in enumerate(sorted(free))}
+    taken = free | names | set(config.sigma_names)
+    fresh = (f"u{i}" for i in itertools.count() if f"u{i}" not in taken)
+    return {c: next(fresh) for c in sorted(free)}
 
 
 def random_qubit_renaming(config: cqp.CqpConfig, rng: random.Random) -> dict:

@@ -11,6 +11,12 @@ a qubit.  That is the source type system's rule, read from the same node
 tuples (``canon.demand``): input-guarded uses do not count, and the
 translated teleportation relies on this.
 
+A configuration carries the process definitions and named super-operators
+it runs under (``QccsConfig.defs`` and ``table``), as ``parse_qccs`` reads
+them from a file; every successor carries its parent's two objects on, so
+the steppers, the barb and the well-formedness check take the
+configuration alone.
+
 Each interned term keeps its template, built from its children's and keyed
 by all it reads (the register order, the process definitions and the
 constants being unfolded): the tests a walk of the term evaluates, in its
@@ -26,8 +32,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -240,13 +247,22 @@ def choice_chain(branches: Sequence[Term]) -> Term:
     return out
 
 
+ProcessDefs = Mapping[str, tuple[tuple[str, ...], Term]]
+
+_EMPTY: Mapping = MappingProxyType({})
+
+
 @dataclass(frozen=True, eq=False)
 class QccsConfig:
+    """A term over a state, under the process definitions and named
+    super-operators its steps read.  Each successor carries its parent's
+    two mappings on, so one exploration runs under one of each; both
+    default to one shared, read-only empty mapping."""
+
     term: Term
     rho: DensityMatrix
-
-
-ProcessDefs = dict[str, tuple[tuple[str, ...], Term]]
+    defs: ProcessDefs = field(default_factory=lambda: _EMPTY)
+    table: Mapping[str, SuperOperator] = field(default_factory=lambda: _EMPTY)
 
 
 # -- free names -------------------------------------------------------------------
@@ -319,15 +335,11 @@ def _free_all(t: Term) -> frozenset[str]:
 
 # -- well-formedness --------------------------------------------------------------
 
-def check_wellformed(
-    defs: ProcessDefs,
-    config: QccsConfig,
-    table: Mapping[str, SuperOperator] | None = None,
-) -> None:
+def check_wellformed(config: QccsConfig) -> None:
     """Cond1 (no output keeps its payload), Cond2 (parallel components
     demand disjoint qubits), closed constants, resolvable operators, and
     every free qubit bound by the state."""
-    table = table or {}
+    defs, table = config.defs, config.table
 
     def visit(t: Term, path: str, bound: frozenset[str], register: tuple[str, ...]):
         match t:
@@ -523,9 +535,9 @@ def _template(t, key):
     return out
 
 
-def _root_template(config, defs):
-    """The template of ``config``'s term under ``defs``, outside any unfolding."""
-    return _template(config.term, (config.rho.qubit_names, tuple((defs or {}).items()), frozenset()))
+def _root_template(config):
+    """The template of ``config``'s term under its definitions, outside any unfolding."""
+    return _template(config.term, (config.rho.qubit_names, tuple(config.defs.items()), frozenset()))
 
 
 def _wrapped(steps, wrap, blocked=frozenset()) -> tuple:
@@ -542,11 +554,11 @@ def _wrapped(steps, wrap, blocked=frozenset()) -> tuple:
     return tuple(out)
 
 
-def _steps(config, defs, table, tol):
+def _steps(config, tol):
     """All transitions of ``config`` as (label, term', rho', choice-flag):
     its term's template, with the tests run on rho in order."""
-    rho, table, done = config.rho, table or {}, {}
-    tests, steps, _ = _root_template(config, defs)
+    rho, table, done = config.rho, config.table, {}
+    tests, steps, _ = _root_template(config)
     for guards, x in tests:
         if not all(map(done.get, guards)):
             continue
@@ -564,39 +576,30 @@ def _steps(config, defs, table, tol):
     return [step for step in out if step[2] is not None]
 
 
-def lts_steps(
-    config: QccsConfig,
-    defs: ProcessDefs | None = None,
-    table: Mapping[str, SuperOperator] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> list[QccsStep]:
+def lts_steps(config: QccsConfig, tol: float = DEFAULT_TOL) -> list[QccsStep]:
     """The early labelled semantics: an input once per qubit it may receive."""
-    out = []
-    for lab, t2, r2, ch in _steps(config, defs, table, tol):
+    defs, table, out = config.defs, config.table, []
+    for lab, t2, r2, ch in _steps(config, tol):
         if isinstance(lab, _LateIn):
             received = [q for q in r2.qubit_names if q not in lab.blocked]
-            out += [QccsStep(LIn(lab.chan, q), QccsConfig(t2(q), r2), ch) for q in received]
+            out += [QccsStep(LIn(lab.chan, q), QccsConfig(t2(q), r2, defs, table), ch) for q in received]
         else:
-            out.append(QccsStep(lab, QccsConfig(t2, r2), ch))
+            out.append(QccsStep(lab, QccsConfig(t2, r2, defs, table), ch))
     return out
 
 
-def reduce_steps(
-    config: QccsConfig,
-    defs: ProcessDefs | None = None,
-    table: Mapping[str, SuperOperator] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> list[QccsStep]:
+def reduce_steps(config: QccsConfig, tol: float = DEFAULT_TOL) -> list[QccsStep]:
     """The reduction semantics: the tau steps, with no input expanded."""
-    raw = _steps(config, defs, table, tol)
-    return [QccsStep(lab, QccsConfig(t2, r2), ch) for lab, t2, r2, ch in raw if isinstance(lab, LTau)]
+    defs, table = config.defs, config.table
+    raw = _steps(config, tol)
+    return [QccsStep(lab, QccsConfig(t2, r2, defs, table), ch) for lab, t2, r2, ch in raw if isinstance(lab, LTau)]
 
 
-def has_success_barb(config: QccsConfig, defs: ProcessDefs | None = None) -> bool:
+def has_success_barb(config: QccsConfig) -> bool:
     """Unguarded success: reachable through parallel, restriction and bare
     choice branches; prefixes and conditionals guard.  Read from the
     template, so it evaluates no guard and applies no super-operator."""
-    return _root_template(config, defs)[2]
+    return _root_template(config)[2]
 
 
 # -- structural congruence ----------------------------------------------------------
@@ -896,14 +899,13 @@ def _parse_rho(ts: TokenStream, names: tuple[str, ...]) -> DensityMatrix:
     return DensityMatrix(names, entries)
 
 
-def parse_qccs(text: str):
-    """Parse the .qccs format.
-
-    Returns (defs, config, table): process constant definitions, the
-    initial configuration, and the named super-operator table.
+def parse_qccs(text: str) -> QccsConfig:
+    """Parse the .qccs format into its initial configuration, checked
+    well formed.  The configuration carries the file's process constant
+    definitions (``defs``) and named super-operators (``table``).
     """
     ts = TokenStream(text)
-    defs: ProcessDefs = {}
+    defs: dict[str, tuple[tuple[str, ...], Term]] = {}
     table: dict[str, SuperOperator] = {}
     while ts.peek().text in ("superop", "def"):
         if ts.accept("superop"):
@@ -953,9 +955,9 @@ def parse_qccs(text: str):
     tok = ts.peek()
     if tok.kind != "eof":
         ts.error(f"unexpected {tok.text!r} after process term")
-    config = QccsConfig(term, rho)
-    check_wellformed(defs, config, table)
-    return defs, config, table
+    config = QccsConfig(term, rho, defs, table)
+    check_wellformed(config)
+    return config
 
 
 # -- pretty printing --------------------------------------------------------------------
@@ -1037,22 +1039,17 @@ def _fmt_matrix(m: np.ndarray) -> str:
     return f"[{rows}]"
 
 
-def format_qccs_file(
-    config: QccsConfig,
-    defs: ProcessDefs | None = None,
-    table: Mapping[str, SuperOperator] | None = None,
-) -> str:
-    """Deterministic .qccs source for a configuration; reparsing it and
-    formatting again reproduces the same text."""
+def format_qccs_file(config: QccsConfig) -> str:
+    """Deterministic .qccs source for a configuration, its definitions and
+    operators included; reparsing it and formatting again reproduces the
+    same text."""
     lines = []
-    for name in sorted(table or {}):
-        op = table[name]
+    for name, op in sorted(config.table.items()):
         body = " ".join(
             f"{'+' if sign > 0 else '-'}{_fmt_matrix(k)};" for sign, k in op.terms
         )
         lines.append(f"superop {name}({op.arity}) {{ {body} }}")
-    for name in sorted(defs or {}):
-        params, body = defs[name]
+    for name, (params, body) in sorted(config.defs.items()):
         lines.append(f"def {name}({', '.join(params)}) = {format_term(body)}")
     lines.append(f"state qubits {', '.join(config.rho.qubit_names)} ;")
     lines.append(f"rho = matrix {_fmt_matrix(config.rho.entries)} ;")

@@ -82,7 +82,7 @@ def test_criterion_2_teleportation_translation():
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             assert cli.main(["translate", str(protocols.path("teleport.cqp"))]) == 0
-        defs, config, table = qccs.parse_qccs(buffer.getvalue())
+        config = qccs.parse_qccs(buffer.getvalue())
 
         src = teleport_source()
         vectors = []
@@ -101,29 +101,29 @@ def test_criterion_2_teleportation_translation():
 
         state = config
         for _ in range(4):  # the four channel-creation taus
-            (step,) = qccs.reduce_steps(state, defs, table)
+            (step,) = qccs.reduce_steps(state)
             state = step.next
         assert same(state.rho, quantum.outer(vectors[0]), TOL)
-        (step,) = qccs.reduce_steps(state, defs, table)  # CNOT
+        (step,) = qccs.reduce_steps(state)  # CNOT
         assert same(step.next.rho, quantum.outer(vectors[1]), TOL)
-        (step,) = qccs.reduce_steps(step.next, defs, table)  # H
+        (step,) = qccs.reduce_steps(step.next)  # H
         assert same(step.next.rho, quantum.outer(vectors[2]), TOL)
-        (step,) = qccs.reduce_steps(step.next, defs, table)  # measurement
+        (step,) = qccs.reduce_steps(step.next)  # measurement
         assert same(step.next.rho, rho3_oracle, TOL)
-        branches = qccs.reduce_steps(step.next, defs, table)
+        branches = qccs.reduce_steps(step.next)
         assert len(branches) == 4 and all(b.reduces_choice for b in branches)
         state = branches[0].next  # expected result 0, normalised
         assert same(
             state.rho, quantum.outer(quantum.StateVector(("q0", "q1", "q2"), _basis(3, 0b001))), TOL
         )
-        state = qccs.reduce_steps(state, defs, table)[0].next  # communication on 0
-        state = qccs.reduce_steps(state, defs, table)[0].next  # identity correction
-        assert qccs.has_success_barb(state, defs)
+        state = qccs.reduce_steps(state)[0].next  # communication on 0
+        state = qccs.reduce_steps(state)[0].next  # identity correction
+        assert qccs.has_success_barb(state)
 
 
 def test_criterion_3_counterexample_suite():
     with criterion(3, "separation counterexample"):
-        probe = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
+        probe = qccs.parse_qccs(protocols.read("counterexample.qccs")).table["Q"]
         zero = quantum.outer(quantum.StateVector(("q",), [1, 0]))
         one = quantum.outer(quantum.StateVector(("q",), [0, 1]))
         plus = quantum.outer(quantum.StateVector(("q",), [SQ2, SQ2]))
@@ -270,7 +270,7 @@ def test_criterion_7_wellformedness_bridge():
     with criterion(7, "well-formedness bridge"):
         for seed in range(200):
             source = criteria.gen_config(seed)
-            qccs.check_wellformed({}, encode.encode_config(source))
+            qccs.check_wellformed(encode.encode_config(source))
         from qproc.errors import WellFormednessError
 
         with pytest.raises(WellFormednessError) as cond1:

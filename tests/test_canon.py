@@ -34,7 +34,7 @@ def test_building_a_term_twice_gives_one_object():
         return qccs.IfThen(qccs.TraceNonzero(qccs.ProjectOp(1), ("q",)), qccs.SuperOp(qccs.GateOp("X"), ("q",), qccs.Nil()))
 
     assert guarded() is guarded()
-    _, config, _ = qccs.parse_qccs("state qubits q ; rho = outer(|0>) ; process if tr(E{1}[q]) != 0 then X[q].nil")
+    config = qccs.parse_qccs("state qubits q ; rho = outer(|0>) ; process if tr(E{1}[q]) != 0 then X[q].nil")
     assert config.term is guarded()
     assert qccs.substitute(guarded(), {"q": "p"}) is qccs.substitute(guarded(), {"q": "p"})
 
@@ -494,8 +494,8 @@ def test_derived_free_names_match_the_term_walks_on_the_protocols():
     )
     for text in (protocols.path("counterexample.qccs").read_text(),
                  protocols.path("teleport-encoded.qccs").read_text(), called):
-        defs, config, _ = qccs.parse_qccs(text)
-        qccs_terms += [config.term] + [body for _, body in defs.values()]
+        config = qccs.parse_qccs(text)
+        qccs_terms += [config.term] + [body for _, body in config.defs.values()]
     subterms = {s for t in qccs_terms for s in _subterms(t)}
     assert any(isinstance(s, qccs.ConstCall) for s in subterms)
     assert any(isinstance(s, qccs.TraceNonzero) for s in subterms)

@@ -262,6 +262,38 @@ def test_success_verdicts_do_not_depend_on_the_order_of_congruent_looking_branch
         assert (code, stats["may"], stats["must"]) == (0, "holds", "fails")
 
 
+@pytest.mark.parametrize("process", ["tau.tau.ok + tau.nil", "tau.nil + tau.tau.ok"])
+def test_must_success_fails_on_a_reached_deadlock_whatever_the_order_of_a_choice(capsys, tmp_path, process):
+    # at three states the budget cuts tau.ok before its barb, while the
+    # barb-free deadlock is reached in either order
+    src = tmp_path / "order.qccs"
+    src.write_text(f"state qubits q ; rho = outer(|0>) ; process {process}\n")
+    argv = ("check", str(src), "--which", "success", "--max-states", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert (code, payload["verdict"], payload["stats"]["may"], payload["stats"]["must"]) == (
+        2,
+        "inconclusive",
+        "inconclusive",
+        "fails",
+    )
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "qubits u0 ; state |0> ; channels c ; process c![u0].0 | c?[x].{x *= X}.ok",
+        "qubits u1 ; state |0> ; channels c, u0 ; process c![u1].0 | c?[x].{x *= X}.ok",
+        "qubits q0 ; state |0> ; channels q1 ; process (qbit x){x *= H}.q1![x].0 | q1?[y].ok",
+    ],
+    ids=["channel-onto-register", "channel-onto-register-past-a-free-name", "channel-named-as-a-created-qubit"],
+)
+def test_name_invariance_holds_where_a_renamed_name_meets_a_qubit(capsys, tmp_path, source):
+    src = tmp_path / "clash.cqp"
+    src.write_text(source + "\n")
+    assert run_cli(capsys, "check", str(src), "--which", "name-inv") == (0, "name-inv: holds\n", "")
+
+
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_a_congruent_variant_captures_no_free_name(capsys, tmp_path, seed):
     # at seed 1 the variant renames the binder y to y_r867, a name free in

@@ -23,13 +23,13 @@ def teleport():
     return cqp.parse_cqp(protocols.read("teleport.cqp"))
 
 
+PROBE = qccs.parse_qccs(protocols.read("counterexample.qccs"))
+
+
 def probe_config(amps):
-    """The bundled probe process, started from the state ``amps`` of q."""
-    _, config, _ = qccs.parse_qccs(protocols.read("counterexample.qccs"))
-    return qccs.QccsConfig(config.term, quantum.outer(quantum.StateVector(("q",), np.array(amps, dtype=complex))))
-
-
-PROBE_TABLE = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]
+    """The bundled probe process and its operator table, started from the
+    state ``amps`` of q."""
+    return dataclasses.replace(PROBE, rho=quantum.outer(quantum.StateVector(("q",), np.array(amps, dtype=complex))))
 
 
 # -- exploration ------------------------------------------------------------------
@@ -42,7 +42,7 @@ def test_nil_lts_is_single_state():
 
 def test_probe_lts_is_tiny_and_untruncated():
     for amps in ([1, 0], [0, 1], [0.6, 0.8]):
-        lts = build_lts(probe_config(amps), qccs_system(table=PROBE_TABLE), BUDGET)
+        lts = build_lts(probe_config(amps), qccs_system(), BUDGET)
         assert len(lts.states) <= 6
         assert lts.complete
 
@@ -57,9 +57,9 @@ def test_teleport_source_lts_has_probabilistic_fanout():
 def test_truncation_is_flagged():
     defs = {"A": (("x",), qccs.Tau(qccs.ConstCall("A", ("x",))))}
     config = qccs.QccsConfig(
-        qccs.ConstCall("A", ("q",)), quantum.outer(quantum.StateVector(("q",), [1, 0]))
+        qccs.ConstCall("A", ("q",)), quantum.outer(quantum.StateVector(("q",), [1, 0])), defs
     )
-    lts = build_lts(config, qccs_system(defs=defs), Budget(2, 10))
+    lts = build_lts(config, qccs_system(), Budget(2, 10))
     assert lts.complete  # the self-loop folds back into one state
     lts2 = build_lts(teleport(), cqp_system(), Budget(3, 10000))
     assert lts2.truncated
@@ -111,17 +111,29 @@ def test_probe_verdict_table():
         (sq2, -sq2): ("fails", "fails"),
     }
     for amps, (may, must) in expect.items():
-        lts = build_lts(probe_config(list(amps)), qccs_system(table=PROBE_TABLE), BUDGET)
+        lts = build_lts(probe_config(list(amps)), qccs_system(), BUDGET)
         assert criteria.may_reach_success(lts).status == may
         assert criteria.must_reach_success(lts).status == must
+
+
+@pytest.mark.parametrize("process", ["tau.tau.ok + tau.nil", "tau.nil + tau.tau.ok"])
+def test_must_fails_on_a_reached_deadlock_in_either_order_of_a_choice(process):
+    # three states cut tau.ok before its barb, but the barb-free deadlock
+    # is reached in both orders of the choice
+    config = qccs.parse_qccs(f"state qubits q ; rho = outer(|0>) ; process {process}")
+    lts = build_lts(config, qccs_system(), Budget(64, 3))
+    assert lts.truncated and len(lts.states) == 3
+    verdict = criteria.must_reach_success(lts)
+    assert (verdict.status, verdict.witness) == ("fails", ["tau"])
+    assert criteria.may_reach_success(lts).status == "inconclusive"
 
 
 def test_must_ignores_barb_free_cycles():
     # divergent loop beside an inevitable success: all *finite* maximal paths succeed
     defs = {"Loop": ((), qccs.Tau(qccs.ConstCall("Loop", ())))}
     term = qccs.Par(qccs.ConstCall("Loop", ()), qccs.Tau(qccs.Success()))
-    config = qccs.QccsConfig(term, quantum.outer(quantum.StateVector(("q",), [1, 0])))
-    lts = build_lts(config, qccs_system(defs=defs), BUDGET)
+    config = qccs.QccsConfig(term, quantum.outer(quantum.StateVector(("q",), [1, 0])), defs)
+    lts = build_lts(config, qccs_system(), BUDGET)
     assert criteria.must_reach_success(lts).holds
     assert criteria.detect_divergence(lts).holds
 
@@ -136,9 +148,9 @@ def test_successor_table_is_built_once_from_the_edges():
 def test_divergence_detection():
     defs = {"A": (("x",), qccs.Tau(qccs.ConstCall("A", ("x",))))}
     config = qccs.QccsConfig(
-        qccs.ConstCall("A", ("q",)), quantum.outer(quantum.StateVector(("q",), [1, 0]))
+        qccs.ConstCall("A", ("q",)), quantum.outer(quantum.StateVector(("q",), [1, 0])), defs
     )
-    assert criteria.detect_divergence(build_lts(config, qccs_system(defs=defs), BUDGET)).holds
+    assert criteria.detect_divergence(build_lts(config, qccs_system(), BUDGET)).holds
     assert criteria.detect_divergence(build_lts(teleport(), cqp_system(), BUDGET)).fails
 
 
@@ -155,13 +167,13 @@ def test_no_source_diverges_through_register_order_alone():
 
 
 def test_fails_verdicts_carry_replayable_traces():
-    lts = build_lts(probe_config([0, 1]), qccs_system(table=PROBE_TABLE), BUDGET)
+    lts = build_lts(probe_config([0, 1]), qccs_system(), BUDGET)
     verdict = criteria.must_reach_success(lts)
     assert verdict.fails and verdict.witness is not None
     # replay the witness through the reduction semantics
     config = probe_config([0, 1])
     for label in verdict.witness:
-        steps = qccs.reduce_steps(config, {}, PROBE_TABLE)
+        steps = qccs.reduce_steps(config)
         assert steps, "witness longer than the behaviour"
         config = steps[0].next if len(steps) == 1 else None
         if config is None:
@@ -195,7 +207,7 @@ def test_counterexample_suite_checks_probe_matrices_to_tolerance(monkeypatch):
 # -- simulation games ----------------------------------------------------------------
 
 def test_corr_sim_reflexive_on_identical_lts():
-    lts = build_lts(probe_config([1, 0]), qccs_system(table=PROBE_TABLE, labelled=True), BUDGET)
+    lts = build_lts(probe_config([1, 0]), qccs_system(labelled=True), BUDGET)
     assert criteria.corr_sim_check(lts, lts).holds
 
 
@@ -410,7 +422,7 @@ def test_a_byte_equal_matrix_is_stepped_as_the_shared_one():
     copy = qccs.QccsConfig(root.term, quantum.DensityMatrix(root.rho.qubit_names, root.rho.entries.copy()))
     first, again = inst.reductions(root), inst.reductions(copy)
     assert len(first) == len(again) > 0
-    assert all(a.next.rho is b.next.rho for a, b in zip(first, again))
+    assert all(a[1].rho is b[1].rho for a, b in zip(first, again))
 
 
 def test_register_table_size_over_the_campaign_seeds():
@@ -455,9 +467,9 @@ def test_a_channel_creation_reduct_is_its_translation(name, shared):
 def test_a_reduct_binding_a_channel_twice_stays_nested():
     src = cqp.parse_cqp("qubits q ; state |0> ; channels c ; process (new c)(c![q].0 | c?[y].ok)")
     inst = criteria.Instance(src, BUDGET)
-    (step,) = inst.reductions(inst.root)
-    assert type(step.next.term.cont) is qccs.Restrict
-    assert step.next.term.chans == step.next.term.cont.chans == ("c",)
+    ((_, reduct, _),) = inst.reductions(inst.root)
+    assert type(reduct.term.cont) is qccs.Restrict
+    assert reduct.term.chans == reduct.term.cont.chans == ("c",)
     for name, check in criteria.CHECKS.items():
         assert check(inst).holds, name
 
@@ -478,7 +490,7 @@ def test_a_matrix_is_shared_only_byte_for_byte(monkeypatch):
     nudged = qccs.QccsConfig(root.term, quantum.DensityMatrix(root.rho.qubit_names, entries))
     assert quantum.within_tol(entries, root.rho.entries, 1e-15)
     steps = inst.reductions(root)
-    assert all(a.next.rho is not b.next.rho for a, b in zip(steps, inst.reductions(nudged)))
+    assert all(a[1].rho is not b[1].rho for a, b in zip(steps, inst.reductions(nudged)))
     assert calls == [root, nudged]
 
 
@@ -486,9 +498,9 @@ def test_shared_matrices_die_with_their_instance():
     inst = criteria.Instance(_measurement(), BUDGET)
     criteria.check_soundness(inst)
     criteria.check_completeness(inst)
-    step = inst.reductions(inst.root)[0]
-    gone = weakref.ref(inst), weakref.ref(step), weakref.ref(step.next.rho)
-    del inst, step
+    reduct = inst.reductions(inst.root)[0][1]
+    gone = weakref.ref(inst), weakref.ref(reduct), weakref.ref(reduct.rho)
+    del inst, reduct
     gc.collect()
     assert [ref() for ref in gone] == [None, None, None]
 
@@ -708,7 +720,7 @@ def test_law_matches_only_where_the_game_holds(seed):
     # the candidate the law picks
     inst = criteria.Instance(criteria.gen_config(seed, size=4, depth=6), Budget(48, 800), seed)
     verdict = inst.completeness
-    labelled = qccs_system(tol=inst.tol, labelled=True)
+    labelled = qccs_system(inst.tol, labelled=True)
 
     def explore(config):
         return build_lts(config, labelled, Budget(32, 220))
@@ -719,7 +731,7 @@ def test_law_matches_only_where_the_game_holds(seed):
     law_edges = 0
     for src, label, dst, _ in inst.source_lts.edges:
         enc_dst = inst.encoded[dst]
-        candidates = [s.next for s in inst.reductions(inst.encoded[src])]
+        candidates = [reduct for _, reduct, _ in inst.reductions(inst.encoded[src])]
         if any(qccs.congruent(enc_dst, c, inst.tol) for c in candidates):
             continue
         hit = next(
@@ -786,6 +798,31 @@ def test_rename_rejects_merging_qubits(calculus):
     config, _ = _swap_config(calculus)
     with pytest.raises(NoCloningViolation, match="non-injective qubit substitution"):
         RENAME[calculus](config, {"a": "q", "b": "q"})
+
+
+def test_channel_renaming_skips_register_and_free_names():
+    plain = cqp.parse_cqp("qubits q ; state |0> ; channels c, d ; process c![q].0 | d?[x].ok")
+    assert criteria.random_channel_renaming(plain) == {"c": "u0", "d": "u1"}
+    # u0 names a channel renamed itself and u1 the register's qubit
+    clash = cqp.parse_cqp("qubits u1 ; state |0> ; channels c, u0 ; process c![u1].0 | c?[x].{x *= X}.ok")
+    assert criteria.random_channel_renaming(clash) == {"c": "u2", "u0": "u3"}
+
+
+def test_rename_target_keeps_a_qubit_created_under_a_renamed_channel_name():
+    # the qubit rule names the created qubit q1, the name of the channel
+    src = cqp.parse_cqp("qubits q0 ; state |0> ; channels q1 ; process (qbit x){x *= H}.q1![x].0 | q1?[y].ok")
+    renamed = criteria.rename_target(encode.encode_config(src), {"q1": "u0"})
+    assert qccs.format_term(renamed.term) == "(new.H[q1].u0!q1.nil | u0?y.ok) \\ {u0}"
+    assert renamed.term is encode.encode_config(criteria.rename_source(src, {"q1": "u0"})).term
+
+
+def test_a_rebuilt_translation_keeps_its_definitions_and_operators():
+    inst = criteria.Instance(teleport(), BUDGET)
+    carried = dataclasses.replace(inst.root, defs={"A": ((), qccs.Nil())}, table=dict(PROBE.table))
+    reducts = [reduct for _, reduct, _ in inst.reductions(carried)]
+    assert reducts[0].term.chans and type(reducts[0].term.cont) is not qccs.Restrict  # merged
+    for config in reducts + [criteria._factor(carried), criteria.rename_target(carried, {"q0": "q1", "q1": "q0"})]:
+        assert config.defs is carried.defs and config.table is carried.table
 
 
 # Each mapping sends a free name onto a binder and also maps the binder's
@@ -895,7 +932,7 @@ def test_generated_configs_satisfy_subject_reduction():
 def test_generated_translations_are_wellformed():
     for seed in range(120):
         config = criteria.gen_config(seed)
-        qccs.check_wellformed({}, encode.encode_config(config))
+        qccs.check_wellformed(encode.encode_config(config))
 
 
 def test_congruent_variant_is_congruent():

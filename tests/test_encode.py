@@ -166,7 +166,7 @@ def test_teleport_translation_matches_displayed_shape():
 
 
 def test_translation_of_welltyped_source_is_wellformed():
-    qccs.check_wellformed({}, encode.encode_config(teleport()))
+    qccs.check_wellformed(encode.encode_config(teleport()))
 
 
 def test_translation_rejects_illtyped_source():
@@ -261,8 +261,8 @@ def test_compositionality_contexts():
 def test_emitted_translation_roundtrips():
     out = encode.encode_config(teleport())
     text1 = encode.emit_translation(out)
-    defs2, config2, table2 = qccs.parse_qccs(text1)
-    assert defs2 == {} and table2 == {}
+    config2 = qccs.parse_qccs(text1)
+    assert config2.defs == {} and config2.table == {}
     text2 = encode.emit_translation(config2)
     assert text1 == text2
     assert qccs.congruent(out, config2)

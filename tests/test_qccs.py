@@ -51,22 +51,24 @@ def dm(names, amps):
     return quantum.outer(psi)
 
 
-def cfg(term, names=("q",), amps=(1, 0)):
-    return QccsConfig(term, dm(names, amps))
+def cfg(term, names=("q",), amps=(1, 0), **maps):
+    """``term`` over the pure state ``amps`` of ``names``; ``maps`` gives
+    the configuration's ``defs`` and ``table``."""
+    return QccsConfig(term, dm(names, amps), **maps)
 
 
 # -- parsing -----------------------------------------------------------------
 
 def test_parse_nil_config():
-    defs, config, table = qccs.parse_qccs("state qubits q ; rho = outer(|0>) ; process nil")
+    config = qccs.parse_qccs("state qubits q ; rho = outer(|0>) ; process nil")
     assert config.term == Nil()
     assert np.allclose(config.rho.entries, [[1, 0], [0, 0]])
-    assert defs == {} and table == {}
+    assert config.defs == {} and config.table == {}
 
 
 def test_parse_counterexample_file():
-    defs, config, table = qccs.parse_qccs(protocols.read("counterexample.qccs"))
-    assert set(table) == {"Q"}
+    config = qccs.parse_qccs(protocols.read("counterexample.qccs"))
+    assert set(config.table) == {"Q"}
     assert config.term == SuperOp(
         CustomOp("Q"),
         ("q",),
@@ -75,22 +77,22 @@ def test_parse_counterexample_file():
             IfThen(TraceNonzero(ProjectOp(1), ("q",)), Tau(Nil())),
         ),
     )
-    (s0, k0), (s1, k1) = table["Q"].terms
+    (s0, k0), (s1, k1) = config.table["Q"].terms
     assert (s0, s1) == (1, -1)
     assert np.allclose(k0, [[1, 0], [0, np.sqrt(2)]])
     assert np.allclose(k1, [[0, 1], [0, 0]])
 
 
 def test_parse_mixture_and_matrix_states():
-    _, config, _ = qccs.parse_qccs(
+    config = qccs.parse_qccs(
         "state qubits q ; rho = 1/2*outer(|0>) + 1/2*outer(|1>) ; process nil"
     )
     assert np.allclose(config.rho.entries, [[0.5, 0], [0, 0.5]])
-    _, config, _ = qccs.parse_qccs(
+    config = qccs.parse_qccs(
         "state qubits q ; rho = matrix [[0.5, 0.5], [0.5, 0.5]] ; process nil"
     )
     assert np.allclose(config.rho.entries, 0.5 * np.ones((2, 2)))
-    _, config, _ = qccs.parse_qccs(
+    config = qccs.parse_qccs(
         "state qubits q ; rho = 2*(1/4)*outer(|0>) + 1/2*outer(|1>) ; process nil"
     )
     assert np.allclose(config.rho.entries, [[0.5, 0], [0, 0.5]])
@@ -98,7 +100,7 @@ def test_parse_mixture_and_matrix_states():
 
 def test_a_star_before_a_ket_is_optional_inside_outer():
     def rho(ket):
-        return qccs.parse_qccs(f"state qubits q ; rho = outer({ket}) ; process nil")[1].rho.entries
+        return qccs.parse_qccs(f"state qubits q ; rho = outer({ket}) ; process nil").rho.entries
 
     assert np.array_equal(rho("0.6 * |0> + 0.8 * |1>"), rho("0.6|0> + 0.8|1>"))
     assert np.allclose(rho("0.6 * |0> + 0.8 * |1>"), [[0.36, 0.48], [0.48, 0.64]])
@@ -146,32 +148,32 @@ def test_parse_reserved_superop_name_rejected():
 
 def test_wellformed_accepts_simple_comm():
     term = Par(Out("c", "q", Nil()), In("c", "x", Nil()))
-    qccs.check_wellformed({}, cfg(term))
+    qccs.check_wellformed(cfg(term))
 
 
 def test_wellformed_allows_guarded_sharing():
     # receiver arms on distinct channels may mention the same qubit
     term = Par(In("c", "x", SuperOp(GateOp("X"), ("q",), Nil())),
                In("d", "y", SuperOp(GateOp("Z"), ("q",), Nil())))
-    qccs.check_wellformed({}, cfg(term))
+    qccs.check_wellformed(cfg(term))
 
 
 def test_wellformed_rejects_unbound_qubit():
     with pytest.raises(UnboundQubit):
-        qccs.check_wellformed({}, cfg(Out("c", "nope", Nil())))
+        qccs.check_wellformed(cfg(Out("c", "nope", Nil())))
 
 
 def test_wellformed_rejects_unknown_operator_and_constant():
     with pytest.raises(UnknownName):
-        qccs.check_wellformed({}, cfg(SuperOp(CustomOp("NOPE"), ("q",), Nil())))
+        qccs.check_wellformed(cfg(SuperOp(CustomOp("NOPE"), ("q",), Nil())))
     with pytest.raises(UnknownName):
-        qccs.check_wellformed({}, cfg(ConstCall("A", ("q",))))
+        qccs.check_wellformed(cfg(ConstCall("A", ("q",))))
 
 
 def test_wellformed_rejects_duplicate_constant_args():
     defs = {"A": (("x", "y"), Par(Out("c", "x", Nil()), Out("d", "y", Nil())))}
     with pytest.raises(NoCloningViolation):
-        qccs.check_wellformed(defs, cfg(ConstCall("A", ("q", "q"))))
+        qccs.check_wellformed(cfg(ConstCall("A", ("q", "q")), defs=defs))
 
 
 # -- substitution ---------------------------------------------------------------
@@ -270,16 +272,16 @@ def test_ifthen_guards_inner_action():
 
 def test_a_guard_steps_where_its_operator_does_not_overflow():
     # K+K of B overflows, but B applied to |1><1| gives the finite diag(0, 1)
-    defs, config, table = qccs.parse_qccs(
+    config = qccs.parse_qccs(
         "superop B(1) { +[[1e200, 0], [0, 1]]; } state qubits q ; rho = outer(|1>) ; "
         "process if tr(B[q]) != 0 then tau.ok"
     )
-    (step,) = qccs.lts_steps(config, defs, table)
+    (step,) = qccs.lts_steps(config)
     assert step.next.term == Success()
 
 
 def test_guard_counts_negative_trace_as_nonzero():
-    probe = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
+    probe = qccs.parse_qccs(protocols.read("counterexample.qccs")).table["Q"]
     rho = quantum.superop_apply(probe, ("q",), dm("q", (0, 1)))  # diag(-1, 2)
     assert qccs.eval_bool(TraceNonzero(ProjectOp(0), ("q",)), rho)
     assert qccs.eval_bool(TraceNonzero(ProjectOp(1), ("q",)), rho)
@@ -287,14 +289,15 @@ def test_guard_counts_negative_trace_as_nonzero():
 
 def test_constant_call_steps_match_unfolded_body():
     defs = {"A": (("x", "y"), Par(Out("c", "x", Nil()), In("c", "z", SuperOp(GateOp("H"), ("y",), Nil()))))}
-    call = cfg(ConstCall("A", ("q", "p")), names=("q", "p"), amps=(1, 0, 0, 0))
+    call = cfg(ConstCall("A", ("q", "p")), names=("q", "p"), amps=(1, 0, 0, 0), defs=defs)
     body = cfg(
         qccs.substitute(defs["A"][1], {"x": "q", "y": "p"}),
         names=("q", "p"),
         amps=(1, 0, 0, 0),
+        defs=defs,
     )
-    call_steps = qccs.lts_steps(call, defs)
-    body_steps = qccs.lts_steps(body, defs)
+    call_steps = qccs.lts_steps(call)
+    body_steps = qccs.lts_steps(body)
     assert len(call_steps) == len(body_steps)
     for a, b in zip(call_steps, body_steps):
         assert a.label == b.label
@@ -307,25 +310,46 @@ def test_steps_preserve_wellformedness():
         In("c", "x", SuperOp(GateOp("X"), ("x",), Out("d", "x", Nil()))),
     )
     config = cfg(term, names=("q", "p"), amps=(0, 1, 0, 0))
-    qccs.check_wellformed({}, config)
+    qccs.check_wellformed(config)
     frontier = [config]
     seen = 0
     while frontier and seen < 50:
         cur = frontier.pop()
         seen += 1
         for step in qccs.lts_steps(cur):
-            qccs.check_wellformed({}, step.next)
+            qccs.check_wellformed(step.next)
             frontier.append(step.next)
 
 
 def test_def_unfolding_and_recursion_guard():
     defs = {"A": (("x",), Tau(ConstCall("A", ("x",))))}
-    config = cfg(ConstCall("A", ("q",)))
-    (step,) = qccs.lts_steps(config, defs)
+    config = cfg(ConstCall("A", ("q",)), defs=defs)
+    (step,) = qccs.lts_steps(config)
     assert step.label == LTau()
     assert step.next.term == ConstCall("A", ("q",))
     looping = {"B": (("x",), ConstCall("B", ("x",)))}
-    assert qccs.lts_steps(cfg(ConstCall("B", ("q",))), looping) == []
+    assert qccs.lts_steps(cfg(ConstCall("B", ("q",)), defs=looping)) == []
+
+
+RECURSIVE = (
+    "superop Q(1) { +[[1, 0], [0, 0]]; }\n"
+    "def A(q) = Q[q].tau.A(q)\n"
+    "state qubits q ;\nrho = outer(|0>) ;\nprocess A(q) | c?x.nil"
+)
+
+
+def test_an_exploration_carries_the_parsed_definitions_and_operators():
+    config = qccs.parse_qccs(RECURSIVE)
+    assert isinstance(config, QccsConfig) and set(config.defs) == {"A"} and set(config.table) == {"Q"}
+    for labelled in (True, False):
+        lts = build_lts(config, qccs_system(labelled=labelled), Budget(16, 200))
+        assert lts.complete and len(lts.states) > 1
+        assert all(state.defs is config.defs and state.table is config.table for state in lts.states)
+    # a configuration built without them shares one read-only empty mapping of each
+    bare = cfg(Nil())
+    assert bare.defs is cfg(Success()).defs and bare.table is cfg(Success()).table and not bare.defs
+    with pytest.raises(TypeError):
+        bare.defs["A"] = ((), Nil())
 
 
 def test_new_operator_appends_qubit():
@@ -395,10 +419,10 @@ def _early_steps(t, rho, defs, table, tol, unfolding):
     raise TypeError(t)
 
 
-def _same_steps(config, defs=None, table=None):
+def _same_steps(config):
     """``lts_steps`` and ``reduce_steps`` list exactly the early steps:
     labels, order, terms, rho bytes and choice flags."""
-    early = _early_steps(config.term, config.rho, defs or {}, table or {}, quantum.DEFAULT_TOL, frozenset())
+    early = _early_steps(config.term, config.rho, config.defs, config.table, quantum.DEFAULT_TOL, frozenset())
     want = [(lab, t2, r2.qubit_names, r2.entries.tobytes(), ch) for lab, t2, r2, ch in early]
 
     def got(steps):
@@ -407,13 +431,13 @@ def _same_steps(config, defs=None, table=None):
             for s in steps
         ]
 
-    assert got(qccs.lts_steps(config, defs, table)) == want
-    assert got(qccs.reduce_steps(config, defs, table)) == [w for w in want if w[0] == LTau()]
+    assert got(qccs.lts_steps(config)) == want
+    assert got(qccs.reduce_steps(config)) == [w for w in want if w[0] == LTau()]
     return want
 
 
-def _explored(config, defs=None, table=None, budget=Budget(16, 200)):
-    return build_lts(config, qccs_system(defs, table, labelled=True), budget).states
+def _explored(config, budget=Budget(16, 200)):
+    return build_lts(config, qccs_system(labelled=True), budget).states
 
 
 def test_steps_match_the_early_semantics_on_generated_configurations():
@@ -424,9 +448,8 @@ def test_steps_match_the_early_semantics_on_generated_configurations():
 
 def test_steps_match_the_early_semantics_on_the_bundled_protocols():
     for name in ("teleport-encoded.qccs", "counterexample.qccs"):
-        defs, config, table = qccs.parse_qccs(protocols.read(name))
-        for state in _explored(config, defs, table):
-            _same_steps(state, defs, table)
+        for state in _explored(qccs.parse_qccs(protocols.read(name))):
+            _same_steps(state)
     for name in ("teleport.cqp", "measurement.cqp"):
         for state in _explored(encode_config(cqp.parse_cqp(protocols.read(name)))):
             _same_steps(state)
@@ -454,7 +477,7 @@ def test_restricted_channel_keeps_its_communication_and_hides_its_input():
 def test_constant_unfolding_to_an_input_receives_like_the_input():
     defs = {"A": (("y",), In("c", "x", SuperOp(GateOp("CNOT"), ("x", "y"), Nil())))}
     term = Par(ConstCall("A", ("q",)), Out("c", "p", Nil()))
-    steps = _same_steps(cfg(term, names=("q", "p"), amps=(1, 0, 0, 0)), defs)
+    steps = _same_steps(cfg(term, names=("q", "p"), amps=(1, 0, 0, 0), defs=defs))
     assert [lab for lab, *_ in steps] == [LOut("c", "p"), LTau()]
 
 
@@ -471,29 +494,29 @@ def test_one_input_meets_its_outputs_in_register_order():
 
 def test_one_term_steps_by_each_defs_it_is_stepped_under():
     term = Par(ConstCall("A", ("q",)), Out("c", "p", Nil()))
-    config = cfg(term, names=("q", "p"), amps=(1, 0, 0, 0))
     receives = {"A": (("x",), In("c", "y", SuperOp(GateOp("CNOT"), ("y", "x"), Nil())))}
     flips = {"A": (("x",), Choice(Tau(SuperOp(GateOp("X"), ("x",), Success())), Out("d", "x", Nil())))}
+    bare, receiving, flipping = (cfg(term, names=("q", "p"), amps=(1, 0, 0, 0), defs=d) for d in ({}, receives, flips))
     for stepper in (qccs.lts_steps, qccs.reduce_steps):
         with pytest.raises(UnknownName, match="unresolved process constant 'A'"):
-            stepper(config)
-    received = _same_steps(config, receives)
-    flipped = _same_steps(config, flips)
+            stepper(bare)
+    received = _same_steps(receiving)
+    flipped = _same_steps(flipping)
     assert [lab for lab, *_ in received] == [LOut("c", "p"), LTau()]
     assert [lab for lab, *_ in flipped] == [LTau(), LOut("d", "q"), LOut("c", "p")]
-    assert _same_steps(config, receives) == received
-    assert _same_steps(config, flips) == flipped
+    assert _same_steps(receiving) == received
+    assert _same_steps(flipping) == flipped
 
 
 def test_one_term_steps_by_each_operator_table_it_is_stepped_under():
     # Q keeps |0> in one file and annihilates it in the other
     process = "state qubits q ; rho = outer(|0>) ; process if tr(Q[q]) != 0 then tau.ok + Q[q].tau.nil"
-    _, keeps, kept = qccs.parse_qccs("superop Q(1) { +[[1, 0], [0, 0]]; }\n" + process)
-    _, drops, dropped = qccs.parse_qccs("superop Q(1) { +[[0, 0], [0, 1]]; }\n" + process)
-    assert keeps.term is drops.term
+    keeps = qccs.parse_qccs("superop Q(1) { +[[1, 0], [0, 0]]; }\n" + process)
+    drops = qccs.parse_qccs("superop Q(1) { +[[0, 0], [0, 1]]; }\n" + process)
+    assert keeps.term is drops.term and keeps.table is not drops.table
     for _ in range(2):
-        assert [t2 for _, t2, *_ in _same_steps(keeps, table=kept)] == [Success(), Tau(Nil())]
-        (step,) = _same_steps(drops, table=dropped)
+        assert [t2 for _, t2, *_ in _same_steps(keeps)] == [Success(), Tau(Nil())]
+        (step,) = _same_steps(drops)
         assert step[1] == Tau(Nil()) and not np.frombuffer(step[3], dtype=complex).any()
 
 
@@ -502,7 +525,7 @@ def _spectated(config, before):
     spectators = dm(("s0", "s1", "s2"), np.kron(np.kron([SQ2, SQ2], [1, 0]), [SQ2, -SQ2]))
     first, second = (spectators, config.rho) if before else (config.rho, spectators)
     rho = quantum.DensityMatrix(first.qubit_names + second.qubit_names, np.kron(first.entries, second.entries))
-    return QccsConfig(config.term, rho)
+    return dataclasses.replace(config, rho=rho)
 
 
 def test_one_term_steps_by_each_register_order_it_is_stepped_under():
@@ -523,14 +546,14 @@ def test_a_constant_body_steps_alike_inside_and_outside_its_unfolding():
     defs = {"A": (("x",), Par(ConstCall("A", ("x",)), Tau(Success())))}
     body = qccs.substitute(defs["A"][1], {"x": "q"})
     for _ in range(2):
-        assert len(_same_steps(cfg(ConstCall("A", ("q",))), defs)) == 1
-        assert len(_same_steps(cfg(body), defs)) == 2
+        assert len(_same_steps(cfg(ConstCall("A", ("q",)), defs=defs))) == 1
+        assert len(_same_steps(cfg(body, defs=defs))) == 2
 
 
 def test_a_guard_is_evaluated_where_the_walk_evaluates_it():
     # the guard's trace overflows; its body has no step, but it still raises
     overflow = "superop Q(1) { +[[1e300, 0], [0, 1]]; } state qubits q ; rho = outer(|0>) ; process nil"
-    table = qccs.parse_qccs(overflow)[2]
+    table = qccs.parse_qccs(overflow).table
     overflows = IfThen(TraceNonzero(CustomOp("Q"), ("q",)), Nil())
     unresolved = ConstCall("A", ("q",))
     for term, error in [
@@ -541,14 +564,14 @@ def test_a_guard_is_evaluated_where_the_walk_evaluates_it():
     ]:
         for stepper in (qccs.lts_steps, qccs.reduce_steps):
             with pytest.raises(error):
-                stepper(cfg(term), table=table)
+                stepper(cfg(term, table=table))
     unfolds_short = {"A": (("x", "y"), Nil())}
     for term, error in [(Par(overflows, unresolved), InvalidRegister), (Par(unresolved, overflows), ArityMismatch)]:
         with pytest.raises(error):
-            qccs.reduce_steps(cfg(term), unfolds_short, table)
+            qccs.reduce_steps(cfg(term, defs=unfolds_short, table=table))
     # under a guard that fails, neither the overflow nor the constant is reached
     shut = IfThen(TraceNonzero(ProjectOp(1), ("q",)), Par(overflows, unresolved))
-    assert qccs.reduce_steps(cfg(Par(shut, Tau(Nil()))), table=table)[0].next.term == Par(shut, Nil())
+    assert qccs.reduce_steps(cfg(Par(shut, Tau(Nil())), table=table))[0].next.term == Par(shut, Nil())
 
 
 def test_an_unguarded_zero_probability_operator_has_no_step():
@@ -569,11 +592,10 @@ def test_each_state_applies_and_traces_as_often_as_the_early_semantics(monkeypat
 
         return count
 
-    def early(config, defs, table):
-        return _early_steps(config.term, config.rho, defs, table, quantum.DEFAULT_TOL, frozenset())
+    def early(config):
+        return _early_steps(config.term, config.rho, config.defs, config.table, quantum.DEFAULT_TOL, frozenset())
 
-    defs, config, table = qccs.parse_qccs(protocols.read("teleport-encoded.qccs"))
-    states = _explored(config, defs, table)
+    states = _explored(qccs.parse_qccs(protocols.read("teleport-encoded.qccs")))
     for name in ("superop_apply", "raw_trace_after"):
         monkeypatch.setattr(quantum, name, counted(name))
     total = collections.Counter()
@@ -581,12 +603,12 @@ def test_each_state_applies_and_traces_as_often_as_the_early_semantics(monkeypat
         counts = []
         for stepper in (early, qccs.lts_steps, qccs.reduce_steps):
             calls.clear()
-            stepper(state, defs, table)
+            stepper(state)
             counts.append(dict(calls))
         assert counts[0] == counts[1] == counts[2]
         total.update(counts[0])
         calls.clear()
-        qccs.has_success_barb(state, defs)  # the barb read evaluates no guard and applies no operator
+        qccs.has_success_barb(state)  # the barb read evaluates no guard and applies no operator
         assert not calls
     assert len(states) > 10 and total["superop_apply"] > 10 and total["raw_trace_after"] == 4
 
@@ -607,20 +629,20 @@ def test_templates_keep_no_earlier_instance_alive():
 def _wrapped_teleport():
     """The bundled teleport translation, and the same process as the body
     of ``def T(q0, q1, q2)`` called on its register."""
-    defs, config, table = qccs.parse_qccs(protocols.read("teleport-encoded.qccs"))
+    config = qccs.parse_qccs(protocols.read("teleport-encoded.qccs"))
     names = config.rho.qubit_names
-    wrapped = {**defs, "T": (names, config.term)}
-    return (config, defs, table), (QccsConfig(ConstCall("T", names), config.rho), wrapped, table)
+    wrapped = {**config.defs, "T": (names, config.term)}
+    return config, dataclasses.replace(config, term=ConstCall("T", names), defs=wrapped)
 
 
-def _labelled(config, defs, table):
-    return build_lts(config, qccs_system(defs, table, labelled=True), Budget(48, 800))
+def _labelled(config):
+    return build_lts(config, qccs_system(labelled=True), Budget(48, 800))
 
 
 def test_a_constant_wrapped_process_keeps_its_templates(monkeypatch):
-    (config, defs, table), (call, wrapped, _) = _wrapped_teleport()
-    qccs.check_wellformed(wrapped, call, table)
-    plain, first = _labelled(config, defs, table), _labelled(call, wrapped, table)
+    config, call = _wrapped_teleport()
+    qccs.check_wellformed(call)
+    plain, first = _labelled(config), _labelled(call)
     assert first.complete and len(plain.states) > 10
     # the call unfolds to the file's process: the same LTS, state 0 aside
     assert first.edges == plain.edges and first.barbs == plain.barbs
@@ -642,7 +664,7 @@ def test_a_constant_wrapped_process_keeps_its_templates(monkeypatch):
 
     for name in ("_root_template", "_template"):
         monkeypatch.setattr(qccs, name, counted(name))
-    second = _labelled(call, wrapped, table)
+    second = _labelled(call)
     assert second.edges == first.edges
     assert calls["_template"] == calls["_root_template"] == 2 * len(second.states)
 
@@ -653,8 +675,7 @@ def test_a_recursive_constant_goes_at_the_next_collection():
     before = len(canon._table)
 
     def explore():
-        defs, config, table = qccs.parse_qccs("def A(q) = tau.A(q)\nstate qubits q ;\nrho = outer(|0>) ;\nprocess A(q)")
-        lts = _labelled(config, defs, table)
+        lts = _labelled(qccs.parse_qccs("def A(q) = tau.A(q)\nstate qubits q ;\nrho = outer(|0>) ;\nprocess A(q)"))
         assert len(lts.states) == 1 and lts.edges == [(0, "tau", 0, False)]
 
     explore()
@@ -683,17 +704,16 @@ def _barb_walk(t, defs, unfolding=frozenset()):
     return False
 
 
-def _same_barbs(states, defs=None):
+def _same_barbs(states):
     for state in states:
-        assert qccs.has_success_barb(state, defs) == _barb_walk(state.term, defs or {})
+        assert qccs.has_success_barb(state) == _barb_walk(state.term, state.defs)
 
 
 def test_barbs_match_the_walk_on_generated_configurations_and_bundled_files():
     for seed in range(100):
         _same_barbs(_explored(encode_config(gen_config(seed))))
     for name in ("teleport-encoded.qccs", "counterexample.qccs"):
-        defs, config, table = qccs.parse_qccs(protocols.read(name))
-        _same_barbs(_explored(config, defs, table), defs)
+        _same_barbs(_explored(qccs.parse_qccs(protocols.read(name))))
 
 
 def test_barbs_match_the_walk_through_constants():
@@ -713,20 +733,20 @@ def test_barbs_match_the_walk_through_constants():
     terms = [call(name) for name in defs] + bodies
     for order in (terms, terms[::-1]):
         for term in order:
-            _same_barbs(_explored(cfg(term), defs), defs)
-    barbs = [qccs.has_success_barb(cfg(t), defs) for t in terms]
+            _same_barbs(_explored(cfg(term, defs=defs)))
+    barbs = [qccs.has_success_barb(cfg(t, defs=defs)) for t in terms]
     assert barbs == [False, True, False, True, True, True] * 2
     # A(q) has a barb, but not inside B's unfolding, where B(q) reaches it first
     inside = {"A": (("x",), ConstCall("B", ("x",))), "B": (("x",), Choice(ConstCall("A", ("x",)), Success()))}
     for term in (call("B"), call("A")):
-        _same_barbs(_explored(cfg(term), inside), inside)
+        _same_barbs(_explored(cfg(term, defs=inside)))
     # an unresolved constant has no barb, called directly or from a body
     unresolved = {**defs, "W": (("x",), Par(ConstCall("Z", ("x",)), Nil()))}
     terms = [call("Z"), call("W"), Choice(call("Z"), call("V"))]
-    _same_barbs([cfg(t) for t in terms], unresolved)
-    assert [qccs.has_success_barb(cfg(t), unresolved) for t in terms] == [False, False, True]
+    _same_barbs([cfg(t, defs=unresolved) for t in terms])
+    assert [qccs.has_success_barb(cfg(t, defs=unresolved)) for t in terms] == [False, False, True]
     # a call of the wrong arity reads as no barb (the walk would unfold it short)
-    assert not qccs.has_success_barb(cfg(ConstCall("V", ("q", "p")), names=("q", "p"), amps=(1, 0, 0, 0)), defs)
+    assert not qccs.has_success_barb(cfg(ConstCall("V", ("q", "p")), names=("q", "p"), amps=(1, 0, 0, 0), defs=defs))
 
 
 def test_barbs():
@@ -739,8 +759,8 @@ def test_barbs():
 
 def test_barb_through_constants():
     defs = {"A": ((), Success()), "B": ((), ConstCall("B", ()))}
-    assert qccs.has_success_barb(cfg(ConstCall("A", ())), defs)
-    assert not qccs.has_success_barb(cfg(ConstCall("B", ())), defs)
+    assert qccs.has_success_barb(cfg(ConstCall("A", ()), defs=defs))
+    assert not qccs.has_success_barb(cfg(ConstCall("B", ()), defs=defs))
 
 
 # -- congruence -------------------------------------------------------------------
@@ -967,10 +987,10 @@ def test_success_as_choice_branch_barbs():
 # -- formatting roundtrip -----------------------------------------------------------
 
 def test_format_parse_roundtrip_is_identity_on_text():
-    defs, config, table = qccs.parse_qccs(protocols.read("counterexample.qccs"))
-    text1 = qccs.format_qccs_file(config, defs, table)
-    defs2, config2, table2 = qccs.parse_qccs(text1)
-    text2 = qccs.format_qccs_file(config2, defs2, table2)
+    config = qccs.parse_qccs(protocols.read("counterexample.qccs"))
+    text1 = qccs.format_qccs_file(config)
+    config2 = qccs.parse_qccs(text1)
+    text2 = qccs.format_qccs_file(config2)
     assert text1 == text2
     assert qccs.congruent(config, config2)
 

@@ -17,7 +17,7 @@ from qproc.errors import (
 SQ2 = 1.0 / np.sqrt(2.0)
 
 # the signed two-Kraus operator Q of the bundled separation probe
-PROBE = qccs.parse_qccs(protocols.read("counterexample.qccs"))[2]["Q"]
+PROBE = qccs.parse_qccs(protocols.read("counterexample.qccs")).table["Q"]
 
 
 def sv(names, amps):
